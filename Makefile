@@ -31,19 +31,25 @@ figures:
 figures-quick:
 	$(GO) run ./cmd/rambda-figures -quick -parallel $(PARALLEL)
 
+# The newest committed BENCH_<n>.json is the baseline; `make bench`
+# records the next one.
+BENCH_LAST := $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -1)
+BENCH_NEXT := $(shell expr $(BENCH_LAST) + 1)
+
 # Performance-regression harness: times every figure plus the sim
-# microbenchmark kernels and writes BENCH_8.json (schema documented in
-# cmd/rambda-bench and EXPERIMENTS.md). Runs the partitioned engine at
+# microbenchmark kernels and writes BENCH_$(BENCH_NEXT).json (schema
+# documented in cmd/rambda-bench and EXPERIMENTS.md), gated against the
+# newest committed BENCH file. Runs the partitioned engine at
 # -sim-parallel 4 — output stays byte-identical, only wall time moves.
 bench:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out BENCH_8.json -baseline BENCH_7.json
+	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 
 # Figures + microbenchmarks compared against the committed baseline;
 # fails on a >25% machine-normalized time regression or on alloc-count
 # regressions (micro allocs/op and per-figure totals). This is what
 # CI's bench-smoke job runs.
 bench-check:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out /tmp/BENCH_ci.json -baseline BENCH_8.json
+	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out /tmp/BENCH_ci.json -baseline BENCH_$(BENCH_LAST).json
 
 # CPU-profile one figure end to end, then open pprof. Usage:
 #   make profile FIG=fig8

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/rambda-bench -quick                 # figures + micro, write BENCH_8.json
+//	go run ./cmd/rambda-bench -quick                 # figures + micro, write BENCH_9.json
 //	go run ./cmd/rambda-bench -skip-figures          # microbenchmarks only
-//	go run ./cmd/rambda-bench -quick -baseline BENCH_7.json
+//	go run ./cmd/rambda-bench -quick -baseline BENCH_8.json
 //	go run ./cmd/rambda-bench -quick -sim-parallel 4 # partitioned engine, 4 goroutines per sim
 //
 // With -baseline, the run fails (exit 1) when anything regresses:
@@ -98,6 +98,7 @@ var microKernels = []struct {
 	{"ResourceAcquireGapFree", func(n int) { sim.BenchAcquireGapFree(n) }},
 	{"ResourceAcquireGapHeavy", func(n int) { sim.BenchAcquireGapHeavy(n) }},
 	{"ResourceAcquireGapSaturated", func(n int) { sim.BenchAcquireGapSaturated(n) }},
+	{"ResourceAcquireBackfillMix", func(n int) { sim.BenchAcquireBackfillMix(n) }},
 	{"ClosedLoopRun", func(n int) { sim.BenchClosedLoop(n) }},
 	{"HistogramRecord", func(n int) { sim.BenchHistogramRecord(n) }},
 	{"HistogramPercentile", func(n int) { sim.BenchHistogramPercentile(n) }},
@@ -116,7 +117,7 @@ func main() {
 	quick := flag.Bool("quick", false, "run figures at quick scale (mirrors rambda-figures -quick)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for figure sweep points")
 	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams")
-	out := flag.String("out", "BENCH_8.json", "output JSON path")
+	out := flag.String("out", "BENCH_9.json", "output JSON path")
 	only := flag.String("only", "", "time a single figure id (e.g. fig7)")
 	skipFigures := flag.Bool("skip-figures", false, "skip figure timings, run only the sim microbenchmarks")
 	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to compare microbenchmarks against")

@@ -64,6 +64,30 @@ func BenchAcquireGapSaturated(n int) Time {
 	return done
 }
 
+// BenchAcquireBackfillMix reproduces the regime that dominates the
+// saturated KVS runs (a DRAM-like resource with six channels): arrivals
+// alternate between the current front of the simulation and the later
+// stage of a request issued ~16us earlier, so the table sits at maxGaps
+// and two generations of windows interleave in age order. Current
+// arrivals open windows at the frontier; backdated ones backfill the
+// window straddling them. This is the kernel for the gap index's
+// subtree pruning.
+func BenchAcquireBackfillMix(n int) Time {
+	r := NewResource("bench:backfill", 6, 0, 25e9, 0)
+	rng := NewRNG(5)
+	now := Time(0)
+	var done Time
+	for i := 0; i < n; i++ {
+		now += Duration(rng.Intn(int(20 * Nanosecond)))
+		at := now
+		if i%2 == 1 {
+			at = max(0, now-16*Microsecond+Duration(rng.Intn(int(100*Nanosecond))))
+		}
+		_, done = r.Acquire(at, 64*(1+rng.Intn(4)))
+	}
+	return done
+}
+
 // BenchClosedLoop runs one closed loop of ~n requests (32 clients over
 // a capacity-4 resource with jittered think time), exercising the
 // event-heap push/pop per request alongside placement.

@@ -19,21 +19,30 @@ import "math/bits"
 // now), and the original scan breaks that tie toward the gap recorded
 // first. A start-ordered structure cannot reproduce that order, so the
 // table keeps gaps in age order — a sliding window over a flat buffer —
-// and gets its speedup from three exact prunes layered on top:
+// and indexes that order with a three-level tree of summaries (min
+// start, max end, max length): a leaf per gapLeafSize slots, a block
+// per gapBlockLeaves leaves, and the root. Each inner summary is the
+// merge of its children's.
 //
-//  1. a tracked max-gap-length upper bound: occupy > maxLen means no
-//     gap can fit and the scan is skipped entirely;
-//  2. per-block summaries (min start, max end, max length over 64-gap
-//     blocks): a block is scanned only if it can hold a gap covering
-//     [now, now+occupy] or a future gap that fits and could still beat
-//     the best candidate so far. Summaries are maintained as
-//     over-approximations (removal rescans a block only when the
-//     removed gap defined an extreme — see maybeRescan): a too-generous
-//     summary can only cause a fruitless block scan, never a different
-//     winner, so the bit-exact contract is unaffected;
-//  3. early exit on the first gap feasible at s == now: no later gap
-//     can strictly beat it, and the original scan would also have kept
-//     it (replacement there requires a strictly earlier start).
+// Search walks the blocks of the live window in age order, descends
+// only into blocks that can hold a gap that fits (maxEnd >= now+occupy
+// and maxLen >= occupy) and that starts strictly before the best
+// candidate so far (the original scan's strict-< replacement rule),
+// applies the same test to the leaves inside, and tests the live slots
+// (a bitmap per leaf) of the leaves that survive. The first gap
+// feasible at s == now ends the search: no later gap can strictly beat
+// it. A miss on every gap is answered by the root alone.
+//
+// Updates touch one leaf path. Recording a gap widens its leaf, its
+// block and the root. Consuming a gap rebuilds its leaf only when the
+// gap defined one of the leaf's extremes, and re-merges the block only
+// when the old leaf summary may have defined one of the block's; the
+// root shrinks back to the merge of the blocks after a search that
+// misses. Evicting the oldest gap leaves the head leaf's summary as it
+// was until the head moves past the leaf. Summaries may therefore
+// over-approximate what they summarize; a too-generous summary can only
+// cause a fruitless scan, never a different winner, so the bit-exact
+// contract is unaffected.
 //
 // Consumed gaps become tombstones (start=MaxTime, end=0 — a window no
 // request can fit) instead of being spliced out, and eviction advances
@@ -43,28 +52,33 @@ import "math/bits"
 // front. The buffer is 2x maxGaps, so each compaction is separated by
 // at least maxGaps appends and amortizes to O(1) per append.
 type gapTable struct {
-	buf    []gap      // fixed 2*maxGaps slots; live window is [head, tail)
-	blocks []gapBlock // per-block summaries over the full buffer
-	occ    []uint64   // per-block live-slot bitmaps; scans visit only set bits
-	head   int        // oldest slot (may be a tombstone)
-	tail   int        // one past the newest slot
-	live   int        // live (non-tombstone) gaps in [head, tail)
-	maxLen Duration   // upper bound on live gap length; exact after compact
-	maxEnd Time       // upper bound on live gap end; exact after compact
+	buf    []gap                 // fixed gapSlots slots; live window is [head, tail)
+	occ    [gapLeaves]uint64     // per-leaf live-slot bitmaps
+	leaves [gapLeaves]gapSummary // one per gapLeafSize slots
+	blocks [gapBlocks]gapSummary // one per gapBlockLeaves leaves
+	root   gapSummary            // bounds every live gap
+	head   int                   // oldest slot (may be a tombstone)
+	tail   int                   // one past the newest slot
+	live   int                   // live (non-tombstone) gaps in [head, tail)
 }
 
-// gapBlock summarizes one gapBlockSize-aligned run of buffer slots.
-// Tombstones are neutral: they cannot lower minStart, raise maxEnd, or
-// raise maxLen, so a summary over the full physical block stays valid.
-type gapBlock struct {
+// gapSummary bounds a run of slots. Tombstones are neutral: they cannot
+// lower minStart, raise maxEnd, or raise maxLen, so a summary over a
+// whole physical run stays valid.
+type gapSummary struct {
 	minStart Time
 	maxEnd   Time
 	maxLen   Duration
 }
 
 const (
-	gapBlockShift = 6 // 64 gaps per summary block
-	gapBlockSize  = 1 << gapBlockShift
+	gapSlots       = 2 * maxGaps
+	gapLeafShift   = 5 // 32 slots per leaf (at most 64: one bitmap word)
+	gapLeafSize    = 1 << gapLeafShift
+	gapLeaves      = gapSlots / gapLeafSize
+	gapBlockShift  = 4 // 16 leaves per block
+	gapBlockLeaves = 1 << gapBlockShift
+	gapBlocks      = gapLeaves / gapBlockLeaves
 )
 
 // deadGap marks a consumed or evicted slot. max(now, MaxTime)+occupy
@@ -73,27 +87,46 @@ const (
 // end-s >= occupy, which cannot overflow for any slot state).
 var deadGap = gap{start: MaxTime, end: 0}
 
+// deadSummary bounds an empty run: every search skips it.
+var deadSummary = gapSummary{minStart: MaxTime}
+
 func newGapTable() *gapTable {
-	t := &gapTable{
-		buf:    make([]gap, 2*maxGaps),
-		blocks: make([]gapBlock, (2*maxGaps)/gapBlockSize),
-		occ:    make([]uint64, (2*maxGaps)/gapBlockSize),
-	}
+	t := &gapTable{buf: make([]gap, gapSlots)}
 	for i := range t.buf {
 		t.buf[i] = deadGap
 	}
-	for i := range t.blocks {
-		t.blocks[i] = deadBlock()
-	}
+	t.reset()
 	return t
-}
-
-func deadBlock() gapBlock {
-	return gapBlock{minStart: MaxTime, maxEnd: 0, maxLen: 0}
 }
 
 // len reports the number of live gaps.
 func (t *gapTable) len() int { return t.live }
+
+// widen grows s to cover g.
+func (s *gapSummary) widen(g gap) {
+	s.minStart = min(s.minStart, g.start)
+	s.maxEnd = max(s.maxEnd, g.end)
+	s.maxLen = max(s.maxLen, g.end-g.start)
+}
+
+// admits reports whether the run s summarizes can hold a gap that ends
+// at or after target, is at least occupy long, and starts before
+// before.
+func (s *gapSummary) admits(target Time, occupy Duration, before Time) bool {
+	return s.maxEnd >= target && s.maxLen >= occupy && s.minStart < before
+}
+
+// mergeSummaries returns the smallest summary covering every summary
+// in run.
+func mergeSummaries(run []gapSummary) gapSummary {
+	m := deadSummary
+	for _, s := range run {
+		m.minStart = min(m.minStart, s.minStart)
+		m.maxEnd = max(m.maxEnd, s.maxEnd)
+		m.maxLen = max(m.maxLen, s.maxLen)
+	}
+	return m
+}
 
 // add appends a gap as the newest entry, evicting the oldest live gap
 // first when the table is at capacity — the same drop-oldest policy the
@@ -102,96 +135,74 @@ func (t *gapTable) add(g gap) {
 	if t.live >= maxGaps {
 		t.evictOldest()
 	}
-	if t.tail == len(t.buf) {
+	if t.tail == gapSlots {
 		t.compact()
 	}
 	slot := t.tail
 	t.tail++
 	t.live++
 	t.buf[slot] = g
-	t.occ[slot>>gapBlockShift] |= 1 << (slot & (gapBlockSize - 1))
-	blk := &t.blocks[slot>>gapBlockShift]
-	if g.start < blk.minStart {
-		blk.minStart = g.start
-	}
-	if g.end > blk.maxEnd {
-		blk.maxEnd = g.end
-	}
-	if l := g.end - g.start; l > blk.maxLen {
-		blk.maxLen = l
-		if l > t.maxLen {
-			t.maxLen = l
-		}
-	}
-	if g.end > t.maxEnd {
-		t.maxEnd = g.end
-	}
+	leaf := slot >> gapLeafShift
+	t.occ[leaf] |= 1 << (slot & (gapLeafSize - 1))
+	t.leaves[leaf].widen(g)
+	t.blocks[leaf>>gapBlockShift].widen(g)
+	t.root.widen(g)
 }
 
-// evictOldest tombstones the oldest live gap.
+// evictOldest tombstones the oldest live gap. Evictions walk the head
+// leaf front to back, so its summary is left as is — an
+// over-approximation while the leaf still holds live gaps — and is
+// rebuilt once the head has moved past the leaf.
 func (t *gapTable) evictOldest() {
+	from := t.head >> gapLeafShift
 	for t.buf[t.head] == deadGap {
 		t.head++
 	}
-	g := t.buf[t.head]
 	t.buf[t.head] = deadGap
-	t.occ[t.head>>gapBlockShift] &^= 1 << (t.head & (gapBlockSize - 1))
-	t.head++
+	t.occ[t.head>>gapLeafShift] &^= 1 << (t.head & (gapLeafSize - 1))
 	t.live--
-	t.maybeRescan((t.head-1)>>gapBlockShift, g)
+	t.head++
+	for leaf := from; leaf < t.head>>gapLeafShift; leaf++ {
+		t.refresh(leaf)
+	}
 }
 
 // take removes and returns the gap at slot (previously returned by
-// search).
+// search). Its leaf is rebuilt only when the gap defined one of the
+// leaf's extremes: a gap strictly inside all three bounds cannot
+// change them.
 func (t *gapTable) take(slot int) gap {
 	g := t.buf[slot]
 	t.buf[slot] = deadGap
-	t.occ[slot>>gapBlockShift] &^= 1 << (slot & (gapBlockSize - 1))
+	leaf := slot >> gapLeafShift
+	t.occ[leaf] &^= 1 << (slot & (gapLeafSize - 1))
 	t.live--
-	t.maybeRescan(slot>>gapBlockShift, g)
+	if s := &t.leaves[leaf]; g.start <= s.minStart || g.end >= s.maxEnd || g.end-g.start >= s.maxLen {
+		t.refresh(leaf)
+	}
 	return g
 }
 
-// maybeRescan rebuilds block b's summary only when the gap just removed
-// from it defined one of the summary's extremes. A gap strictly inside
-// all three bounds cannot change them, so the summary stays exact
-// without touching the other 63 slots — and even when a rescan is
-// skipped wrongly-pessimistically (removed gap tied an extreme another
-// gap also achieves), the summary merely over-approximates, which the
-// search prunes tolerate by construction: a too-generous summary scans
-// a block that yields nothing, it never changes the winner.
-func (t *gapTable) maybeRescan(b int, g gap) {
-	blk := &t.blocks[b]
-	if g.start > blk.minStart && g.end < blk.maxEnd && g.end-g.start < blk.maxLen {
-		return
+// refresh rebuilds leaf i's summary from its slots. Tombstones are
+// summary-neutral, so a straight sweep over the leaf needs no bitmap.
+// The leaf's block is re-merged only if the old leaf summary may have
+// defined one of the block's extremes. The root is left to shrink
+// lazily (see search).
+func (t *gapTable) refresh(i int) {
+	s := deadSummary
+	for _, g := range t.buf[i<<gapLeafShift : (i+1)<<gapLeafShift] {
+		s.widen(g)
 	}
-	t.rescanBlock(b)
-}
-
-// rescanBlock rebuilds one block's summary from its slots. Tombstones
-// are summary-neutral, so the straight sequential sweep (which the
-// hardware prefetches) beats iterating the occupancy bits when blocks
-// run dense — and blocks are dense by construction, since appends fill
-// them front to back.
-func (t *gapTable) rescanBlock(b int) {
-	lo := b << gapBlockShift
-	blk := deadBlock()
-	for _, g := range t.buf[lo : lo+gapBlockSize] {
-		if g.start < blk.minStart {
-			blk.minStart = g.start
-		}
-		if g.end > blk.maxEnd {
-			blk.maxEnd = g.end
-		}
-		if l := g.end - g.start; l > blk.maxLen {
-			blk.maxLen = l
-		}
+	old := t.leaves[i]
+	t.leaves[i] = s
+	b := i >> gapBlockShift
+	if blk := &t.blocks[b]; old.minStart == blk.minStart || old.maxEnd == blk.maxEnd || old.maxLen == blk.maxLen {
+		*blk = mergeSummaries(t.leaves[b<<gapBlockShift : (b+1)<<gapBlockShift])
 	}
-	t.blocks[b] = blk
 }
 
 // compact slides the live gaps back to the front of the buffer in age
-// order and rebuilds the summaries and the exact max length.
+// order and rebuilds the bitmaps and every summary.
 func (t *gapTable) compact() {
 	n := 0
 	for i := t.head; i < t.tail; i++ {
@@ -203,106 +214,78 @@ func (t *gapTable) compact() {
 	for i := n; i < t.tail; i++ {
 		t.buf[i] = deadGap
 	}
-	for i := range t.occ {
-		t.occ[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		t.occ[i>>gapBlockShift] |= 1 << (i & (gapBlockSize - 1))
-	}
 	t.head, t.tail = 0, n
-	t.maxLen = 0
-	t.maxEnd = 0
-	for b := range t.blocks {
-		t.rescanBlock(b)
-		if t.blocks[b].maxLen > t.maxLen {
-			t.maxLen = t.blocks[b].maxLen
+	for i := range t.leaves {
+		lo, hi := i<<gapLeafShift, min((i+1)<<gapLeafShift, n)
+		if lo >= hi {
+			t.occ[i], t.leaves[i] = 0, deadSummary
+			continue
 		}
-		if t.blocks[b].maxEnd > t.maxEnd {
-			t.maxEnd = t.blocks[b].maxEnd
+		s := deadSummary
+		for _, g := range t.buf[lo:hi] {
+			s.widen(g)
 		}
+		t.occ[i], t.leaves[i] = 1<<(hi-lo)-1, s
 	}
+	for b := range t.blocks {
+		t.blocks[b] = mergeSummaries(t.leaves[b<<gapBlockShift : (b+1)<<gapBlockShift])
+	}
+	t.root = mergeSummaries(t.blocks[:])
 }
 
 // search returns the slot of the gap the original linear scan would
 // have chosen for an operation of length occupy arriving at now, and
 // the feasible start within it, or slot -1 if no gap fits.
 func (t *gapTable) search(now Time, occupy Duration) (slot int, start Time) {
-	if t.live == 0 || occupy > t.maxLen {
-		return -1, 0
-	}
 	target := now + occupy
-	// A feasible gap needs end >= max(now, start) + occupy >= target, so
-	// when even the newest remembered window ends before target the scan
-	// cannot succeed. This is the steady-state fast path: most windows
-	// are wholly in the past, and the table-level bound answers in O(1)
-	// what the per-block maxEnd prunes would answer in O(blocks).
-	if t.maxEnd < target {
+	// Any feasible gap ends at or after now+occupy (s >= now always) and
+	// is at least occupy long, and it can only displace the best
+	// candidate so far by starting strictly before it. bestStart starts
+	// at MaxTime, which no live gap's start reaches, so the same test
+	// admits every run that could hold a first candidate.
+	best, bestStart := -1, MaxTime
+	if !t.root.admits(target, occupy, bestStart) {
 		return -1, 0
 	}
-	best := -1
-	var bestStart Time
-	var tightMax Duration
-	var tightEnd Time
-	lastBlock := (t.tail - 1) >> gapBlockShift
-	for b := t.head >> gapBlockShift; b <= lastBlock; b++ {
-		if t.occ[b] == 0 {
+	// Only the leaves of the live window [head, tail) can hold a gap.
+	first, last := t.head>>gapLeafShift, (t.tail-1)>>gapLeafShift
+	for b := first >> gapBlockShift; b <= last>>gapBlockShift; b++ {
+		if !t.blocks[b].admits(target, occupy, bestStart) {
 			continue
 		}
-		blk := &t.blocks[b]
-		if blk.maxLen > tightMax {
-			tightMax = blk.maxLen
-		}
-		if blk.maxEnd > tightEnd {
-			tightEnd = blk.maxEnd
-		}
-		// Any feasible gap ends at or after now+occupy (s >= now always),
-		// so maxEnd < target prunes a block outright — in steady state
-		// most remembered windows are wholly in the past and this is the
-		// prune that carries the load. A surviving block is scanned if it
-		// can hold a covering gap (start <= now, feasible at s == now) or
-		// a future gap at least occupy long starting strictly before the
-		// best candidate so far (the original scan's strict-< replacement
-		// rule).
-		if blk.maxEnd < target {
-			continue
-		}
-		scanCovering := blk.minStart <= now
-		scanFuture := blk.maxLen >= occupy && (best < 0 || blk.minStart < bestStart)
-		if !scanCovering && !scanFuture {
-			continue
-		}
-		lo := b << gapBlockShift
-		// Only live slots carry a set bit (slots before head, past tail,
-		// and tombstones are all clear), and ascending bit order is age
-		// order, so the scan touches exactly the live gaps the original
-		// slot walk would have tested.
-		for mask := t.occ[b]; mask != 0; mask &= mask - 1 {
-			i := lo + bits.TrailingZeros64(mask)
-			g := t.buf[i]
-			s := now
-			if g.start > now {
-				s = g.start
-			}
-			if g.end-s < occupy {
+		for leaf := max(first, b<<gapBlockShift); leaf <= min(last, (b+1)<<gapBlockShift-1); leaf++ {
+			if !t.leaves[leaf].admits(target, occupy, bestStart) {
 				continue
 			}
-			if s == now {
-				// Age-earliest covering gap: nothing later can strictly
-				// improve on it, exactly as in the linear scan.
-				return i, s
-			}
-			if best < 0 || s < bestStart {
-				best, bestStart = i, s
+			lo := leaf << gapLeafShift
+			// Only live slots carry a set bit, and ascending bit order is
+			// age order, so the scan tests exactly the live gaps the
+			// original slot walk would have tested, in the same order.
+			for mask := t.occ[leaf]; mask != 0; mask &= mask - 1 {
+				i := lo + bits.TrailingZeros64(mask)
+				g := t.buf[i]
+				s := max(now, g.start)
+				if g.end-s < occupy {
+					continue
+				}
+				if s == now {
+					// Age-earliest covering gap: nothing later can
+					// strictly improve on it, exactly as in the linear
+					// scan.
+					return i, s
+				}
+				if s < bestStart {
+					best, bestStart = i, s
+				}
 			}
 		}
 	}
 	if best < 0 {
-		// Full miss: every block summary was consulted, so tightMax and
-		// tightEnd bound the live population — re-tighten the skip
-		// bounds (block summaries may themselves over-approximate, so
-		// these stay upper bounds, which is all the fast paths need).
-		t.maxLen = tightMax
-		t.maxEnd = tightEnd
+		// A full miss: re-tighten the root to the merge of the blocks, so
+		// that the next query no block can admit is again answered by the
+		// root alone.
+		t.root = mergeSummaries(t.blocks[:])
+		return -1, 0
 	}
 	return best, bestStart
 }
@@ -312,11 +295,13 @@ func (t *gapTable) reset() {
 	for i := t.head; i < t.tail; i++ {
 		t.buf[i] = deadGap
 	}
-	t.head, t.tail, t.live, t.maxLen, t.maxEnd = 0, 0, 0, 0, 0
+	t.head, t.tail, t.live = 0, 0, 0
+	t.occ = [gapLeaves]uint64{}
+	for i := range t.leaves {
+		t.leaves[i] = deadSummary
+	}
 	for i := range t.blocks {
-		t.blocks[i] = deadBlock()
+		t.blocks[i] = deadSummary
 	}
-	for i := range t.occ {
-		t.occ[i] = 0
-	}
+	t.root = deadSummary
 }

@@ -132,9 +132,62 @@ func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec f
 			t.Fatalf("op %d (now=%v bytes=%d occupy=%v): indexed (%v,%v) != linear (%v,%v); live gaps=%d",
 				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.len())
 		}
+		if i%invariantEvery == 0 {
+			checkGapTable(t, indexed.gaps, linear.gaps)
+		}
 	}
-	if got, want := indexed.gaps.len(), len(linear.gaps); got != want {
-		t.Fatalf("live gap count diverged: indexed %d, linear %d", got, want)
+	checkGapTable(t, indexed.gaps, linear.gaps)
+}
+
+// invariantEvery spaces the full-table invariant checks of a long
+// equivalence run (each one walks every slot).
+const invariantEvery = 4093
+
+// checkGapTable verifies the invariants gapTable.search relies on: the
+// live slots hold exactly the reference's gaps in the same (age)
+// order, every live slot lies in [head, tail) with its bitmap bit set
+// and every other bit clear, and each summary bounds what it
+// summarizes — a live gap by its leaf, a leaf by its block, a block by
+// the root. Summaries may over-approximate; they must never
+// under-approximate.
+func checkGapTable(t *testing.T, g *gapTable, want []gap) {
+	t.Helper()
+	covers := func(s gapSummary, minStart, maxEnd Time, maxLen Duration) bool {
+		return s.minStart <= minStart && s.maxEnd >= maxEnd && s.maxLen >= maxLen
+	}
+	n := 0
+	for i, x := range g.buf {
+		leaf := i >> gapLeafShift
+		bit := g.occ[leaf]>>(i&(gapLeafSize-1))&1 == 1
+		if x == deadGap {
+			if bit {
+				t.Fatalf("slot %d: tombstone with its live bit set", i)
+			}
+			continue
+		}
+		if !bit || i < g.head || i >= g.tail {
+			t.Fatalf("slot %d: live gap %v outside the window [%d,%d) or without its bit", i, x, g.head, g.tail)
+		}
+		if n >= len(want) || want[n] != x {
+			t.Fatalf("slot %d: live gap %d is %v, reference has %v", i, n, x, want[min(n, len(want)-1)])
+		}
+		if !covers(g.leaves[leaf], x.start, x.end, x.end-x.start) {
+			t.Fatalf("slot %d: leaf %d summary %+v does not bound gap %v", i, leaf, g.leaves[leaf], x)
+		}
+		n++
+	}
+	if n != len(want) || n != g.live {
+		t.Fatalf("live gaps: table %d counted %d, reference %d", g.live, n, len(want))
+	}
+	for i, s := range g.leaves {
+		if b := i >> gapBlockShift; !covers(g.blocks[b], s.minStart, s.maxEnd, s.maxLen) {
+			t.Fatalf("block %d summary %+v does not bound leaf %d %+v", b, g.blocks[b], i, s)
+		}
+	}
+	for b, s := range g.blocks {
+		if !covers(g.root, s.minStart, s.maxEnd, s.maxLen) {
+			t.Fatalf("root %+v does not bound block %d %+v", g.root, b, s)
+		}
 	}
 }
 
@@ -223,6 +276,84 @@ func TestPlacementEquivalenceGapSaturated(t *testing.T) {
 	runEquivalence(t, 1, 0, 64e9, 0, ops)
 }
 
+// interleavedOps generates the regime the gap index is tuned for (see
+// BenchAcquireBackfillMix): arrivals alternate between the current
+// front and a stage lagging it by lag, jittered by up to jitter, so two
+// generations of windows interleave in age order. Backdated lookups
+// either backfill the window straddling them or must find the
+// earliest-starting window after them; one op in sixteen is an Occupy.
+func interleavedOps(seed uint64, n int, lag, jitter Duration) []equivOp {
+	rng := NewRNG(seed)
+	ops := make([]equivOp, n)
+	now := Time(0)
+	for i := range ops {
+		now += Duration(rng.Intn(int(20 * Nanosecond)))
+		at := now
+		if i%2 == 1 {
+			at = max(0, now-lag+Duration(rng.Intn(int(jitter))))
+		}
+		if rng.Intn(16) == 0 {
+			ops[i] = equivOp{now: at, occupy: Duration(rng.Intn(int(20*Nanosecond)) + 1)}
+		} else {
+			ops[i] = equivOp{now: at, bytes: 64 * (1 + rng.Intn(4))}
+		}
+	}
+	return ops
+}
+
+// TestPlacementEquivalenceInterleavedGenerations holds the table at
+// maxGaps under interleaved generations of windows: the pruning of
+// blocks and leaves whose summaries mix both generations, the
+// earliest-start search after a backdated arrival, lazy head-leaf
+// summaries under constant eviction, and the root re-tightening after
+// misses.
+func TestPlacementEquivalenceInterleavedGenerations(t *testing.T) {
+	n := 150_000
+	if raceEnabled || testing.Short() {
+		n = 30_000
+	}
+	for _, tc := range []struct {
+		name        string
+		capacity    int
+		bytesPerSec float64
+		jitter      Duration
+		seed        uint64
+	}{
+		{"six-channel", 6, 25e9, 100 * Nanosecond, 11},
+		{"single-server", 1, 25e9, 100 * Nanosecond, 12},
+		{"wide-jitter", 4, 12e9, 2 * Microsecond, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops := interleavedOps(tc.seed, n, 16*Microsecond, tc.jitter)
+			runEquivalence(t, tc.capacity, 0, tc.bytesPerSec, 0, ops)
+		})
+	}
+}
+
+// TestPlacementEquivalenceAcrossReset resets a saturated resource
+// mid-stream: afterwards it must place exactly like a fresh reference,
+// with every summary and bitmap cleared.
+func TestPlacementEquivalenceAcrossReset(t *testing.T) {
+	ops := interleavedOps(21, 3*maxGaps, 16*Microsecond, 100*Nanosecond)
+	indexed := NewResource("equiv", 3, 0, 25e9, 0)
+	for round := 0; round < 3; round++ {
+		linear := newLinearResource(3, 0, 25e9, 0)
+		for i, op := range ops {
+			s1, d1 := indexed.Acquire(op.now, op.bytes)
+			s2, d2 := linear.acquire(op.now, op.bytes)
+			if s1 != s2 || d1 != d2 {
+				t.Fatalf("round %d op %d: indexed (%v,%v) != linear (%v,%v)", round, i, s1, d1, s2, d2)
+			}
+		}
+		checkGapTable(t, indexed.gaps, linear.gaps)
+		indexed.Reset()
+		checkGapTable(t, indexed.gaps, nil)
+		if indexed.gaps.root != deadSummary {
+			t.Fatalf("round %d: Reset left root summary %+v", round, indexed.gaps.root)
+		}
+	}
+}
+
 // TestPlacementEquivalenceBoundaryPatterns hits the structural edges of
 // gapTable: exact-fit consumes, zero-length remainders, eviction while
 // splitting, and repeated Reset.
@@ -248,6 +379,58 @@ func TestPlacementEquivalenceBoundaryPatterns(t *testing.T) {
 		long = append(long, equivOp{now: Duration(rng.Intn(int(now))), bytes: rng.Intn(512) + 1})
 	}
 	runEquivalence(t, 2, 10*Nanosecond, 8e9, 50*Nanosecond, long)
+}
+
+// fuzzOps decodes a fuzz input into an op stream, three bytes per op:
+// the low two bits of the first pick how the arrival time moves (a
+// forward leap, a backdated step, a picosecond nudge, or none), its top
+// bit selects Occupy (length from the third byte) over Acquire (size
+// from its middle bits), and the next two bytes give the magnitude.
+// Inputs are capped at 4096 ops so each run stays fast.
+func fuzzOps(data []byte) []equivOp {
+	var ops []equivOp
+	now := Time(0)
+	for ; len(data) >= 3 && len(ops) < 4096; data = data[3:] {
+		k, mag := data[0], Duration(data[1])<<8|Duration(data[2])
+		switch k & 3 {
+		case 0:
+			now += mag * Nanosecond
+		case 1:
+			now = max(0, now-mag*Nanosecond)
+		case 2:
+			now += mag
+		}
+		if k&0x80 != 0 {
+			ops = append(ops, equivOp{now: now, occupy: (Duration(data[2]) + 1) * Nanosecond})
+		} else {
+			ops = append(ops, equivOp{now: now, bytes: int(k>>2&0x1f) * 32})
+		}
+	}
+	return ops
+}
+
+// FuzzPlacementEquivalence drives the indexed and the linear placement
+// through fuzz-chosen op streams on a resource of 1-8 servers (first
+// byte) and requires identical (start, done) pairs and a consistent
+// index. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzPlacementEquivalence$' ./internal/sim
+func FuzzPlacementEquivalence(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 232, 1, 3, 232, 0x88, 0, 50})
+	f.Add([]byte{3, 0, 0, 16, 0, 8, 20, 1, 0, 4, 0x85, 0, 3, 20, 0, 2, 1, 0, 1})
+	// A long random stream: thousands of windows, backdated arrivals.
+	rng := NewRNG(41)
+	long := []byte{5}
+	for i := 0; i < 3000; i++ {
+		long = append(long, byte(rng.Intn(256)), byte(rng.Intn(4)), byte(rng.Intn(256)))
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		runEquivalence(t, 1+int(data[0]%8), 0, 1e9, 0, fuzzOps(data[1:]))
+	})
 }
 
 func TestResourceResetClearsGapTable(t *testing.T) {

@@ -24,6 +24,11 @@ func BenchmarkResourceAcquireGapSaturated(b *testing.B) {
 	benchSink = BenchAcquireGapSaturated(b.N)
 }
 
+func BenchmarkResourceAcquireBackfillMix(b *testing.B) {
+	b.ReportAllocs()
+	benchSink = BenchAcquireBackfillMix(b.N)
+}
+
 func BenchmarkClosedLoopRun(b *testing.B) {
 	b.ReportAllocs()
 	_ = BenchClosedLoop(b.N)
