@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rambda/internal/core"
+	"rambda/internal/kvs"
 	"rambda/internal/memspace"
 	"rambda/internal/obs"
 	"rambda/internal/runner"
@@ -75,13 +76,27 @@ func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
 	k.Keys = 1 << 18
 	k.Requests = cfg.Requests
 	k.Seed = cfg.Seed
-	r := newRambdaKVSObs(k, core.AccelBase, 1, tr, reg)
+	r := newKVSServer(kvsServeOpts{
+		Variant:       core.AccelBase,
+		Connections:   k.Connections,
+		RingEntries:   k.Batch * 4,
+		EntryBytes:    128,
+		ResponseBatch: 1,
+		Trace:         tr,
+		Metrics:       reg,
+	}, func(m *core.Machine) kvs.Backend {
+		store := preloadStore(m.Space, m.DataKind(), k)
+		store.RegisterMetrics(reg, "kvs")
+		return store
+	})
 	reg.SetInterval(breakdownMetricsInterval)
 
 	w := newKVSWorkload(k, false, false)
+	var wk kvsWork
 	now := sim.Time(0)
 	for i := 0; i < cfg.Requests; i++ {
-		_, done := r.callOn(i, now, w.next())
+		w.fill(&wk)
+		_, done := r.callOn(i, now, wk.request())
 		now = done
 	}
 	reg.SnapshotNow(now)

@@ -8,7 +8,6 @@ import (
 	"rambda/internal/hostcpu"
 	"rambda/internal/kvs"
 	"rambda/internal/memspace"
-	"rambda/internal/obs"
 	"rambda/internal/power"
 	"rambda/internal/runner"
 	"rambda/internal/sim"
@@ -43,36 +42,6 @@ func DefaultKVSConfig() KVSConfig {
 	}
 }
 
-func kvsKey(i int) []byte { return appendKVSKey(nil, i) }
-
-// appendKVSKey appends key i ("user" + 14-digit zero-padded decimal,
-// the paper's 18 B keys) onto dst — the allocation-free formatter the
-// hot request loops use with a reusable buffer.
-func appendKVSKey(dst []byte, i int) []byte {
-	dst = append(dst, "user"...)
-	var digits [14]byte
-	for p := len(digits) - 1; p >= 0; p-- {
-		digits[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return append(dst, digits[:]...)
-}
-
-// kvsZeroSlab backs the KVS handlers' functional writes: the model
-// writes zero bytes over each traced write address (the store already
-// placed the real item bytes; the handler's write charge only needs
-// *some* data to move). Sharing one read-only slab keeps the steady
-// state allocation-free — memspace.Write copies from it and nothing
-// may ever write into it.
-var kvsZeroSlab [4096]byte
-
-func zeros(n int) []byte {
-	if n <= len(kvsZeroSlab) {
-		return kvsZeroSlab[:n]
-	}
-	return make([]byte, n)
-}
-
 // kvsWorkload generates the request stream: uniform or Zipf-skewed key
 // choice, GET-only or 50/50 GET/PUT.
 type kvsWorkload struct {
@@ -82,9 +51,6 @@ type kvsWorkload struct {
 	skewed  bool
 	writes  bool
 	valBase []byte
-	// keyBuf backs the generated request's key; each next() overwrites
-	// it, so a request is only valid until the following next().
-	keyBuf []byte
 }
 
 func newKVSWorkload(cfg KVSConfig, skewed, writes bool) *kvsWorkload {
@@ -99,121 +65,46 @@ func newKVSWorkload(cfg KVSConfig, skewed, writes bool) *kvsWorkload {
 	return w
 }
 
-func (w *kvsWorkload) next() kvs.Request {
+// fill writes the next request into wk.
+func (w *kvsWorkload) fill(wk *kvsWork) {
 	var k int
 	if w.skewed {
 		k = int(w.zipf.Next())
 	} else {
 		k = w.rng.Intn(w.cfg.Keys)
 	}
-	w.keyBuf = appendKVSKey(w.keyBuf[:0], k)
+	wk.key = appendKVSKey(wk.key[:0], k)
+	wk.op = kvs.OpGet
 	if w.writes && w.rng.Intn(2) == 0 {
 		binary.LittleEndian.PutUint64(w.valBase, uint64(k))
-		return kvs.Request{Op: kvs.OpPut, Key: w.keyBuf, Val: w.valBase}
+		wk.op = kvs.OpPut
+		wk.val = append(wk.val[:0], w.valBase...)
 	}
-	return kvs.Request{Op: kvs.OpGet, Key: w.keyBuf}
 }
 
-// preload fills a store with the experiment's pairs.
+// measure runs the workload against sys with window requests in flight
+// per connection.
+func (cfg KVSConfig) measure(sys kvsCaller, skewed, writes bool, window int) *sim.Result {
+	w := newKVSWorkload(cfg, skewed, writes)
+	return measureKVS(sys, cfg.Connections*window, cfg.Requests, cfg.Seed, w.fill)
+}
+
+// preloadStore builds a hash store holding the experiment's pairs.
 func preloadStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig) *kvs.Store {
-	store := kvs.New(space, kvs.Config{
-		Buckets:   cfg.Keys / 4,
-		PoolBytes: uint64(cfg.Keys) * 160,
-		Kind:      kind,
-	})
-	val := make([]byte, cfg.ValueBytes)
-	var key []byte
-	var trace []kvs.Access
-	for i := 0; i < cfg.Keys; i++ {
-		binary.LittleEndian.PutUint64(val, uint64(i))
-		key = appendKVSKey(key[:0], i)
-		t, err := store.PutInto(trace[:0], key, val)
-		if err != nil {
-			panic(err)
-		}
-		trace = t
-	}
+	store := hashStore(space, kind, cfg.Keys, cfg.Keys)
+	preload(store, cfg.Keys, cfg.ValueBytes)
 	return store
 }
 
-// --- RAMBDA KVS (Sec. IV-A) ---
-
-// kvsAPUCycles is the APU's per-request processing (hash unit,
-// (de)serializer, FSM transitions).
-const kvsAPUCycles = 6
-
-type rambdaKVS struct {
-	clients []*core.Client
-	n       int
-
-	// Per-system request-path scratch (each sweep point drives its
-	// system from one goroutine): the store's value/trace scratch plus
-	// reusable encode buffers for the wire request and response.
-	sc      kvs.Scratch
-	reqBuf  []byte
-	respBuf []byte
-}
-
-func newRambdaKVS(cfg KVSConfig, variant core.AccelVariant, batch int) *rambdaKVS {
-	return newRambdaKVSObs(cfg, variant, batch, nil, nil)
-}
-
-// newRambdaKVSObs is newRambdaKVS with an observability collector
-// attached (the breakdown experiment); tr/reg nil is the regular
-// uninstrumented fast path.
-func newRambdaKVSObs(cfg KVSConfig, variant core.AccelVariant, batch int,
-	tr *obs.Trace, reg *obs.Registry) *rambdaKVS {
-	sm := core.NewMachine(core.MachineConfig{Name: "srv", Variant: variant})
-	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
-	core.ConnectMachines(sm, cm)
-	kind := sm.DataKind()
-	store := preloadStore(sm.Space, kind, cfg)
-	if reg != nil {
-		store.RegisterMetrics(reg, "kvs")
-	}
-	r := &rambdaKVS{n: cfg.Connections}
-
-	app := core.AppFunc(func(ctx *core.AppCtx, now sim.Time, reqBytes []byte) ([]byte, sim.Time) {
-		req, err := kvs.DecodeRequest(reqBytes)
-		if err != nil {
-			panic(err)
-		}
-		t := ctx.Compute(now, kvsAPUCycles)
-		resp, trace := kvs.ApplyScratch(store, req, &r.sc)
-		for _, a := range trace {
-			if a.Write {
-				t = ctx.Write(t, a.Addr, zeros(a.Bytes))
-			} else {
-				t = ctx.Read(t, a.Addr, a.Bytes)
-			}
-		}
-		r.respBuf = kvs.AppendResponse(r.respBuf[:0], resp)
-		return r.respBuf, t
-	})
-
-	opts := core.DefaultServerOptions()
-	opts.Connections = cfg.Connections
-	opts.RingEntries = cfg.Batch * 4
-	opts.EntryBytes = 128
-	opts.ResponseBatch = batch
-	opts.Trace = tr
-	opts.Metrics = reg
-	s := core.NewServer(sm, app, opts)
-	for i := 0; i < cfg.Connections; i++ {
-		r.clients = append(r.clients, core.ConnectClient(cm, s, i))
-	}
-	return r
-}
-
-// callOn routes to a specific connection.
-func (r *rambdaKVS) callOn(id int, now sim.Time, req kvs.Request) (kvs.Response, sim.Time) {
-	r.reqBuf = kvs.AppendRequest(r.reqBuf[:0], req)
-	respB, done := r.clients[id%r.n].Call(now, r.reqBuf)
-	resp, err := kvs.DecodeResponse(respB)
-	if err != nil {
-		panic(err)
-	}
-	return resp, done
+// newRambdaKVS builds the RAMBDA KVS (Sec. IV-A) for Figs. 8-10.
+func newRambdaKVS(cfg KVSConfig, variant core.AccelVariant, batch int) *kvsServer {
+	return newKVSServer(kvsServeOpts{
+		Variant:       variant,
+		Connections:   cfg.Connections,
+		RingEntries:   cfg.Batch * 4,
+		EntryBytes:    128,
+		ResponseBatch: batch,
+	}, func(m *core.Machine) kvs.Backend { return preloadStore(m.Space, m.DataKind(), cfg) })
 }
 
 // --- CPU KVS (MICA-backed two-sided RDMA RPC) ---
@@ -223,12 +114,10 @@ func (r *rambdaKVS) callOn(id int, now sim.Time, req kvs.Request) (kvs.Response,
 const cpuKVSCycles = 900
 
 type cpuKVS struct {
-	clients []*core.CPUClient
-	n       int
+	kvsClients
 
-	// Per-system request-path scratch, same discipline as rambdaKVS.
+	// Per-system request-path scratch, same discipline as kvsServer.
 	sc      kvs.Scratch
-	reqBuf  []byte
 	respBuf []byte
 }
 
@@ -237,25 +126,22 @@ func newCPUKVS(cfg KVSConfig, batch int, jitter bool) *cpuKVS {
 	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
 	core.ConnectMachines(sm, cm)
 	store := preloadStore(sm.Space, memspace.KindDRAM, cfg)
-	c := &cpuKVS{n: cfg.Connections}
+	c := &cpuKVS{}
 
 	h := core.CPUHandler(func(reqBytes []byte) ([]byte, hostcpu.Work) {
+		work := hostcpu.Work{Cycles: cpuKVSCycles, AccessBytes: 64, Addr: store.IndexRange().Base}
 		req, err := kvs.DecodeRequest(reqBytes)
 		if err != nil {
-			panic(err)
+			c.respBuf = kvs.AppendResponse(c.respBuf[:0], kvs.Response{Status: kvs.StatusError})
+			return c.respBuf, work
 		}
 		resp, trace := kvs.ApplyScratch(store, req, &c.sc)
-		addr := store.IndexRange().Base
 		if len(trace) > 0 {
-			addr = trace[0].Addr
+			work.Addr = trace[0].Addr
 		}
+		work.Accesses = len(trace)
 		c.respBuf = kvs.AppendResponse(c.respBuf[:0], resp)
-		return c.respBuf, hostcpu.Work{
-			Cycles:      cpuKVSCycles,
-			Accesses:    len(trace),
-			AccessBytes: 64,
-			Addr:        addr,
-		}
+		return c.respBuf, work
 	})
 	opts := core.DefaultCPUServerOptions()
 	opts.Connections = cfg.Connections
@@ -269,19 +155,9 @@ func newCPUKVS(cfg KVSConfig, batch int, jitter bool) *cpuKVS {
 	}
 	s := core.NewCPUServer(sm, h, opts)
 	for i := 0; i < cfg.Connections; i++ {
-		c.clients = append(c.clients, core.ConnectCPUClient(cm, s, i))
+		c.conns = append(c.conns, core.ConnectCPUClient(cm, s, i))
 	}
 	return c
-}
-
-func (c *cpuKVS) callOn(id int, now sim.Time, req kvs.Request) (kvs.Response, sim.Time) {
-	c.reqBuf = kvs.AppendRequest(c.reqBuf[:0], req)
-	respB, done := c.clients[id%c.n].Call(now, c.reqBuf)
-	resp, err := kvs.DecodeResponse(respB)
-	if err != nil {
-		panic(err)
-	}
-	return resp, done
 }
 
 // --- SmartNIC KVS (KV-Direct/StRoM emulated on ARM cores) ---
@@ -397,53 +273,6 @@ type Fig8Row struct {
 	Throughput float64
 }
 
-type kvsCaller interface {
-	callOn(id int, now sim.Time, req kvs.Request) (kvs.Response, sim.Time)
-}
-
-// kvsWork is one pipelined request slot: the generator's key/value are
-// copied in (next() reuses its own buffers per call), so a slot stays
-// valid for the one request that consumes it.
-type kvsWork struct {
-	op  kvs.Op
-	key []byte
-	val []byte
-}
-
-func measureKVS(cfg KVSConfig, sys kvsCaller, skewed, writes bool, window int) *sim.Result {
-	w := newKVSWorkload(cfg, skewed, writes)
-	total := cfg.Connections * window
-	perClient := cfg.Requests / total
-	if perClient < 1 {
-		perClient = 1
-	}
-	// The key stream is timing-independent (request k is consumed by the
-	// k-th request in walk order), so the generator runs ahead of the
-	// timing walk through the pipeline's slot ring.
-	stream := sim.NewPipeline(total*perClient, 64, 16, func(_ int, wk *kvsWork) {
-		req := w.next()
-		wk.op = req.Op
-		wk.key = append(wk.key[:0], req.Key...)
-		if req.Op == kvs.OpPut {
-			wk.val = append(wk.val[:0], req.Val...)
-		}
-	})
-	defer stream.Close()
-	return sim.ClosedLoop{Clients: total, PerClient: perClient, Warmup: 2, Stagger: 40 * sim.Nanosecond, Jitter: 400 * sim.Nanosecond, JitterSeed: cfg.Seed}.Run(
-		func(id int, issue sim.Time) sim.Time {
-			wk := stream.Next()
-			req := kvs.Request{Op: wk.op, Key: wk.key}
-			if wk.op == kvs.OpPut {
-				req.Val = wk.val
-			}
-			resp, done := sys.callOn(id, issue, req)
-			if resp.Status == kvs.StatusError {
-				panic("kvs experiment: server error")
-			}
-			return done
-		})
-}
-
 // kvsSystems enumerates the Fig. 8-10 system matrix in table order.
 // Each factory builds a fresh, fully isolated system (machines, store,
 // cache), so one sweep point never observes another's state.
@@ -497,7 +326,7 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
 		func(i int) string { return points[i].system + "/" + points[i].dist + "/" + points[i].wl },
 		func(i int) {
 			p := points[i]
-			res := measureKVS(cfg, p.mk(), p.skewed, p.writes, cfg.Batch)
+			res := cfg.measure(p.mk(), p.skewed, p.writes, cfg.Batch)
 			rows[i] = Fig8Row{System: p.system, Dist: p.dist, Workload: p.wl, Throughput: res.Throughput}
 		})
 	return rows, jobs
@@ -580,7 +409,7 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
 		func(i int) {
 			p := points[i]
 			s := systems[p.sys]
-			res := measureKVS(cfg, s.mk(), p.skewed, false, s.window)
+			res := cfg.measure(s.mk(), p.skewed, false, s.window)
 			row := Fig9Row{System: s.name, Dist: p.dist, Avg: res.Latency.Mean()}
 			if s.tailApplies {
 				row.P99 = res.Latency.P99()
@@ -669,7 +498,7 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
 		func(i int) {
 			p := points[i]
 			s := systems[p.sys]
-			res := measureKVS(cfg, s.mk(p.batch), true, false, s.win(p.batch))
+			res := cfg.measure(s.mk(p.batch), true, false, s.win(p.batch))
 			rows[i] = Fig10Row{System: s.name, Batch: p.batch, Throughput: res.Throughput, Avg: res.Latency.Mean()}
 		})
 	return rows, jobs
@@ -733,7 +562,7 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
 		func(i int) string { return systems[i].name },
 		func(i int) {
 			s := systems[i]
-			tput := measureKVS(cfg, s.mk(), false, false, cfg.Batch).Throughput
+			tput := cfg.measure(s.mk(), false, false, cfg.Batch).Throughput
 			rows[i] = Tab3Row{System: s.name, Watts: s.watts, KopPerW: power.KopsPerWatt(tput, s.watts)}
 		})
 	return rows, jobs
@@ -773,11 +602,3 @@ func Tab3Spec(cfg KVSConfig) Spec {
 func Tab3Table(cfg KVSConfig) *Table {
 	return RunSpec(cfg.Parallel, Tab3Spec(cfg))
 }
-
-// clientConnSend and clientConnPoll expose the CPU client's raw
-// connection steps for diagnostics and tests.
-func clientConnSend(c *core.CPUClient, now sim.Time, req kvs.Request) sim.Time {
-	return c.ConnSend(now, kvs.AppendRequest(nil, req))
-}
-
-func clientConnPoll(c *core.CPUClient) { c.ConnPoll() }

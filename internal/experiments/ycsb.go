@@ -97,212 +97,37 @@ func ycsbLSMConfig() lsm.Config {
 	}
 }
 
-// ycsbServer is one serving system: the RAMBDA machine pair with the
-// chosen backend behind the wire protocol. db is nil for the hash
-// backend; when set, the handler drains the tree's background work
-// after every request (charging compaction to the NVM channels) and
-// stalls the request on WAL-wrap flushes.
-type ycsbServer struct {
-	clients []*core.Client
-	n       int
-	store   *kvs.Store
-	db      *lsm.DB
-
-	// base is the LSM's counter state right after preload, so rows
-	// report run-only flush/compaction/stall deltas.
-	base lsm.Stats
-
-	sc      kvs.Scratch
-	reqBuf  []byte
-	respBuf []byte
-	// cliPairs is the client-side scan decode scratch.
-	cliPairs []kvs.ScanPair
-}
-
-// newYCSBServer builds a fresh system for one sweep point. reg nil is
-// the uninstrumented fast path.
-func newYCSBServer(cfg YCSBConfig, backend string, reg *obs.Registry) *ycsbServer {
-	sm := core.NewMachine(core.MachineConfig{Name: "srv", Variant: core.AccelBase, WithNVM: true})
-	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
-	core.ConnectMachines(sm, cm)
-	s := &ycsbServer{n: cfg.Connections}
-
-	var be kvs.Backend
-	val := make([]byte, cfg.ValueBytes)
-	var key []byte
-	switch backend {
-	case "hash":
-		// Pool sized for the preload plus workload-E inserts.
-		s.store = kvs.New(sm.Space, kvs.Config{
-			Buckets:   cfg.Keys / 4,
-			PoolBytes: uint64(cfg.Keys+cfg.Requests) * 160,
-			Kind:      sm.DataKind(),
-		})
-		var trace []kvs.Access
-		for i := 0; i < cfg.Keys; i++ {
-			binary.LittleEndian.PutUint64(val, uint64(i))
-			key = appendKVSKey(key[:0], i)
-			t, err := s.store.PutInto(trace[:0], key, val)
-			if err != nil {
-				panic(err)
-			}
-			trace = t
-		}
-		if reg != nil {
-			s.store.RegisterMetrics(reg, "ycsb.hash")
-		}
-		be = s.store
-	case "lsm":
-		s.db = lsm.Open(sm.Space, sm.Mem, ycsbLSMConfig())
-		var trace []kvs.Access
-		for i := 0; i < cfg.Keys; i++ {
-			binary.LittleEndian.PutUint64(val, uint64(i))
-			key = appendKVSKey(key[:0], i)
-			t, err := s.db.PutInto(trace[:0], key, val)
-			if err != nil {
-				panic(err)
-			}
-			trace = t
-		}
-		s.db.Maintain(0) // preload flushes are free; measurement starts clean
-		s.base = s.db.Stats()
-		if reg != nil {
-			s.db.RegisterMetrics(reg, "ycsb.lsm")
-		}
-		be = s.db
-	default:
-		panic("ycsb: unknown backend " + backend)
-	}
-
-	app := core.AppFunc(func(ctx *core.AppCtx, now sim.Time, reqBytes []byte) ([]byte, sim.Time) {
-		req, err := kvs.DecodeRequest(reqBytes)
-		if err != nil {
-			panic(err)
-		}
-		t := ctx.Compute(now, kvsAPUCycles)
-		resp, trace := kvs.ApplyScratch(be, req, &s.sc)
-		for _, a := range trace {
-			if a.Write {
-				t = ctx.Write(t, a.Addr, zeros(a.Bytes))
-			} else {
-				t = ctx.Read(t, a.Addr, a.Bytes)
-			}
-		}
-		if s.db != nil {
-			// Background flush/compaction streams into NVM from t on;
-			// a WAL-wrap flush stalls this request until durable.
-			end, stalled := s.db.Maintain(t)
-			if stalled {
-				t = end
-			}
-		}
-		if req.Op == kvs.OpScan {
-			s.respBuf = kvs.AppendScanResponse(s.respBuf[:0], resp.Status, s.sc.ScanBuf, s.sc.ScanPairs)
-		} else {
-			s.respBuf = kvs.AppendResponse(s.respBuf[:0], resp)
-		}
-		return s.respBuf, t
-	})
-
-	opts := core.DefaultServerOptions()
-	opts.Connections = cfg.Connections
-	opts.RingEntries = cfg.Batch * 4
-	// Scan responses carry up to ScanLen pairs; size ring entries for
-	// the largest frame.
-	opts.EntryBytes = 128 + cfg.ScanLen*(6+18+cfg.ValueBytes)
-	opts.ResponseBatch = cfg.Batch
-	s2 := core.NewServer(sm, app, opts)
-	for i := 0; i < cfg.Connections; i++ {
-		s.clients = append(s.clients, core.ConnectClient(cm, s2, i))
-	}
-	return s
-}
-
-// callOn routes to a specific connection, decoding by request shape.
-func (s *ycsbServer) callOn(id int, now sim.Time, req kvs.Request) sim.Time {
-	s.reqBuf = kvs.AppendRequest(s.reqBuf[:0], req)
-	respB, done := s.clients[id%s.n].Call(now, s.reqBuf)
-	if req.Op == kvs.OpScan {
-		status, _, pairs, err := kvs.DecodeScanResponse(respB, s.cliPairs[:0])
-		s.cliPairs = pairs
-		if err != nil || status == kvs.StatusError {
-			panic(fmt.Sprintf("ycsb: scan response status=%d err=%v", status, err))
-		}
-		return done
-	}
-	resp, err := kvs.DecodeResponse(respB)
-	if err != nil || resp.Status == kvs.StatusError {
-		panic(fmt.Sprintf("ycsb: response status=%d err=%v", resp.Status, err))
-	}
-	return done
-}
-
-// ycsbWork is one pipelined request slot (generator buffers are copied
-// in, so a slot stays valid for the request that consumes it).
-type ycsbWork struct {
-	op      kvs.Op
-	key     []byte
-	val     []byte
-	limit   int
-	reverse bool
-}
-
-// measureYCSB drives one (mix, backend) point through the closed loop.
-// The request stream is generated in index order through a sim.Pipeline
-// so output is byte-identical at any -sim-parallel.
-func measureYCSB(cfg YCSBConfig, srv *ycsbServer, mix ycsbMix, seed uint64) *sim.Result {
+// ycsbGen returns the mix's request generator. Workload E's inserts
+// grow the keyspace past the preloaded keys.
+func ycsbGen(cfg YCSBConfig, mix ycsbMix, seed uint64) func(*kvsWork) {
 	rng := sim.NewRNG(runner.SubSeed(seed, 1))
 	zipf := sim.NewZipf(rng, uint64(cfg.Keys), cfg.ZipfTheta)
 	insertNext := cfg.Keys
 	valBase := make([]byte, cfg.ValueBytes)
-
-	total := cfg.Connections * ycsbWindow
-	perClient := cfg.Requests / total
-	if perClient < 1 {
-		perClient = 1
+	put := func(wk *kvsWork, k int) {
+		wk.op = kvs.OpPut
+		wk.key = appendKVSKey(wk.key[:0], k)
+		binary.LittleEndian.PutUint64(valBase, uint64(k))
+		wk.val = append(wk.val[:0], valBase...)
 	}
-	stream := sim.NewPipeline(total*perClient, 64, 16, func(_ int, wk *ycsbWork) {
+	return func(wk *kvsWork) {
 		p := rng.Intn(100)
 		switch {
 		case p < mix.readPct:
 			wk.op = kvs.OpGet
 			wk.key = appendKVSKey(wk.key[:0], int(zipf.Next()))
 		case p < mix.readPct+mix.upPct:
-			wk.op = kvs.OpPut
-			k := int(zipf.Next())
-			wk.key = appendKVSKey(wk.key[:0], k)
-			binary.LittleEndian.PutUint64(valBase, uint64(k))
-			wk.val = append(wk.val[:0], valBase...)
+			put(wk, int(zipf.Next()))
 		case p < mix.readPct+mix.upPct+mix.scanPct:
 			wk.op = kvs.OpScan
 			wk.key = appendKVSKey(wk.key[:0], int(zipf.Next()))
 			wk.limit = cfg.ScanLen
 			wk.reverse = rng.Intn(4) == 0
-		default: // workload E's inserts grow the keyspace
-			wk.op = kvs.OpPut
-			k := insertNext
+		default:
+			put(wk, insertNext)
 			insertNext++
-			wk.key = appendKVSKey(wk.key[:0], k)
-			binary.LittleEndian.PutUint64(valBase, uint64(k))
-			wk.val = append(wk.val[:0], valBase...)
 		}
-	})
-	defer stream.Close()
-	return sim.ClosedLoop{
-		Clients: total, PerClient: perClient, Warmup: 2,
-		Stagger: 40 * sim.Nanosecond, Jitter: 400 * sim.Nanosecond, JitterSeed: seed,
-	}.Run(func(id int, issue sim.Time) sim.Time {
-		wk := stream.Next()
-		req := kvs.Request{Op: wk.op, Key: wk.key}
-		switch wk.op {
-		case kvs.OpPut:
-			req.Val = wk.val
-		case kvs.OpScan:
-			req.ScanLimit = wk.limit
-			req.Reverse = wk.reverse
-		}
-		return srv.callOn(id, issue, req)
-	})
+	}
 }
 
 // YCSBRow is one (workload, backend) point.
@@ -316,11 +141,46 @@ type YCSBRow struct {
 	Flushes, Compactions, Stalls int64
 }
 
-// ycsbPoint runs one sweep point on a fresh system.
+// ycsbPoint runs one sweep point on a fresh system: the RAMBDA machine
+// pair with the chosen backend behind the wire protocol.
 func ycsbPoint(cfg YCSBConfig, mix ycsbMix, backend string, point int, reg *obs.Registry) YCSBRow {
 	seed := runner.Seed("ycsb", point)
-	srv := newYCSBServer(cfg, backend, reg)
-	res := measureYCSB(cfg, srv, mix, seed)
+	var db *lsm.DB
+	// base is the LSM's counter state right after preload, so rows
+	// report run-only flush/compaction/stall deltas.
+	var base lsm.Stats
+	srv := newKVSServer(kvsServeOpts{
+		Variant:     core.AccelBase,
+		WithNVM:     true,
+		Connections: cfg.Connections,
+		RingEntries: cfg.Batch * 4,
+		// Scan responses carry up to ScanLen pairs; size ring entries
+		// for the largest frame.
+		EntryBytes:    128 + cfg.ScanLen*(6+18+cfg.ValueBytes),
+		ResponseBatch: cfg.Batch,
+	}, func(m *core.Machine) kvs.Backend {
+		switch backend {
+		case "hash":
+			// Pool sized for the preload plus workload-E inserts.
+			store := hashStore(m.Space, m.DataKind(), cfg.Keys, cfg.Keys+cfg.Requests)
+			preload(store, cfg.Keys, cfg.ValueBytes)
+			if reg != nil {
+				store.RegisterMetrics(reg, "ycsb.hash")
+			}
+			return store
+		case "lsm":
+			db = lsm.Open(m.Space, m.Mem, ycsbLSMConfig())
+			preload(db, cfg.Keys, cfg.ValueBytes)
+			db.Maintain(0) // preload flushes are free; measurement starts clean
+			base = db.Stats()
+			if reg != nil {
+				db.RegisterMetrics(reg, "ycsb.lsm")
+			}
+			return db
+		}
+		panic("ycsb: unknown backend " + backend)
+	})
+	res := measureKVS(srv, cfg.Connections*ycsbWindow, cfg.Requests, seed, ycsbGen(cfg, mix, seed))
 	row := YCSBRow{
 		Workload: mix.name,
 		Backend:  backend,
@@ -328,11 +188,11 @@ func ycsbPoint(cfg YCSBConfig, mix ycsbMix, backend string, point int, reg *obs.
 		P50:      res.Latency.P50(),
 		P99:      res.Latency.P99(),
 	}
-	if srv.db != nil {
-		st := srv.db.Stats()
-		row.Flushes = st.Flushes - srv.base.Flushes
-		row.Compactions = st.Compactions - srv.base.Compactions
-		row.Stalls = st.Stalls - srv.base.Stalls
+	if db != nil {
+		st := db.Stats()
+		row.Flushes = st.Flushes - base.Flushes
+		row.Compactions = st.Compactions - base.Compactions
+		row.Stalls = st.Stalls - base.Stalls
 	}
 	if reg != nil {
 		reg.SnapshotNow(res.End)
