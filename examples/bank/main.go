@@ -82,7 +82,7 @@ func main() {
 			{Offset: accountOffset(from), Len: 8},
 			{Offset: accountOffset(to), Len: 8},
 		}}
-		vals, _, err := chain.RambdaTx(now, tx)
+		vals, _, err := chain.RambdaTxInto(now, tx, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -95,7 +95,7 @@ func main() {
 			{Offset: accountOffset(from), Data: encodeBalance(fromBal - amount)},
 			{Offset: accountOffset(to), Data: encodeBalance(toBal + amount)},
 		}}
-		_, done, err := chain.RambdaTx(now, tx)
+		_, done, err := chain.RambdaTxInto(now, tx, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -108,7 +108,7 @@ func main() {
 	for ri, n := range chain.Nodes {
 		var total uint64
 		for id := 0; id < accounts; id++ {
-			raw, _ := n.Store.Read(now, accountOffset(id), 8)
+			raw, _ := n.Store.ReadInto(nil, now, accountOffset(id), 8)
 			total += binary.LittleEndian.Uint64(raw)
 		}
 		if total != accounts*initialCents {

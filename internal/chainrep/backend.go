@@ -21,11 +21,6 @@ type Backend interface {
 	// primary read form: callers that pass a reused buffer read without
 	// allocating once its capacity has grown to the working size.
 	ReadInto(dst []byte, now sim.Time, offset uint32, n int) ([]byte, sim.Time)
-	// Read returns n bytes at offset, charging storage time.
-	//
-	// Deprecated: use ReadInto with a reused buffer; Read allocates a
-	// fresh slice per call.
-	Read(now sim.Time, offset uint32, n int) ([]byte, sim.Time)
 	// Write persists data at offset, charging storage time.
 	Write(now sim.Time, offset uint32, data []byte) sim.Time
 }
@@ -63,13 +58,6 @@ func (b *LSMBackend) ReadInto(dst []byte, now sim.Time, offset uint32, n int) ([
 		dst = append(dst, 0)
 	}
 	return dst, at
-}
-
-// Read implements Backend.
-//
-// Deprecated: use ReadInto with a reused buffer.
-func (b *LSMBackend) Read(now sim.Time, offset uint32, n int) ([]byte, sim.Time) {
-	return b.ReadInto(nil, now, offset, n)
 }
 
 // Write implements Backend.

@@ -25,17 +25,17 @@ func TestLSMBackendReadWrite(t *testing.T) {
 	if at <= 0 {
 		t.Fatal("LSM write must charge WAL time")
 	}
-	data, _ := b.Read(at, 256, 9)
+	data, _ := b.ReadInto(nil, at, 256, 9)
 	if string(data) != "persisted" {
 		t.Fatalf("read=%q", data)
 	}
 	// Missing offsets read as zeroes (flat-store semantics).
-	data, _ = b.Read(at, 512, 4)
+	data, _ = b.ReadInto(nil, at, 512, 4)
 	if !bytes.Equal(data, make([]byte, 4)) {
 		t.Fatalf("missing offset = %v", data)
 	}
 	// Short stored values pad out.
-	data, _ = b.Read(at, 256, 16)
+	data, _ = b.ReadInto(nil, at, 256, 16)
 	if len(data) != 16 || string(data[:9]) != "persisted" {
 		t.Fatalf("padded read = %q", data)
 	}
@@ -54,18 +54,18 @@ func TestChainOverLSMBackend(t *testing.T) {
 		{Offset: 0, Data: []byte("W0")},
 		{Offset: 64, Data: []byte("W1")},
 	}}
-	_, done, err := c.RambdaTx(0, tx)
+	_, done, err := c.RambdaTxInto(0, tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range c.Nodes {
-		got, _ := n.Store.Read(done, 64, 2)
+		got, _ := n.Store.ReadInto(nil, done, 64, 2)
 		if string(got) != "W1" {
 			t.Fatalf("replica %d missing write: %q", i, got)
 		}
 	}
 	// Reads see writes through the same backend.
-	vals, _, err := c.RambdaTx(done, Tx{Reads: []ReadOp{{Offset: 0, Len: 2}}})
+	vals, _, err := c.RambdaTxInto(done, Tx{Reads: []ReadOp{{Offset: 0, Len: 2}}}, nil)
 	if err != nil || string(vals[0]) != "W0" {
 		t.Fatalf("read-back: %q err=%v", vals, err)
 	}
@@ -84,16 +84,16 @@ func TestBackendsAgreeUnderSameTxStream(t *testing.T) {
 		data := []byte(fmt.Sprintf("v%06d", i))
 		tx := Tx{Writes: []Tuple{{Offset: off, Data: data}}}
 		var err error
-		if _, now1, err = flat.RambdaTx(now1, tx); err != nil {
+		if _, now1, err = flat.RambdaTxInto(now1, tx, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, now2, err = lsmChain.RambdaTx(now2, tx); err != nil {
+		if _, now2, err = lsmChain.RambdaTxInto(now2, tx, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for off := uint32(0); off < 64*64; off += 64 {
-		a, _ := flat.Nodes[0].Store.Read(now1, off, 7)
-		b, _ := lsmChain.Nodes[0].Store.Read(now2, off, 7)
+		a, _ := flat.Nodes[0].Store.ReadInto(nil, now1, off, 7)
+		b, _ := lsmChain.Nodes[0].Store.ReadInto(nil, now2, off, 7)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("backends diverge at offset %d: %q vs %q", off, a, b)
 		}
@@ -111,11 +111,11 @@ func TestRedoLogReplayIntoLSM(t *testing.T) {
 	if err != nil || replayed != 2 {
 		t.Fatalf("replayed=%d err=%v", replayed, err)
 	}
-	got, _ := fresh.Store.Read(0, 0, 2)
+	got, _ := fresh.Store.ReadInto(nil, 0, 0, 2)
 	if string(got) != "AA" {
 		t.Fatalf("offset 0 = %q", got)
 	}
-	got, _ = fresh.Store.Read(0, 64, 2)
+	got, _ = fresh.Store.ReadInto(nil, 0, 64, 2)
 	if string(got) != "bb" {
 		t.Fatalf("offset 64 = %q", got)
 	}

@@ -172,8 +172,8 @@ func (sc *TxScratch) buf(i int) []byte {
 // client issues ONE combined request; the head's accelerator executes
 // reads and concurrency control, the combined log entry flows down the
 // chain, and the tail responds to the client (Fig. 11's path 1→2→3→4).
-// This is the primary form: read results land in sc's reused buffers
-// (sc may be nil, in which case every read allocates like RambdaTx).
+// Read results land in sc's reused buffers (sc may be nil, in which case
+// every read allocates a fresh buffer).
 func (c *Chain) RambdaTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]byte, done sim.Time, err error) {
 	reqBytes := ackBytes
 	if len(tx.Writes) > 0 {
@@ -256,14 +256,6 @@ func (c *Chain) RambdaTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]byte,
 	return vals, done, nil
 }
 
-// RambdaTx executes a transaction with the RAMBDA protocol, allocating
-// fresh result buffers.
-//
-// Deprecated: use RambdaTxInto with a reused TxScratch.
-func (c *Chain) RambdaTx(now sim.Time, tx Tx) ([][]byte, sim.Time, error) {
-	return c.RambdaTxInto(now, tx, nil)
-}
-
 // HyperLoopTxInto executes the same transaction with HyperLoop's
 // group-based primitives: every read is a one-sided RDMA read to the
 // head and every write tuple is a separate group operation traversing
@@ -319,14 +311,6 @@ func (c *Chain) HyperLoopTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]by
 	return vals, at
 }
 
-// HyperLoopTx executes a transaction with HyperLoop's group-based
-// primitives, allocating fresh result buffers.
-//
-// Deprecated: use HyperLoopTxInto with a reused TxScratch.
-func (c *Chain) HyperLoopTx(now sim.Time, tx Tx) ([][]byte, sim.Time) {
-	return c.HyperLoopTxInto(now, tx, nil)
-}
-
 // ReadTx is a pure-read transaction: identical in both systems (one
 // one-sided RDMA read to the head), excluded from the paper's
 // comparison for that reason.
@@ -336,6 +320,6 @@ func (c *Chain) ReadTx(now sim.Time, r ReadOp) ([]byte, sim.Time) {
 	if err != nil {
 		return nil, at
 	}
-	data, at := c.Nodes[hi].Store.Read(at, r.Offset, r.Len)
+	data, at := c.Nodes[hi].Store.ReadInto(nil, at, r.Offset, r.Len)
 	return data, at + c.ClientOneWay + c.wire(r.Len)
 }

@@ -78,7 +78,7 @@ func TestStoreReadWrite(t *testing.T) {
 	if at <= 0 {
 		t.Fatal("write must cost NVM time")
 	}
-	data, _ := s.Read(at, 128, 10)
+	data, _ := s.ReadInto(nil, at, 128, 10)
 	if string(data) != "persist me" {
 		t.Fatalf("read=%q", data)
 	}
@@ -108,11 +108,11 @@ func TestRedoLogReplayRecoversStore(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("replayed=%d err=%v", n, err)
 	}
-	got, _ := fresh.Read(0, 0, 4)
+	got, _ := fresh.ReadInto(nil, 0, 0, 4)
 	if string(got) != "AAAA" {
 		t.Fatalf("offset 0 = %q, want last write", got)
 	}
-	got, _ = fresh.Read(0, 64, 4)
+	got, _ = fresh.ReadInto(nil, 0, 64, 4)
 	if string(got) != "bbbb" {
 		t.Fatalf("offset 64 = %q", got)
 	}
@@ -134,7 +134,7 @@ func TestRedoLogWrapsAndReplaysWindow(t *testing.T) {
 	}
 	// The last 4 appends (6..9) must be applied.
 	for i := 6; i < 10; i++ {
-		got, _ := store.Read(0, uint32(i*8), 1)
+		got, _ := store.ReadInto(nil, 0, uint32(i*8), 1)
 		if got[0] != byte(i) {
 			t.Fatalf("entry %d lost", i)
 		}
@@ -192,7 +192,7 @@ func TestRambdaTxAppliesEverywhereAndReads(t *testing.T) {
 		Reads:  []ReadOp{{Offset: 512, Len: 8}},
 		Writes: []Tuple{{Offset: 0, Data: []byte("W0")}, {Offset: 64, Data: []byte("W1")}},
 	}
-	vals, done, err := c.RambdaTx(0, tx)
+	vals, done, err := c.RambdaTxInto(0, tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +204,11 @@ func TestRambdaTxAppliesEverywhereAndReads(t *testing.T) {
 	}
 	// Every replica applied both tuples and logged once.
 	for i, n := range c.Nodes {
-		got, _ := n.Store.Read(done, 0, 2)
+		got, _ := n.Store.ReadInto(nil, done, 0, 2)
 		if string(got) != "W0" {
 			t.Fatalf("replica %d missing W0: %q", i, got)
 		}
-		got, _ = n.Store.Read(done, 64, 2)
+		got, _ = n.Store.ReadInto(nil, done, 64, 2)
 		if string(got) != "W1" {
 			t.Fatalf("replica %d missing W1", i)
 		}
@@ -224,12 +224,12 @@ func TestRambdaTxAppliesEverywhereAndReads(t *testing.T) {
 func TestHyperLoopTxAppliesPerTuple(t *testing.T) {
 	c := newChain(2)
 	tx := Tx{Writes: []Tuple{{Offset: 0, Data: []byte("A")}, {Offset: 64, Data: []byte("B")}}}
-	_, done := c.HyperLoopTx(0, tx)
+	_, done := c.HyperLoopTxInto(0, tx, nil)
 	for i, n := range c.Nodes {
 		if n.Log.Appended() != 2 {
 			t.Fatalf("replica %d log entries=%d, want one per tuple", i, n.Log.Appended())
 		}
-		got, _ := n.Store.Read(done, 64, 1)
+		got, _ := n.Store.ReadInto(nil, done, 64, 1)
 		if got[0] != 'B' {
 			t.Fatalf("replica %d missing B", i)
 		}
@@ -240,11 +240,11 @@ func TestSingleWriteTxParity(t *testing.T) {
 	// Paper: for a (0,1) transaction RAMBDA and HyperLoop take the same
 	// path (within ~3%).
 	tx := Tx{Writes: []Tuple{{Offset: 0, Data: make([]byte, 64)}}}
-	_, rd, err := newChain(2).RambdaTx(0, tx)
+	_, rd, err := newChain(2).RambdaTxInto(0, tx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hd := newChain(2).HyperLoopTx(0, tx)
+	_, hd := newChain(2).HyperLoopTxInto(0, tx, nil)
 	ratio := float64(rd) / float64(hd)
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("(0,1) parity broken: rambda=%v hyperloop=%v (ratio %.2f)", rd, hd, ratio)
@@ -263,11 +263,11 @@ func TestMultiOpTxAdvantage(t *testing.T) {
 		}
 		return tx
 	}
-	_, rd, err := newChain(2).RambdaTx(0, mk())
+	_, rd, err := newChain(2).RambdaTxInto(0, mk(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hd := newChain(2).HyperLoopTx(0, mk())
+	_, hd := newChain(2).HyperLoopTxInto(0, mk(), nil)
 	reduction := 1 - float64(rd)/float64(hd)
 	if reduction < 0.5 || reduction > 0.8 {
 		t.Fatalf("(4,2) reduction=%.2f, want ~0.63-0.67 (rambda=%v hyperloop=%v)", reduction, rd, hd)
@@ -278,12 +278,12 @@ func TestConflictReported(t *testing.T) {
 	c := newChain(1)
 	n := c.Nodes[0]
 	n.CC.TryAcquire([]uint32{0})
-	_, _, err := c.RambdaTx(0, Tx{Writes: []Tuple{{Offset: 0, Data: []byte("x")}}})
+	_, _, err := c.RambdaTxInto(0, Tx{Writes: []Tuple{{Offset: 0, Data: []byte("x")}}}, nil)
 	if err != ErrConflict {
 		t.Fatalf("err=%v, want ErrConflict", err)
 	}
 	n.CC.Release([]uint32{0})
-	if _, _, err := c.RambdaTx(0, Tx{Writes: []Tuple{{Offset: 0, Data: []byte("x")}}}); err != nil {
+	if _, _, err := c.RambdaTxInto(0, Tx{Writes: []Tuple{{Offset: 0, Data: []byte("x")}}}, nil); err != nil {
 		t.Fatal("post-release tx failed")
 	}
 }
@@ -336,8 +336,8 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 		if _, err := log.Replay(replayed); err != nil {
 			return false
 		}
-		a, _ := direct.Read(0, 0, 4000)
-		b, _ := replayed.Read(0, 0, 4000)
+		a, _ := direct.ReadInto(nil, 0, 0, 4000)
+		b, _ := replayed.ReadInto(nil, 0, 0, 4000)
 		return bytes.Equal(a, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

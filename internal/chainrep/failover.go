@@ -244,7 +244,7 @@ func StateEqual(a, b Backend, n int) bool {
 // conflictBackoffCap bounds the exponential conflict backoff shift.
 const conflictBackoffCap = 6
 
-// RambdaTxWithRetry wraps RambdaTx with retry-on-conflict: a transaction
+// RambdaTxWithRetry wraps RambdaTxInto with retry-on-conflict: a transaction
 // that loses its concurrency-control race backs off exponentially and
 // re-executes, up to maxAttempts (<=0 takes 3). It returns the attempt
 // count alongside the usual results; on exhaustion err is ErrConflict.

@@ -25,7 +25,7 @@ func TestFaultFreeChainUnchangedByDetection(t *testing.T) {
 		}
 		var done sim.Time
 		for i := 0; i < 10; i++ {
-			_, d, err := c.RambdaTx(done, tx)
+			_, d, err := c.RambdaTxInto(done, tx, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestMidChainCrashSplicesAndServes(t *testing.T) {
 
 	now := sim.Time(0)
 	for i := 0; i < 20; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(i*64), "live"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(i*64), "live"), nil)
 		if err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
@@ -67,7 +67,7 @@ func TestMidChainCrashSplicesAndServes(t *testing.T) {
 	}
 	// Committed data is on both survivors.
 	for _, i := range []int{0, 2} {
-		got, _ := c.Nodes[i].Store.Read(now, 0, 4)
+		got, _ := c.Nodes[i].Store.ReadInto(nil, now, 0, 4)
 		if string(got) != "live" {
 			t.Fatalf("survivor %d missing committed write: %q", i, got)
 		}
@@ -84,7 +84,7 @@ func TestHeadCrashFailsOverReads(t *testing.T) {
 	c.EnableFaultDetection(inj, 20*sim.Microsecond)
 
 	// Commit a write while everyone is up.
-	_, done, err := c.RambdaTx(0, writeTx(0, "committed"))
+	_, done, err := c.RambdaTxInto(0, writeTx(0, "committed"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestHeadCrashFailsOverReads(t *testing.T) {
 		t.Fatal("head not spliced out")
 	}
 	// Writes continue on the shortened chain.
-	if _, _, err := c.RambdaTx(rdone, writeTx(64, "after")); err != nil {
+	if _, _, err := c.RambdaTxInto(rdone, writeTx(64, "after"), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -123,7 +123,7 @@ func TestCrashRejoinReplaysToStateEqual(t *testing.T) {
 	// Phase 1: commits with everyone up.
 	now := sim.Time(0)
 	for i := 0; i < 5; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(i*32), "pre--"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(i*32), "pre--"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestCrashRejoinReplaysToStateEqual(t *testing.T) {
 	// Phase 2: r2 is dead; the chain detects, splices, keeps committing.
 	now = crashFrom + sim.Time(10*sim.Microsecond)
 	for i := 0; i < 8; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(512+i*32), "down-"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(512+i*32), "down-"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,10 +167,10 @@ func TestCrashRejoinReplaysToStateEqual(t *testing.T) {
 		t.Fatal("rejoined replica store differs from the live chain")
 	}
 	// And it participates in new commits again.
-	if _, _, err := c.RambdaTx(back, writeTx(900, "again")); err != nil {
+	if _, _, err := c.RambdaTxInto(back, writeTx(900, "again"), nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := c.Nodes[2].Store.Read(back, 900, 5)
+	got, _ := c.Nodes[2].Store.ReadInto(nil, back, 900, 5)
 	if string(got) != "again" {
 		t.Fatal("rejoined replica missing post-rejoin write")
 	}
@@ -187,7 +187,7 @@ func TestPauseRejoinCatchesUpWithoutReplay(t *testing.T) {
 
 	now := sim.Time(50 * sim.Microsecond)
 	for i := 0; i < 3; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(i*16), "paus"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(i*16), "paus"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestAllReplicasDownReported(t *testing.T) {
 		{Node: "r1", Kind: fault.Crash, From: 0, To: sim.Second},
 	}})
 	c.EnableFaultDetection(inj, 10*sim.Microsecond)
-	if _, _, err := c.RambdaTx(0, writeTx(0, "x")); err != ErrNoReplicas {
+	if _, _, err := c.RambdaTxInto(0, writeTx(0, "x"), nil); err != ErrNoReplicas {
 		t.Fatalf("err=%v, want ErrNoReplicas", err)
 	}
 }
@@ -234,7 +234,7 @@ func TestDeterministicChaosSequence(t *testing.T) {
 		c.EnableFaultDetection(inj, 20*sim.Microsecond)
 		now := sim.Time(0)
 		for i := 0; i < 30; i++ {
-			_, done, err := c.RambdaTx(now, writeTx(uint32(i%7)*64, "det!"))
+			_, done, err := c.RambdaTxInto(now, writeTx(uint32(i%7)*64, "det!"), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestRejoinRacesApplyCommitted(t *testing.T) {
 	// Whole-chain traffic before the window: a mix of client commits and
 	// installs.
 	for i := 0; i < 3; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(i*64), "pre"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(i*64), "pre"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestRejoinRacesApplyCommitted(t *testing.T) {
 	}
 	// Client commits racing the same window land in the same history.
 	for i := 0; i < 3; i++ {
-		_, done, err := c.RambdaTx(now, writeTx(uint32(1024+i*64), "mid"))
+		_, done, err := c.RambdaTxInto(now, writeTx(uint32(1024+i*64), "mid"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

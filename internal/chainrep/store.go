@@ -62,13 +62,6 @@ func (s *Store) ReadInto(dst []byte, now sim.Time, offset uint32, n int) ([]byte
 	return dst, at
 }
 
-// Read returns n bytes at offset, charging the NVM read.
-//
-// Deprecated: use ReadInto with a reused buffer.
-func (s *Store) Read(now sim.Time, offset uint32, n int) ([]byte, sim.Time) {
-	return s.ReadInto(nil, now, offset, n)
-}
-
 // Write stores data at offset, charging a sequential NVM write.
 func (s *Store) Write(now sim.Time, offset uint32, data []byte) sim.Time {
 	s.check(offset, len(data))

@@ -41,7 +41,7 @@ func TestScratchOpsZeroAlloc(t *testing.T) {
 	keys := make([][]byte, 32)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("user%014d", i))
-		if _, err := s.Put(keys[i], val); err != nil {
+		if _, err := s.PutInto(nil, keys[i], val); err != nil {
 			t.Fatal(err)
 		}
 	}

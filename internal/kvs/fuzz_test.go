@@ -12,11 +12,11 @@ import (
 // return a request whose fields round-trip; it must never panic, and an
 // accepted frame must survive Apply against a live store.
 func FuzzDecodeRequest(f *testing.F) {
-	f.Add(EncodeRequest(Request{Op: OpGet, Key: []byte("k")}))
-	f.Add(EncodeRequest(Request{Op: OpPut, Key: []byte("key"), Val: []byte("value")}))
-	f.Add(EncodeRequest(Request{Op: OpDelete, Key: bytes.Repeat([]byte{7}, 300)}))
-	f.Add(EncodeRequest(Request{Op: OpScan, Key: []byte("user"), ScanLimit: 16}))
-	f.Add(EncodeRequest(Request{Op: OpScan, Key: []byte("z"), ScanLimit: MaxScanLimit, Reverse: true}))
+	f.Add(AppendRequest(nil, Request{Op: OpGet, Key: []byte("k")}))
+	f.Add(AppendRequest(nil, Request{Op: OpPut, Key: []byte("key"), Val: []byte("value")}))
+	f.Add(AppendRequest(nil, Request{Op: OpDelete, Key: bytes.Repeat([]byte{7}, 300)}))
+	f.Add(AppendRequest(nil, Request{Op: OpScan, Key: []byte("user"), ScanLimit: 16}))
+	f.Add(AppendRequest(nil, Request{Op: OpScan, Key: []byte("z"), ScanLimit: MaxScanLimit, Reverse: true}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(OpPut), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}) // huge claimed lengths
 	f.Add([]byte{99, 0, 0, 0, 0, 0, 0})                            // unknown opcode
@@ -36,13 +36,13 @@ func FuzzDecodeRequest(f *testing.F) {
 		default:
 			t.Fatalf("accepted unknown opcode %d", r.Op)
 		}
-		if re := EncodeRequest(r); !bytes.Equal(re, b[:len(re)]) {
+		if re := AppendRequest(nil, r); !bytes.Equal(re, b[:len(re)]) {
 			t.Fatalf("re-encode mismatch: %x vs %x", re, b[:len(re)])
 		}
 		// An accepted frame must execute without panicking, whatever the
 		// key/value shapes are.
 		s := New(memspace.New(), Config{Buckets: 16, PoolBytes: 1 << 16, Kind: memspace.KindDRAM})
-		resp, _ := Apply(s, r)
+		resp, _ := ApplyScratch(s, r, &Scratch{})
 		if resp.Status != StatusOK && resp.Status != StatusNotFound && resp.Status != StatusError {
 			t.Fatalf("invalid response status %d", resp.Status)
 		}
@@ -51,8 +51,8 @@ func FuzzDecodeRequest(f *testing.F) {
 
 // FuzzDecodeResponse does the same for the response parser.
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(EncodeResponse(Response{Status: StatusOK, Val: []byte("v")}))
-	f.Add(EncodeResponse(Response{Status: StatusNotFound}))
+	f.Add(AppendResponse(nil, Response{Status: StatusOK, Val: []byte("v")}))
+	f.Add(AppendResponse(nil, Response{Status: StatusNotFound}))
 	f.Add([]byte{})
 	f.Add([]byte{byte(StatusOK), 0xFF, 0xFF, 0xFF, 0xFF}) // claims 4 GiB value
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -60,7 +60,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if re := EncodeResponse(r); !bytes.Equal(re, b[:len(re)]) {
+		if re := AppendResponse(nil, r); !bytes.Equal(re, b[:len(re)]) {
 			t.Fatalf("re-encode mismatch")
 		}
 	})

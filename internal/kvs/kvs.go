@@ -9,7 +9,7 @@
 //
 // # API forms and buffer ownership
 //
-// The PRIMARY request-path API is the append/Into family —
+// The request-path API is the append/Into family —
 // [Store.GetInto], [Store.PutInto], [Store.DeleteInto], [ApplyScratch],
 // [AppendRequest], [AppendResponse]. Each takes caller-owned
 // destination buffers (value bytes, access trace, wire frames), appends
@@ -26,11 +26,6 @@
 //   - The store never retains caller buffers: key/value bytes are
 //     copied into the simulated address space before the call returns,
 //     so request buffers may be reused immediately.
-//
-// The allocating forms ([Store.Get], [Store.Put], [Store.Delete],
-// [Apply], [EncodeRequest], [EncodeResponse]) are thin deprecated
-// wrappers that pass nil buffers; they remain for one-shot callers and
-// tests.
 package kvs
 
 import (
@@ -180,15 +175,6 @@ func (s *Store) readItem(addr memspace.Addr) (key, val []byte) {
 
 func itemBytes(key, val []byte) int { return itemHdrBytes + len(key) + len(val) }
 
-// Get looks up key and returns the value (freshly allocated) plus the
-// access trace.
-//
-// Deprecated: use GetInto with reusable buffers; Get allocates fresh
-// value and trace slices per call.
-func (s *Store) Get(key []byte) (val []byte, trace []Access, ok bool) {
-	return s.GetInto(nil, nil, key)
-}
-
 // GetInto looks up key, appending the value bytes to dst and the
 // memory accesses to trace. Both returned slices retain their grown
 // capacity, so passing back dst[:0]/trace[:0] from the previous call
@@ -221,13 +207,6 @@ func (s *Store) GetInto(dst []byte, trace []Access, key []byte) ([]byte, []Acces
 		}
 		bkt = next
 	}
-}
-
-// Put inserts or updates key, returning the access trace.
-//
-// Deprecated: use PutInto with a reusable trace buffer.
-func (s *Store) Put(key, val []byte) ([]Access, error) {
-	return s.PutInto(nil, key, val)
 }
 
 // PutInto inserts or updates key, appending the memory accesses to the
@@ -313,13 +292,6 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 	s.writeSlot(freeBkt, freeSlot, tag, addr)
 	trace = append(trace, Access{Addr: freeBkt, Bytes: slotBytes, Write: true})
 	return trace, nil
-}
-
-// Delete removes key, returning whether it was present.
-//
-// Deprecated: use DeleteInto with a reusable trace buffer.
-func (s *Store) Delete(key []byte) ([]Access, bool) {
-	return s.DeleteInto(nil, key)
 }
 
 // DeleteInto removes key, appending the memory accesses to the

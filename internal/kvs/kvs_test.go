@@ -15,23 +15,23 @@ func newStore(buckets int, pool uint64) *Store {
 
 func TestPutGetDelete(t *testing.T) {
 	s := newStore(1024, 1<<20)
-	if _, err := s.Put([]byte("alpha"), []byte("one")); err != nil {
+	if _, err := s.PutInto(nil, []byte("alpha"), []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	val, _, ok := s.Get([]byte("alpha"))
+	val, _, ok := s.GetInto(nil, nil, []byte("alpha"))
 	if !ok || string(val) != "one" {
 		t.Fatalf("get=%q ok=%v", val, ok)
 	}
-	if _, _, ok := s.Get([]byte("beta")); ok {
+	if _, _, ok := s.GetInto(nil, nil, []byte("beta")); ok {
 		t.Fatal("phantom key")
 	}
-	if _, ok := s.Delete([]byte("alpha")); !ok {
+	if _, ok := s.DeleteInto(nil, []byte("alpha")); !ok {
 		t.Fatal("delete failed")
 	}
-	if _, _, ok := s.Get([]byte("alpha")); ok {
+	if _, _, ok := s.GetInto(nil, nil, []byte("alpha")); ok {
 		t.Fatal("deleted key still present")
 	}
-	if _, ok := s.Delete([]byte("alpha")); ok {
+	if _, ok := s.DeleteInto(nil, []byte("alpha")); ok {
 		t.Fatal("double delete")
 	}
 	st := s.Stats()
@@ -42,9 +42,9 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestUpdateInPlace(t *testing.T) {
 	s := newStore(64, 1<<20)
-	s.Put([]byte("k"), []byte("v1"))
-	s.Put([]byte("k"), []byte("v2"))
-	val, _, _ := s.Get([]byte("k"))
+	s.PutInto(nil, []byte("k"), []byte("v1"))
+	s.PutInto(nil, []byte("k"), []byte("v2"))
+	val, _, _ := s.GetInto(nil, nil, []byte("k"))
 	if string(val) != "v2" {
 		t.Fatalf("val=%q", val)
 	}
@@ -52,11 +52,11 @@ func TestUpdateInPlace(t *testing.T) {
 		t.Fatalf("live=%d, duplicate insert?", s.Stats().LiveItems)
 	}
 	// Growing past the size class reallocates but stays one item.
-	s.Put([]byte("k"), make([]byte, 300))
+	s.PutInto(nil, []byte("k"), make([]byte, 300))
 	if s.Stats().LiveItems != 1 {
 		t.Fatalf("live=%d after class change", s.Stats().LiveItems)
 	}
-	val, _, _ = s.Get([]byte("k"))
+	val, _, _ = s.GetInto(nil, nil, []byte("k"))
 	if len(val) != 300 {
 		t.Fatalf("len=%d", len(val))
 	}
@@ -67,14 +67,14 @@ func TestAccessTraceCounts(t *testing.T) {
 	// collisions).
 	s := newStore(1<<16, 1<<20)
 	key, val := []byte("key-000001"), make([]byte, 40)
-	trace, err := s.Put(key, val)
+	trace, err := s.PutInto(nil, key, val)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(trace) != 4 {
 		t.Fatalf("PUT trace=%d accesses, want 4: %+v", len(trace), trace)
 	}
-	v, trace, ok := s.Get(key)
+	v, trace, ok := s.GetInto(nil, nil, key)
 	if !ok || len(v) != 40 {
 		t.Fatal("get")
 	}
@@ -91,7 +91,7 @@ func TestChainingUnderCollisions(t *testing.T) {
 	// One bucket: every key collides; >7 keys must chain.
 	s := newStore(1, 1<<20)
 	for i := 0; i < 30; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key-%02d", i)), []byte{byte(i)}); err != nil {
+		if _, err := s.PutInto(nil, []byte(fmt.Sprintf("key-%02d", i)), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,14 +99,14 @@ func TestChainingUnderCollisions(t *testing.T) {
 		t.Fatalf("chained=%d, want >= 3", s.Stats().ChainedBuckets)
 	}
 	for i := 0; i < 30; i++ {
-		v, _, ok := s.Get([]byte(fmt.Sprintf("key-%02d", i)))
+		v, _, ok := s.GetInto(nil, nil, []byte(fmt.Sprintf("key-%02d", i)))
 		if !ok || v[0] != byte(i) {
 			t.Fatalf("key %d lost in chain", i)
 		}
 	}
 	// Update through the chain must not duplicate.
 	live := s.Stats().LiveItems
-	s.Put([]byte("key-29"), []byte{99})
+	s.PutInto(nil, []byte("key-29"), []byte{99})
 	if s.Stats().LiveItems != live {
 		t.Fatal("chained update created a duplicate")
 	}
@@ -116,7 +116,7 @@ func TestPoolExhaustion(t *testing.T) {
 	s := newStore(16, 1024)
 	var failed bool
 	for i := 0; i < 100; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("key-%03d", i)), make([]byte, 64)); err != nil {
+		if _, err := s.PutInto(nil, []byte(fmt.Sprintf("key-%03d", i)), make([]byte, 64)); err != nil {
 			failed = true
 			break
 		}
@@ -132,12 +132,12 @@ func TestSlabReuse(t *testing.T) {
 	// exhaustion.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 8; i++ {
-			if _, err := s.Put([]byte(fmt.Sprintf("k%d", i)), make([]byte, 40)); err != nil {
+			if _, err := s.PutInto(nil, []byte(fmt.Sprintf("k%d", i)), make([]byte, 40)); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 		for i := 0; i < 8; i++ {
-			s.Delete([]byte(fmt.Sprintf("k%d", i)))
+			s.DeleteInto(nil, []byte(fmt.Sprintf("k%d", i)))
 		}
 	}
 	if s.Stats().LiveItems != 0 {
@@ -160,18 +160,18 @@ func TestStoreModelProperty(t *testing.T) {
 			switch o.Op % 3 {
 			case 0:
 				val := []byte(fmt.Sprintf("val-%d", o.Val))
-				if _, err := s.Put(key, val); err != nil {
+				if _, err := s.PutInto(nil, key, val); err != nil {
 					return false
 				}
 				model[string(key)] = string(val)
 			case 1:
-				got, _, ok := s.Get(key)
+				got, _, ok := s.GetInto(nil, nil, key)
 				want, wantOK := model[string(key)]
 				if ok != wantOK || (ok && string(got) != want) {
 					return false
 				}
 			case 2:
-				_, ok := s.Delete(key)
+				_, ok := s.DeleteInto(nil, key)
 				_, wantOK := model[string(key)]
 				if ok != wantOK {
 					return false
@@ -196,7 +196,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{Op: OpDelete, Key: []byte("gone")},
 	}
 	for _, r := range reqs {
-		got, err := DecodeRequest(EncodeRequest(r))
+		got, err := DecodeRequest(AppendRequest(nil, r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 	}
 	resp := Response{Status: StatusOK, Val: []byte("data")}
-	got, err := DecodeResponse(EncodeResponse(resp))
+	got, err := DecodeResponse(AppendResponse(nil, resp))
 	if err != nil || got.Status != StatusOK || !bytes.Equal(got.Val, resp.Val) {
 		t.Fatalf("response round trip: %+v %v", got, err)
 	}
@@ -218,7 +218,7 @@ func TestWireErrors(t *testing.T) {
 	if _, err := DecodeRequest([]byte{99, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("bad opcode accepted")
 	}
-	bad := EncodeRequest(Request{Op: OpPut, Key: []byte("k"), Val: []byte("v")})
+	bad := AppendRequest(nil, Request{Op: OpPut, Key: []byte("k"), Val: []byte("v")})
 	if _, err := DecodeRequest(bad[:8]); err == nil {
 		t.Fatal("truncated request accepted")
 	}
@@ -229,19 +229,20 @@ func TestWireErrors(t *testing.T) {
 
 func TestApply(t *testing.T) {
 	s := newStore(64, 1<<20)
-	resp, trace := Apply(s, Request{Op: OpPut, Key: []byte("k"), Val: []byte("v")})
+	var sc Scratch
+	resp, trace := ApplyScratch(s, Request{Op: OpPut, Key: []byte("k"), Val: []byte("v")}, &sc)
 	if resp.Status != StatusOK || len(trace) == 0 {
-		t.Fatal("put via Apply")
+		t.Fatal("put via ApplyScratch")
 	}
-	resp, _ = Apply(s, Request{Op: OpGet, Key: []byte("k")})
+	resp, _ = ApplyScratch(s, Request{Op: OpGet, Key: []byte("k")}, &sc)
 	if resp.Status != StatusOK || string(resp.Val) != "v" {
-		t.Fatalf("get via Apply: %+v", resp)
+		t.Fatalf("get via ApplyScratch: %+v", resp)
 	}
-	resp, _ = Apply(s, Request{Op: OpGet, Key: []byte("nope")})
+	resp, _ = ApplyScratch(s, Request{Op: OpGet, Key: []byte("nope")}, &sc)
 	if resp.Status != StatusNotFound {
 		t.Fatal("missing key status")
 	}
-	resp, _ = Apply(s, Request{Op: Op(77)})
+	resp, _ = ApplyScratch(s, Request{Op: Op(77)}, &sc)
 	if resp.Status != StatusError {
 		t.Fatal("bad op status")
 	}

@@ -107,14 +107,14 @@ func TestStoreScanInto(t *testing.T) {
 	want := map[string]string{}
 	for i := 0; i < n; i++ {
 		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i)
-		if _, err := s.Put([]byte(k), []byte(v)); err != nil {
+		if _, err := s.PutInto(nil, []byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
 		want[k] = v
 	}
 	for i := 0; i < n; i += 4 {
 		k := fmt.Sprintf("key-%03d", i)
-		s.Delete([]byte(k))
+		s.DeleteInto(nil, []byte(k))
 		delete(want, k)
 	}
 
@@ -166,7 +166,7 @@ func TestStoreScanInto(t *testing.T) {
 func TestApplyScratchScanOverStore(t *testing.T) {
 	s := newStore(32, 1<<20)
 	for i := 0; i < 40; i++ {
-		if _, err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))); err != nil {
+		if _, err := s.PutInto(nil, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}

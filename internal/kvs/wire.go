@@ -81,14 +81,6 @@ func AppendRequest(dst []byte, r Request) []byte {
 	return append(dst, r.Val...)
 }
 
-// EncodeRequest serializes a request into a fresh buffer.
-//
-// Deprecated: use AppendRequest with a reused buffer; EncodeRequest
-// allocates a fresh frame per call.
-func EncodeRequest(r Request) []byte {
-	return AppendRequest(make([]byte, 0, 7+len(r.Key)+len(r.Val)), r)
-}
-
 // DecodeRequest parses a request, validating opcode, truncation, and
 // (for scans) the limit bound.
 func DecodeRequest(b []byte) (Request, error) {
@@ -146,14 +138,6 @@ func AppendResponse(dst []byte, r Response) []byte {
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(r.Val)))
 	dst = append(dst, hdr[:]...)
 	return append(dst, r.Val...)
-}
-
-// EncodeResponse serializes a response into a fresh buffer.
-//
-// Deprecated: use AppendResponse with a reused buffer; EncodeResponse
-// allocates a fresh frame per call.
-func EncodeResponse(r Response) []byte {
-	return AppendResponse(make([]byte, 0, 5+len(r.Val)), r)
 }
 
 // DecodeResponse parses a response.
@@ -221,17 +205,6 @@ func DecodeScanResponse(b []byte, pairs []ScanPair) (Status, []byte, []ScanPair,
 	return Status(b[0]), payload, pairs, nil
 }
 
-// Apply executes a decoded request against a store, returning the
-// response and the access trace for timing. Every call allocates fresh
-// value and trace buffers.
-//
-// Deprecated: use ApplyScratch with a per-worker Scratch; Apply
-// allocates fresh value and trace buffers per call.
-func Apply(s *Store, r Request) (Response, []Access) {
-	var sc Scratch
-	return ApplyScratch(s, r, &sc)
-}
-
 // Scratch is one worker's reusable buffer set for the request path:
 // the value destination for GETs, the access-trace backing array, and
 // the flat pair buffer for scans. All grow to the workload's high-water
@@ -251,10 +224,10 @@ type Scratch struct {
 	ScanPairs []ScanPair
 }
 
-// ApplyScratch is Apply with caller-owned buffers, dispatching over any
-// storage Backend: the GET value is appended into sc.Val, the trace
-// into sc.Trace, and scan results into sc.ScanBuf/sc.ScanPairs (all
-// re-sliced to zero length first, capacity retained). OpScan responses
+// ApplyScratch executes a decoded request against any storage Backend
+// with caller-owned buffers: the GET value is appended into sc.Val, the
+// trace into sc.Trace, and scan results into sc.ScanBuf/sc.ScanPairs
+// (all re-sliced to zero length first, capacity retained). OpScan responses
 // travel in the scratch — encode with AppendScanResponse — because the
 // single-value Response frame cannot carry multiple pairs.
 func ApplyScratch(b Backend, r Request, sc *Scratch) (Response, []Access) {

@@ -94,15 +94,6 @@ func NewRing(space *memspace.Space, l Layout) *Ring {
 	return &Ring{Layout: l, space: space}
 }
 
-// ReadEntry returns the payload at index i (freshly allocated) if the
-// entry is valid.
-//
-// Deprecated: use ReadEntryAppend with a reusable buffer (the primary
-// consume API), or EntryValid when only the valid bit matters.
-func (r *Ring) ReadEntry(i int) ([]byte, bool) {
-	return r.ReadEntryAppend(nil, i)
-}
-
 // EntryValid reports whether entry i holds an unconsumed message,
 // without touching the payload — the allocation-free validity probe
 // notification paths use.

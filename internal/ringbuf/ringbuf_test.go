@@ -61,16 +61,16 @@ func TestRingReadResetCycle(t *testing.T) {
 	space := memspace.New()
 	reg := space.Alloc("ring", 1024, memspace.KindDRAM)
 	ring := NewRing(space, NewLayout(reg.Range, 8))
-	if _, ok := ring.ReadEntry(0); ok {
+	if _, ok := ring.ReadEntryAppend(nil, 0); ok {
 		t.Fatal("fresh ring must be empty")
 	}
 	space.Write(ring.EntryAddr(3), ring.Encode([]byte("msg")))
-	got, ok := ring.ReadEntry(3)
+	got, ok := ring.ReadEntryAppend(nil, 3)
 	if !ok || string(got) != "msg" {
 		t.Fatalf("got %q ok=%v", got, ok)
 	}
 	ring.ResetEntry(3)
-	if _, ok := ring.ReadEntry(3); ok {
+	if _, ok := ring.ReadEntryAppend(nil, 3); ok {
 		t.Fatal("reset entry must be invalid")
 	}
 }
@@ -246,7 +246,7 @@ func TestLocalTransportTriggersCoherence(t *testing.T) {
 		t.Fatalf("coherence signals=%d, want 1", signals)
 	}
 	ring := NewRing(space, l)
-	payload, ok := ring.ReadEntry(0)
+	payload, ok := ring.ReadEntryAppend(nil, 0)
 	if !ok || string(payload) != "intra" {
 		t.Fatalf("payload=%q", payload)
 	}
