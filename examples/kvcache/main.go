@@ -62,28 +62,27 @@ func runRambda() *rambda.Result {
 	rambda.Connect(server, client)
 	store := buildStore(server)
 
-	// Per-server request-path scratch: the store's value/trace buffers,
-	// the response encode buffer, and a zero slab for modelled writes.
-	// The server handles one request at a time, so reuse is safe; the
-	// returned frame is consumed by the transport before the next call.
+	// Per-server request-path scratch: the store's value/trace buffers
+	// and the response encode buffer. The server handles one request at
+	// a time, so reuse is safe; the returned frame is consumed by the
+	// transport before the next call.
 	var (
 		sc      kvs.Scratch
 		respBuf []byte
-		zeros   []byte
 	)
 	app := rambda.AppFunc(func(ctx *rambda.AppCtx, now rambda.Time, reqB []byte) ([]byte, rambda.Time) {
+		t := ctx.Compute(now, 6) // hash unit
 		req, err := kvs.DecodeRequest(reqB)
 		if err != nil {
-			panic(err)
+			respBuf = kvs.AppendResponse(respBuf[:0], kvs.Response{Status: kvs.StatusError})
+			return respBuf, t
 		}
 		resp, trace := kvs.ApplyScratch(store, req, &sc)
-		t := ctx.Compute(now, 6) // hash unit
 		for _, a := range trace {
 			if a.Write {
-				if a.Bytes > len(zeros) {
-					zeros = make([]byte, a.Bytes)
-				}
-				t = ctx.Write(t, a.Addr, zeros[:a.Bytes])
+				// The store already placed the bytes; charge the write
+				// with them so it leaves the item intact.
+				t = ctx.Write(t, a.Addr, server.Space.Slice(a.Addr, a.Bytes))
 			} else {
 				t = ctx.Read(t, a.Addr, a.Bytes)
 			}
@@ -123,16 +122,16 @@ func runCPU() *rambda.Result {
 		respBuf []byte
 	)
 	h := rambda.CPUHandler(func(reqB []byte) ([]byte, hostcpu.Work) {
+		work := hostcpu.Work{Cycles: 900, AccessBytes: 64, Addr: store.IndexRange().Base}
 		req, err := kvs.DecodeRequest(reqB)
 		if err != nil {
-			panic(err)
+			respBuf = kvs.AppendResponse(respBuf[:0], kvs.Response{Status: kvs.StatusError})
+			return respBuf, work
 		}
 		resp, trace := kvs.ApplyScratch(store, req, &sc)
+		work.Accesses = len(trace)
 		respBuf = kvs.AppendResponse(respBuf[:0], resp)
-		return respBuf, hostcpu.Work{
-			Cycles: 900, Accesses: len(trace), AccessBytes: 64,
-			Addr: store.IndexRange().Base,
-		}
+		return respBuf, work
 	})
 	opts := rambda.DefaultCPUServerOptions()
 	opts.Connections = connections

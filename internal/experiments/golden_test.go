@@ -20,7 +20,7 @@ import (
 //
 // and update testdata/.
 func TestQuickFigureGoldenOutput(t *testing.T) {
-	if goldenRaceEnabled {
+	if raceEnabled {
 		t.Skip("quick figure sweeps are too slow under -race; determinism is covered unraced")
 	}
 	if testing.Short() {

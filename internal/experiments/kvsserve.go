@@ -22,21 +22,6 @@ import (
 // (de)serializer, FSM transitions).
 const kvsAPUCycles = 6
 
-// kvsZeroSlab backs the KVS handlers' functional writes: the model
-// writes zero bytes over each traced write address (the store already
-// placed the real item bytes; the handler's write charge only needs
-// *some* data to move). Sharing one read-only slab keeps the steady
-// state allocation-free — memspace.Write copies from it and nothing
-// may ever write into it.
-var kvsZeroSlab [4096]byte
-
-func zeros(n int) []byte {
-	if n <= len(kvsZeroSlab) {
-		return kvsZeroSlab[:n]
-	}
-	return make([]byte, n)
-}
-
 // appendKVSKey appends key i ("user" + 14-digit zero-padded decimal,
 // the paper's 18 B keys) onto dst — the allocation-free formatter the
 // hot request loops use with a reusable buffer.
@@ -156,7 +141,9 @@ func newKVSServer(o kvsServeOpts, load func(*core.Machine) kvs.Backend) *kvsServ
 		resp, trace := kvs.ApplyScratch(be, req, &s.sc)
 		for _, a := range trace {
 			if a.Write {
-				t = ctx.Write(t, a.Addr, zeros(a.Bytes))
+				// The backend already placed the bytes; charge the
+				// write with them so it leaves the item intact.
+				t = ctx.Write(t, a.Addr, sm.Space.Slice(a.Addr, a.Bytes))
 			} else {
 				t = ctx.Read(t, a.Addr, a.Bytes)
 			}

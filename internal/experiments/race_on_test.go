@@ -3,4 +3,4 @@
 package experiments
 
 // See race_off_test.go.
-const goldenRaceEnabled = true
+const raceEnabled = true

@@ -14,7 +14,7 @@ import (
 // pipeline, scaleout covers partitioned shard construction on top of
 // it; fig5 (the two-partition engine cut) rides in the same sweep.
 func TestSimParallelEquivalence(t *testing.T) {
-	if goldenRaceEnabled {
+	if raceEnabled {
 		t.Skip("quick figure sweeps are too slow under -race; the engine's race coverage lives in internal/sim and internal/scaleout")
 	}
 	if testing.Short() {
