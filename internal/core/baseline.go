@@ -208,17 +208,3 @@ func (c *CPUClient) Call(now sim.Time, payload []byte) ([]byte, sim.Time) {
 	c.qp.CQ().Discard(4) // drain request completions
 	return resp, done
 }
-
-// ConnSend exposes the raw request-send step (for experiment
-// diagnostics that need per-stage timing).
-func (c *CPUClient) ConnSend(now sim.Time, payload []byte) sim.Time {
-	return c.conn.Send(now, payload)
-}
-
-// ConnPoll consumes the pending response and drains completions.
-func (c *CPUClient) ConnPoll() {
-	if _, ok := c.conn.PollResponse(); !ok {
-		panic("core: CPU response missing")
-	}
-	c.qp.CQ().Discard(4)
-}
