@@ -91,11 +91,11 @@ func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
 	})
 	reg.SetInterval(breakdownMetricsInterval)
 
-	w := newKVSWorkload(k, false, false)
+	gen := kvsGen(k, false, false)
 	var wk kvsWork
 	now := sim.Time(0)
 	for i := 0; i < cfg.Requests; i++ {
-		w.fill(&wk)
+		gen(&wk)
 		_, done := r.callOn(i, now, wk.request())
 		now = done
 	}

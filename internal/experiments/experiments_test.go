@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"rambda/internal/core"
 	"rambda/internal/dlrm"
 )
 
@@ -268,15 +269,15 @@ func TestFig13Shapes(t *testing.T) {
 	if cpu8 < 3*cpu1 {
 		t.Fatalf("CPU-8 (%v) must scale well past CPU-1 (%v)", cpu8, cpu1)
 	}
-	base := fig13Rambda(cat, cfg, coreVariantBase())
+	base := fig13Rambda(cat, cfg, core.AccelBase)
 	if base >= 0.5*cpu1 {
 		t.Fatalf("base RAMBDA (%v) must fall far below CPU-1 (%v) — paper 19.7-31.3%%", base, cpu1)
 	}
 	if base < 0.1*cpu1 {
 		t.Fatalf("base RAMBDA (%v) implausibly slow vs CPU-1 (%v)", base, cpu1)
 	}
-	ld := fig13Rambda(cat, cfg, coreVariantLD())
-	lh := fig13Rambda(cat, cfg, coreVariantLH())
+	ld := fig13Rambda(cat, cfg, core.AccelLD)
+	lh := fig13Rambda(cat, cfg, core.AccelLH)
 	if !(lh > ld && ld > base) {
 		t.Fatalf("want LH (%v) > LD (%v) > base (%v)", lh, ld, base)
 	}
@@ -371,11 +372,11 @@ func TestSpecJobsCoverAllSlots(t *testing.T) {
 
 func TestZipfWorkloadSkew(t *testing.T) {
 	cfg := testKVSConfig()
-	w := newKVSWorkload(cfg, true, false)
+	gen := kvsGen(cfg, true, false)
 	counts := map[string]int{}
 	var wk kvsWork
 	for i := 0; i < 5000; i++ {
-		w.fill(&wk)
+		gen(&wk)
 		counts[string(wk.key)]++
 	}
 	if counts[string(appendKVSKey(nil, 0))] < 50 {

@@ -254,11 +254,6 @@ func Fig13Table(cfg Fig13Config) *Table {
 	return RunSpec(cfg.Parallel, Fig13Spec(cfg))
 }
 
-// coreVariantBase/LD/LH expose the accelerator variants for tests.
-func coreVariantBase() core.AccelVariant { return core.AccelBase }
-func coreVariantLD() core.AccelVariant   { return core.AccelLD }
-func coreVariantLH() core.AccelVariant   { return core.AccelLH }
-
 // Fig13CPUOne and Fig13RambdaOne expose single-configuration runs for
 // the benchmark harness.
 func Fig13CPUOne(cat dlrm.Category, cfg Fig13Config, cores int) float64 {

@@ -42,51 +42,36 @@ func DefaultKVSConfig() KVSConfig {
 	}
 }
 
-// kvsWorkload generates the request stream: uniform or Zipf-skewed key
-// choice, GET-only or 50/50 GET/PUT.
-type kvsWorkload struct {
-	cfg     KVSConfig
-	rng     *sim.RNG
-	zipf    *sim.Zipf
-	skewed  bool
-	writes  bool
-	valBase []byte
-}
-
-func newKVSWorkload(cfg KVSConfig, skewed, writes bool) *kvsWorkload {
+// kvsGen returns the Figs. 8-10 request generator: uniform or
+// Zipf-skewed key choice, GET-only or 50/50 GET/PUT.
+func kvsGen(cfg KVSConfig, skewed, writes bool) func(*kvsWork) {
 	rng := sim.NewRNG(cfg.Seed + 0x17)
-	w := &kvsWorkload{
-		cfg: cfg, rng: rng, skewed: skewed, writes: writes,
-		valBase: make([]byte, cfg.ValueBytes),
-	}
+	var zipf *sim.Zipf
 	if skewed {
-		w.zipf = sim.NewZipf(rng, uint64(cfg.Keys), cfg.ZipfTheta)
+		zipf = sim.NewZipf(rng, uint64(cfg.Keys), cfg.ZipfTheta)
 	}
-	return w
-}
-
-// fill writes the next request into wk.
-func (w *kvsWorkload) fill(wk *kvsWork) {
-	var k int
-	if w.skewed {
-		k = int(w.zipf.Next())
-	} else {
-		k = w.rng.Intn(w.cfg.Keys)
-	}
-	wk.key = appendKVSKey(wk.key[:0], k)
-	wk.op = kvs.OpGet
-	if w.writes && w.rng.Intn(2) == 0 {
-		binary.LittleEndian.PutUint64(w.valBase, uint64(k))
-		wk.op = kvs.OpPut
-		wk.val = append(wk.val[:0], w.valBase...)
+	valBase := make([]byte, cfg.ValueBytes)
+	return func(wk *kvsWork) {
+		var k int
+		if skewed {
+			k = int(zipf.Next())
+		} else {
+			k = rng.Intn(cfg.Keys)
+		}
+		wk.op = kvs.OpGet
+		wk.key = appendKVSKey(wk.key[:0], k)
+		if writes && rng.Intn(2) == 0 {
+			binary.LittleEndian.PutUint64(valBase, uint64(k))
+			wk.op = kvs.OpPut
+			wk.val = append(wk.val[:0], valBase...)
+		}
 	}
 }
 
 // measure runs the workload against sys with window requests in flight
 // per connection.
 func (cfg KVSConfig) measure(sys kvsCaller, skewed, writes bool, window int) *sim.Result {
-	w := newKVSWorkload(cfg, skewed, writes)
-	return measureKVS(sys, cfg.Connections*window, cfg.Requests, cfg.Seed, w.fill)
+	return measureKVS(sys, cfg.Connections*window, cfg.Requests, cfg.Seed, kvsGen(cfg, skewed, writes))
 }
 
 // preloadStore builds a hash store holding the experiment's pairs.

@@ -135,7 +135,7 @@ func TestKVSServerSteadyStateZeroAlloc(t *testing.T) {
 	}
 	cfg := testKVSConfig()
 	fig8 := newRambdaKVS(cfg, core.AccelBase, cfg.Batch)
-	if n := steadyStateAllocs(fig8, newKVSWorkload(cfg, true, true).fill); n != 0 {
+	if n := steadyStateAllocs(fig8, kvsGen(cfg, true, true)); n != 0 {
 		t.Errorf("fig8 shape: %.2f allocs per call, want 0", n)
 	}
 
