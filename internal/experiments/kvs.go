@@ -258,17 +258,17 @@ type Fig8Row struct {
 	Throughput float64
 }
 
+// kvsSystem is one design of the Fig. 8-10 matrix.
+type kvsSystem struct {
+	name string
+	mk   func() kvsCaller
+}
+
 // kvsSystems enumerates the Fig. 8-10 system matrix in table order.
 // Each factory builds a fresh, fully isolated system (machines, store,
 // cache), so one sweep point never observes another's state.
-func kvsSystems(cfg KVSConfig) []struct {
-	name string
-	mk   func() kvsCaller
-} {
-	return []struct {
-		name string
-		mk   func() kvsCaller
-	}{
+func kvsSystems(cfg KVSConfig) []kvsSystem {
+	return []kvsSystem{
 		{"CPU", func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, false) }},
 		{"SmartNIC", func() kvsCaller { return newSNICKVS(cfg) }},
 		{"RAMBDA", func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
