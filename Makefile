@@ -3,7 +3,7 @@
 GO ?= go
 PARALLEL ?= 0 # 0 = one worker per CPU (runner default)
 
-.PHONY: all build test race vet lint figures figures-quick bench bench-check profile clean
+.PHONY: all build test race vet lint figures figures-quick determinism bench bench-check profile clean
 
 all: build test
 
@@ -30,6 +30,28 @@ figures:
 
 figures-quick:
 	$(GO) run ./cmd/rambda-figures -quick -parallel $(PARALLEL)
+
+# Determinism gate (CI's determinism job): every -quick table and every
+# observability export must be a pure function of the seed. One binary
+# runs at -parallel 1, at -parallel 4 and on the partitioned engine
+# (-parallel 4 -sim-parallel 4); the stdouts and the -obs-dir trees must
+# diff clean, and each tree must hold exactly the five expected files.
+DET_DIR ?= determinism
+DET_FILES := breakdown.metrics.json breakdown.trace.json chaos-scaleout.metrics.json scaleout.metrics.json ycsb.metrics.json
+determinism:
+	rm -rf $(DET_DIR) && mkdir -p $(DET_DIR)
+	$(GO) build -o $(DET_DIR)/rambda-figures ./cmd/rambda-figures
+	$(DET_DIR)/rambda-figures -quick -parallel 1 -obs-dir $(DET_DIR)/obs-p1 > $(DET_DIR)/figures-p1.txt
+	$(DET_DIR)/rambda-figures -quick -parallel 4 -obs-dir $(DET_DIR)/obs-p4 > $(DET_DIR)/figures-p4.txt
+	$(DET_DIR)/rambda-figures -quick -parallel 4 -sim-parallel 4 -obs-dir $(DET_DIR)/obs-sp4 > $(DET_DIR)/figures-sp4.txt
+	diff $(DET_DIR)/figures-p1.txt $(DET_DIR)/figures-p4.txt
+	diff $(DET_DIR)/figures-p1.txt $(DET_DIR)/figures-sp4.txt
+	diff -r $(DET_DIR)/obs-p1 $(DET_DIR)/obs-p4
+	diff -r $(DET_DIR)/obs-p1 $(DET_DIR)/obs-sp4
+	for d in obs-p1 obs-p4 obs-sp4; do \
+		test "$$(LC_ALL=C ls $(DET_DIR)/$$d | tr '\n' ' ')" = "$(DET_FILES) " || \
+			{ echo "$(DET_DIR)/$$d: want exactly $(DET_FILES)"; exit 1; }; \
+	done
 
 # The newest committed BENCH_<n>.json is the baseline; `make bench`
 # records the next one.

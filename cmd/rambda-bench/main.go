@@ -123,8 +123,6 @@ func main() {
 	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to compare microbenchmarks against")
 	seedPath := flag.String("seed", "", "BENCH_*.json measured on the pre-optimization engine; embeds per-kernel speedups in the output")
 	maxRegress := flag.Float64("max-regress", 0.25, "fail when a microbenchmark's normalized score regresses by more than this fraction")
-	traceOut := flag.String("trace-out", "", "write the breakdown figure's spans as Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write the breakdown figure's metrics registry as JSON to this file")
 	flag.Parse()
 
 	runner.SetDefault(*parallel)
@@ -171,7 +169,7 @@ func main() {
 	}
 
 	if !*skipFigures {
-		for _, s := range experiments.StandardSpecsObs(*quick, *traceOut, *metricsOut) {
+		for _, s := range experiments.StandardSpecs(*quick) {
 			if *only != "" && !strings.EqualFold(*only, s.ID) {
 				continue
 			}

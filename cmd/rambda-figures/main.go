@@ -8,6 +8,7 @@
 //	go run ./cmd/rambda-figures -quick       # smaller workloads
 //	go run ./cmd/rambda-figures -parallel 1  # sequential (pre-harness behaviour)
 //	go run ./cmd/rambda-figures -sim-parallel 4  # partitioned engine, 4 goroutines per sim
+//	go run ./cmd/rambda-figures -obs-dir obs     # also export spans/metrics to obs/<id>.{trace,metrics}.json
 //
 // Every figure enumerates its sweep as independent runner jobs; the
 // CLI flattens all selected figures into a single worker pool so whole
@@ -38,12 +39,17 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after all figures) to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
-	traceOut := flag.String("trace-out", "", "write the breakdown experiment's spans as Chrome trace_event JSON to this file")
-	metricsOut := flag.String("metrics-out", "", "write the breakdown experiment's metrics registry as JSON to this file")
-	scaleoutMetricsOut := flag.String("scaleout-metrics-out", "", "write the scaleout sweep's per-point metrics registries as JSON to this file")
-	chaosScaleoutMetricsOut := flag.String("chaos-scaleout-metrics-out", "", "write the chaos-scaleout sweep's per-point metrics registries (scaleout + fault-layer gauges) as JSON to this file")
-	ycsbMetricsOut := flag.String("ycsb-metrics-out", "", "write the ycsb sweep's per-point storage-backend metrics registries as JSON to this file")
+	obsDir := flag.String("obs-dir", "", "write each selected experiment's collected spans and metrics to <dir>/<id>.trace.json and <dir>/<id>.metrics.json (breakdown, scaleout, chaos-scaleout, ycsb)")
 	flag.Parse()
+
+	// A bad export directory fails before any job runs, not after the
+	// sweep.
+	if *obsDir != "" {
+		if err := os.MkdirAll(*obsDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -88,16 +94,8 @@ func main() {
 	runner.SetDefault(*parallel)
 	sim.SetParallel(*simParallel)
 
-	specs := experiments.StandardSpecsPaths(*quick, experiments.ObsPaths{
-		TraceOut:                *traceOut,
-		MetricsOut:              *metricsOut,
-		ScaleoutMetricsOut:      *scaleoutMetricsOut,
-		ChaosScaleoutMetricsOut: *chaosScaleoutMetricsOut,
-		YCSBMetricsOut:          *ycsbMetricsOut,
-	})
-
 	var selected []experiments.Spec
-	for _, s := range specs {
+	for _, s := range experiments.StandardSpecs(*quick) {
 		if *only == "" || strings.EqualFold(*only, s.ID) {
 			selected = append(selected, s)
 		}
@@ -119,5 +117,13 @@ func main() {
 	}
 	for _, s := range selected {
 		fmt.Println(s.Table())
+	}
+	if *obsDir != "" {
+		for _, s := range selected {
+			if err := experiments.WriteObs(*obsDir, s); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+		}
 	}
 }

@@ -19,13 +19,6 @@ import (
 type BreakdownConfig struct {
 	Requests int
 	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
-
-	// TraceOut and MetricsOut, when non-empty, export the collected
-	// spans as Chrome trace_event JSON and the metrics registry as JSON
-	// after the jobs have run. Same seed, same files, byte for byte.
-	TraceOut   string
-	MetricsOut string
 }
 
 // DefaultBreakdownConfig returns the standalone experiment size.
@@ -111,7 +104,7 @@ var breakdownPaths = []struct {
 	{"fig8/RAMBDA", breakdownKVS},
 }
 
-func breakdownRender(cfg BreakdownConfig, traces []*obs.Trace, regs []*obs.Registry) *Table {
+func breakdownRender(traces []*obs.Trace) *Table {
 	t := &Table{
 		ID:      "breakdown",
 		Title:   "Per-stage latency breakdown (virtual-time self time, collector attached)",
@@ -126,53 +119,32 @@ func breakdownRender(cfg BreakdownConfig, traces []*obs.Trace, regs []*obs.Regis
 				r.Self.String(), fmt.Sprintf("%.1f%%", r.Share*100))
 		}
 	}
-	if cfg.TraceOut != "" {
-		tj := make([]obs.TraceJSON, len(breakdownPaths))
-		for i, p := range breakdownPaths {
-			tj[i] = obs.TraceJSON{Name: p.name, Trace: traces[i], PID: i + 1}
-		}
-		if err := obs.WriteChromeTraceFile(cfg.TraceOut, tj); err != nil {
-			panic(fmt.Sprintf("breakdown: write trace: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "chrome trace exported (-trace-out)")
-	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(breakdownPaths))
-		for i, p := range breakdownPaths {
-			mj[i] = obs.MetricsJSON{Name: p.name, Registry: regs[i]}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("breakdown: write metrics: %v", err))
-		}
-		t.Notes = append(t.Notes, "metrics exported (-metrics-out)")
-	}
 	return t
 }
 
-// breakdownPlan enumerates the paths as runner jobs, each with its own
-// slot-indexed collector.
-func breakdownPlan(cfg BreakdownConfig) (func() *Table, []runner.Job) {
+// BreakdownSpec enumerates the paths as runner jobs, each with its own
+// slot-indexed collector; Obs exports every path's spans and registry.
+func BreakdownSpec(cfg BreakdownConfig) Spec {
 	traces := make([]*obs.Trace, len(breakdownPaths))
 	regs := make([]*obs.Registry, len(breakdownPaths))
-	jobs := runner.Jobs("breakdown", len(breakdownPaths),
-		func(i int) string { return breakdownPaths[i].name },
+	label := func(i int) string { return breakdownPaths[i].name }
+	jobs := runner.Jobs("breakdown", len(breakdownPaths), label,
 		func(i int) {
 			traces[i] = obs.NewTrace()
 			regs[i] = obs.NewRegistry()
 			breakdownPaths[i].run(cfg, traces[i], regs[i])
+			regs[i].Freeze() // keep the values, not the machines, until export
 		})
-	return func() *Table { return breakdownRender(cfg, traces, regs) }, jobs
-}
-
-// BreakdownSpec exposes the experiment for a shared pool.
-func BreakdownSpec(cfg BreakdownConfig) Spec {
-	table, jobs := breakdownPlan(cfg)
-	return Spec{ID: "breakdown", Jobs: jobs, Table: table}
-}
-
-// Breakdown runs the experiment and renders its table.
-func Breakdown(cfg BreakdownConfig) *Table {
-	return RunSpec(cfg.Parallel, BreakdownSpec(cfg))
+	return Spec{
+		ID:    "breakdown",
+		Jobs:  jobs,
+		Table: func() *Table { return breakdownRender(traces) },
+		Obs: func() ([]obs.TraceJSON, []obs.MetricsJSON) {
+			tj := make([]obs.TraceJSON, len(traces))
+			for i, tr := range traces {
+				tj[i] = obs.TraceJSON{Name: label(i), Trace: tr, PID: i + 1}
+			}
+			return tj, namedMetrics(label, regs)
+		},
+	}
 }

@@ -1,57 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// smallBreakdown returns a fast configuration with exports under dir.
-func smallBreakdown(dir, tag string) BreakdownConfig {
-	cfg := DefaultBreakdownConfig()
-	cfg.Requests = 400
-	cfg.Parallel = 2
-	cfg.TraceOut = filepath.Join(dir, "trace-"+tag+".json")
-	cfg.MetricsOut = filepath.Join(dir, "metrics-"+tag+".json")
-	return cfg
-}
-
-// TestBreakdownDeterministicExports is the golden determinism check of
-// the observability layer: two runs with the same seed must produce
-// byte-identical trace and metrics files — virtual-time spans, integer
-// timestamp math, and sorted metric names leave no room for run-to-run
-// noise.
-func TestBreakdownDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallBreakdown(dir, "a")
-	b := smallBreakdown(dir, "b")
-	Breakdown(a)
-	b.Parallel = 1 // scheduling must not matter either
-	Breakdown(b)
-
-	for _, pair := range [][2]string{
-		{a.TraceOut, b.TraceOut},
-		{a.MetricsOut, b.MetricsOut},
-	} {
-		x, err := os.ReadFile(pair[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := os.ReadFile(pair[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(x) == 0 {
-			t.Fatalf("%s: empty export", pair[0])
-		}
-		if !bytes.Equal(x, y) {
-			t.Fatalf("%s and %s differ: same seed must export byte-identical files", pair[0], pair[1])
-		}
-	}
-}
 
 // TestBreakdownTable smoke-tests the per-stage latency table: every
 // instrumented path must report rows, each path's shares must sum to
@@ -60,8 +13,7 @@ func TestBreakdownDeterministicExports(t *testing.T) {
 func TestBreakdownTable(t *testing.T) {
 	cfg := DefaultBreakdownConfig()
 	cfg.Requests = 400
-	cfg.Parallel = 2
-	tab := Breakdown(cfg)
+	tab := RunSpec(2, BreakdownSpec(cfg))
 	if tab.ID != "breakdown" {
 		t.Fatalf("table ID = %q", tab.ID)
 	}

@@ -53,13 +53,7 @@ type ChaosScaleoutConfig struct {
 	CrashDur         sim.Duration
 	Elastic          bool
 
-	Seed     uint64
-	Parallel int // sweep-point workers; 0 = runner default
-
-	// MetricsOut, when non-empty, exports every point's registry —
-	// the scaleout gauges plus the fault-layer counters — as one JSON
-	// file after the jobs have run.
-	MetricsOut string
+	Seed uint64
 }
 
 // DefaultChaosScaleoutConfig returns the full-size sweep.
@@ -122,11 +116,9 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	seed := runner.Seed("chaos-scaleout", point)
 	ccfg := chaosScaleoutCluster(cfg, shards, seed)
 	c := scaleout.New(ccfg)
-	if reg != nil {
-		c.RegisterMetrics(reg, "scaleout")
-		c.RegisterFaultMetrics(reg, "scaleout")
-		reg.SetInterval(scaleoutMetricsInterval)
-	}
+	c.RegisterMetrics(reg, "scaleout")
+	c.RegisterFaultMetrics(reg, "scaleout")
+	reg.SetInterval(scaleoutMetricsInterval)
 
 	var key []byte
 	val := make([]byte, cfg.ValueBytes)
@@ -249,9 +241,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	}
 	end = c.DrainResize(end)
 	end = c.RejoinAll(end)
-	if reg != nil {
-		reg.SnapshotNow(end)
-	}
+	reg.SnapshotNow(end)
 
 	stateOK := true
 	nb := ccfg.SlotsPerShard * ccfg.SlotBytes
@@ -290,43 +280,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	}
 }
 
-// chaosScaleoutPlan enumerates the grid as runner jobs, slot-indexed so
-// the rendered table and the metrics export are identical for every
-// worker count.
-func chaosScaleoutPlan(cfg ChaosScaleoutConfig) (func() *Table, []runner.Job) {
-	type point struct {
-		shards, crash int
-		arrival       string
-	}
-	var points []point
-	for _, s := range cfg.Shards {
-		for _, cr := range cfg.CrashPerK {
-			for _, ar := range cfg.Arrivals {
-				points = append(points, point{s, cr, ar})
-			}
-		}
-	}
-	rows := make([]ChaosScaleoutRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
-	}
-	jobs := runner.Jobs("chaos-scaleout", len(points),
-		func(i int) string {
-			return fmt.Sprintf("shards=%d/crash=%d/%s", points[i].shards, points[i].crash, points[i].arrival)
-		},
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = chaosScaleoutPoint(cfg, points[i].shards, points[i].crash, points[i].arrival, i, reg)
-		})
-	return func() *Table { return chaosScaleoutRender(cfg, rows, regs) }, jobs
-}
-
-func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow, regs []*obs.Registry) *Table {
+func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow) *Table {
 	t := &Table{
 		ID:    "chaos-scaleout",
 		Title: "Sharded cluster under crash storms: failover, elastic resharding, retry budgets",
@@ -357,27 +311,42 @@ func chaosScaleoutRender(cfg ChaosScaleoutConfig, rows []ChaosScaleoutRow, regs 
 			state,
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: fmt.Sprintf("shards=%d/crash=%d/%s",
-				rows[i].Shards, rows[i].CrashPerK, rows[i].Arrival), Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("chaos-scaleout: write metrics: %v", err))
-		}
-		t.Notes = append(t.Notes, "metrics exported (-chaos-scaleout-metrics-out)")
-	}
 	return t
 }
 
-// ChaosScaleoutSpec exposes the sweep for a shared pool.
+// ChaosScaleoutSpec enumerates the grid as runner jobs, slot-indexed so
+// the rendered table and the metrics export — the scaleout gauges plus
+// the fault-layer counters of every point — are identical for every
+// worker count.
 func ChaosScaleoutSpec(cfg ChaosScaleoutConfig) Spec {
-	table, jobs := chaosScaleoutPlan(cfg)
-	return Spec{ID: "chaos-scaleout", Jobs: jobs, Table: table}
-}
-
-// ChaosScaleoutTable runs the whole sweep and renders it.
-func ChaosScaleoutTable(cfg ChaosScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ChaosScaleoutSpec(cfg))
+	type point struct {
+		shards, crash int
+		arrival       string
+	}
+	var points []point
+	for _, s := range cfg.Shards {
+		for _, cr := range cfg.CrashPerK {
+			for _, ar := range cfg.Arrivals {
+				points = append(points, point{s, cr, ar})
+			}
+		}
+	}
+	rows := make([]ChaosScaleoutRow, len(points))
+	regs := make([]*obs.Registry, len(points))
+	label := func(i int) string {
+		return fmt.Sprintf("shards=%d/crash=%d/%s", points[i].shards, points[i].crash, points[i].arrival)
+	}
+	jobs := runner.Jobs("chaos-scaleout", len(points), label, func(i int) {
+		regs[i] = obs.NewRegistry()
+		rows[i] = chaosScaleoutPoint(cfg, points[i].shards, points[i].crash, points[i].arrival, i, regs[i])
+		regs[i].Freeze() // keep the values, not the cluster, until export
+	})
+	return Spec{
+		ID:    "chaos-scaleout",
+		Jobs:  jobs,
+		Table: func() *Table { return chaosScaleoutRender(cfg, rows) },
+		Obs: func() ([]obs.TraceJSON, []obs.MetricsJSON) {
+			return nil, namedMetrics(label, regs)
+		},
+	}
 }

@@ -1,56 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"rambda/internal/obs"
 )
-
-// smallChaosScaleout returns a fast sweep with the metrics export
-// under dir.
-func smallChaosScaleout(dir, tag string) ChaosScaleoutConfig {
-	cfg := DefaultChaosScaleoutConfig()
-	cfg.Shards = []int{4}
-	cfg.CrashPerK = []int{0, 4}
-	cfg.Keys = 1 << 11
-	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "chaos-scaleout-metrics-"+tag+".json")
-	return cfg
-}
-
-// TestChaosScaleoutDeterministicExports is the cluster chaos gate's
-// own determinism check: crash storms, failovers, migration aborts and
-// the elastic reshape are all functions of the seed alone, so the
-// rendered table and the metrics export must be byte-identical across
-// runs and across worker counts.
-func TestChaosScaleoutDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallChaosScaleout(dir, "a")
-	b := smallChaosScaleout(dir, "b")
-	ta := ChaosScaleoutTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := ChaosScaleoutTable(b).String()
-	if ta != tb {
-		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
-	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
-}
 
 // TestChaosScaleoutConvergesUnderCrashes pins the gate's headline
 // claim: under a crash storm racing hot-key migration and the elastic
@@ -62,7 +16,7 @@ func TestChaosScaleoutConvergesUnderCrashes(t *testing.T) {
 	cfg.Keys = 1 << 11
 	cfg.Requests = 2400
 	for i, arrival := range []string{"closed", "open"} {
-		row := chaosScaleoutPoint(cfg, 4, 4, arrival, i, nil)
+		row := chaosScaleoutPoint(cfg, 4, 4, arrival, i, obs.NewRegistry())
 		if !row.StateOK {
 			t.Fatalf("%s: replicas diverged after convergence: %+v", arrival, row)
 		}
@@ -92,14 +46,14 @@ func TestChaosScaleoutOpenLoopShowsQueueing(t *testing.T) {
 	cfg.Keys = 1 << 11
 	cfg.Requests = 2400
 
-	closed := chaosScaleoutPoint(cfg, 4, 4, "closed", 0, nil)
-	open := chaosScaleoutPoint(cfg, 4, 4, "open", 1, nil)
+	closed := chaosScaleoutPoint(cfg, 4, 4, "closed", 0, obs.NewRegistry())
+	open := chaosScaleoutPoint(cfg, 4, 4, "open", 1, obs.NewRegistry())
 	if open.Failovers <= closed.Failovers {
 		t.Fatalf("open loop hit %d failovers, closed %d; open arrivals should meet more windows",
 			open.Failovers, closed.Failovers)
 	}
 
-	calm := chaosScaleoutPoint(cfg, 4, 0, "open", 2, nil)
+	calm := chaosScaleoutPoint(cfg, 4, 0, "open", 2, obs.NewRegistry())
 	if calm.Failovers != 0 || calm.Failed != 0 {
 		t.Fatalf("fault-free open row took fault paths: %+v", calm)
 	}

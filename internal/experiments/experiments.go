@@ -9,11 +9,13 @@ package experiments
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 
 	"rambda/internal/core"
 	"rambda/internal/memdev"
 	"rambda/internal/memspace"
+	"rambda/internal/obs"
 	"rambda/internal/runner"
 )
 
@@ -29,6 +31,46 @@ type Spec struct {
 	ID    string
 	Jobs  []runner.Job
 	Table func() *Table // render; call only after Jobs have all run
+
+	// Obs returns the spans and metrics registries the jobs collected,
+	// one entry per sweep point named by its job label; call only after
+	// Jobs have all run. Nil for specs that collect nothing, whose
+	// machines stay on the collector's nil fast path. WriteObs is the
+	// one place that decides where the data lands.
+	Obs func() ([]obs.TraceJSON, []obs.MetricsJSON)
+}
+
+// WriteObs exports a spec's collected data under dir as
+// <id>.trace.json (Chrome trace_event JSON) and <id>.metrics.json
+// (metrics registries), writing each file only when the spec collected
+// that kind of data. Call only after the spec's jobs have all run. Same
+// seed, same files, byte for byte, at every worker count.
+func WriteObs(dir string, s Spec) error {
+	if s.Obs == nil {
+		return nil
+	}
+	traces, metrics := s.Obs()
+	if len(traces) > 0 {
+		if err := obs.WriteChromeTraceFile(filepath.Join(dir, s.ID+".trace.json"), traces); err != nil {
+			return fmt.Errorf("%s: write trace: %w", s.ID, err)
+		}
+	}
+	if len(metrics) > 0 {
+		if err := obs.WriteMetricsFile(filepath.Join(dir, s.ID+".metrics.json"), metrics); err != nil {
+			return fmt.Errorf("%s: write metrics: %w", s.ID, err)
+		}
+	}
+	return nil
+}
+
+// namedMetrics pairs each sweep slot's registry with its job label, the
+// entry name the metrics export carries.
+func namedMetrics(label func(int) string, regs []*obs.Registry) []obs.MetricsJSON {
+	mj := make([]obs.MetricsJSON, len(regs))
+	for i, reg := range regs {
+		mj[i] = obs.MetricsJSON{Name: label(i), Registry: reg}
+	}
+	return mj
 }
 
 // StandardSpecs enumerates every paper figure in print order, at full
@@ -36,32 +78,6 @@ type Spec struct {
 // by cmd/rambda-figures, cmd/rambda-bench, and the output-pinning
 // tests.
 func StandardSpecs(quick bool) []Spec {
-	return StandardSpecsObs(quick, "", "")
-}
-
-// StandardSpecsObs is StandardSpecs with observability export paths for
-// the breakdown experiment: non-empty traceOut/metricsOut make the
-// breakdown spec write its Chrome trace / metrics JSON files after its
-// jobs have run. Empty strings (the StandardSpecs default) export
-// nothing; either way the collector only ever attaches to the breakdown
-// spec's own machines, so the paper figures stay on the nil fast path.
-func StandardSpecsObs(quick bool, traceOut, metricsOut string) []Spec {
-	return StandardSpecsPaths(quick, ObsPaths{TraceOut: traceOut, MetricsOut: metricsOut})
-}
-
-// ObsPaths carries the export destinations of the non-paper specs:
-// breakdown's Chrome trace and metrics registry, and the scaleout
-// sweep's per-point metrics registries. Empty fields export nothing.
-type ObsPaths struct {
-	TraceOut                string
-	MetricsOut              string
-	ScaleoutMetricsOut      string
-	ChaosScaleoutMetricsOut string
-	YCSBMetricsOut          string
-}
-
-// StandardSpecsPaths is the full enumeration with every export path.
-func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
 	f7 := DefaultFig7Config()
 	kvs := DefaultKVSConfig()
 	f12 := DefaultFig12Config()
@@ -91,10 +107,6 @@ func StandardSpecsPaths(quick bool, paths ObsPaths) []Spec {
 		yc.Keys = 1 << 13
 		yc.Requests = 4000
 	}
-	bd.TraceOut, bd.MetricsOut = paths.TraceOut, paths.MetricsOut
-	sc.MetricsOut = paths.ScaleoutMetricsOut
-	cso.MetricsOut = paths.ChaosScaleoutMetricsOut
-	yc.MetricsOut = paths.YCSBMetricsOut
 	// The chaos spec stays after the paper figures: figure goldens pin
 	// their print order, and non-paper experiments (chaos, breakdown,
 	// scaleout) append after them.

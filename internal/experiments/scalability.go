@@ -127,8 +127,3 @@ func ScalabilitySpec(cfg ScalabilityConfig) Spec {
 	rows, jobs := scalabilityPlan(cfg)
 	return Spec{ID: "scalability", Jobs: jobs, Table: func() *Table { return scalabilityRender(rows) }}
 }
-
-// ScalabilityTable renders the sweep.
-func ScalabilityTable(cfg ScalabilityConfig) *Table {
-	return RunSpec(cfg.Parallel, ScalabilitySpec(cfg))
-}

@@ -36,7 +36,6 @@ type ScaleoutConfig struct {
 	PutPercent int
 	Frontends  int
 	Seed       uint64
-	Parallel   int // sweep-point workers; 0 = runner default
 
 	// OpenLoopInterval, when > 0, switches the workload from the
 	// closed loop (each frontend issues its next request when the
@@ -48,12 +47,6 @@ type ScaleoutConfig struct {
 	// collapse a closed loop structurally cannot show. 0 (the default)
 	// keeps the closed loop and its byte-identical output.
 	OpenLoopInterval sim.Duration
-
-	// MetricsOut, when non-empty, exports every point's metrics
-	// registry (imbalance gauge, migration counters, per-shard served
-	// counts over virtual time) as one JSON file after the jobs have
-	// run. Same seed, same file, byte for byte.
-	MetricsOut string
 }
 
 // DefaultScaleoutConfig returns the full-size sweep.
@@ -112,17 +105,15 @@ func scaleoutCluster(cfg ScaleoutConfig, shards int, seed uint64) scaleout.Confi
 }
 
 // scaleoutPoint preloads one cluster and drives the skewed closed-loop
-// workload through rotating frontends. reg may be nil (the fast path);
-// when set, the cluster's gauges are sampled on the virtual-time ticker
-// so the export shows the imbalance dropping as migrations land.
+// workload through rotating frontends. The cluster's gauges are sampled
+// into reg on the virtual-time ticker, so the export shows the
+// imbalance dropping as migrations land.
 func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 	reg *obs.Registry) ScaleoutRow {
 	seed := runner.Seed("scaleout", point)
 	c := scaleout.New(scaleoutCluster(cfg, shards, seed))
-	if reg != nil {
-		c.RegisterMetrics(reg, "scaleout")
-		reg.SetInterval(scaleoutMetricsInterval)
-	}
+	c.RegisterMetrics(reg, "scaleout")
+	reg.SetInterval(scaleoutMetricsInterval)
 
 	var key []byte
 	val := make([]byte, cfg.ValueBytes)
@@ -186,9 +177,7 @@ func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 			}
 		}
 	}
-	if reg != nil {
-		reg.SnapshotNow(now)
-	}
+	reg.SnapshotNow(now)
 
 	st := c.Stats()
 	hist := c.MergedLatency()
@@ -214,41 +203,7 @@ func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 	}
 }
 
-// scaleoutPlan enumerates the (shards x theta) grid as runner jobs.
-// Registries are slot-indexed like the rows, so the export is identical
-// for every worker count.
-func scaleoutPlan(cfg ScaleoutConfig) (func() *Table, []runner.Job) {
-	type point struct {
-		shards int
-		theta  float64
-	}
-	var points []point
-	for _, s := range cfg.Shards {
-		for _, th := range cfg.Thetas {
-			points = append(points, point{s, th})
-		}
-	}
-	rows := make([]ScaleoutRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
-	}
-	jobs := runner.Jobs("scaleout", len(points),
-		func(i int) string {
-			return fmt.Sprintf("shards=%d/%s", points[i].shards, scaleoutDist(points[i].theta))
-		},
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = scaleoutPoint(cfg, points[i].shards, points[i].theta, i, reg)
-		})
-	return func() *Table { return scaleoutRender(cfg, rows, regs) }, jobs
-}
-
-func scaleoutRender(cfg ScaleoutConfig, rows []ScaleoutRow, regs []*obs.Registry) *Table {
+func scaleoutRender(rows []ScaleoutRow) *Table {
 	t := &Table{
 		ID:    "scaleout",
 		Title: "Sharded scale-out KVS: consistent hashing + hot-key migration",
@@ -273,29 +228,39 @@ func scaleoutRender(cfg ScaleoutConfig, rows []ScaleoutRow, regs []*obs.Registry
 			f2(r.ImbLast),
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: fmt.Sprintf("shards=%d/%s",
-				rows[i].Shards, scaleoutDist(rows[i].Theta)), Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("scaleout: write metrics: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "metrics exported (-scaleout-metrics-out)")
-	}
 	return t
 }
 
-// ScaleoutSpec exposes the sweep for a shared pool.
+// ScaleoutSpec enumerates the (shards x theta) grid as runner jobs.
+// Registries are slot-indexed like the rows, so the table and the
+// metrics export are identical for every worker count.
 func ScaleoutSpec(cfg ScaleoutConfig) Spec {
-	table, jobs := scaleoutPlan(cfg)
-	return Spec{ID: "scaleout", Jobs: jobs, Table: table}
-}
-
-// ScaleoutTable runs the whole sweep and renders it.
-func ScaleoutTable(cfg ScaleoutConfig) *Table {
-	return RunSpec(cfg.Parallel, ScaleoutSpec(cfg))
+	type point struct {
+		shards int
+		theta  float64
+	}
+	var points []point
+	for _, s := range cfg.Shards {
+		for _, th := range cfg.Thetas {
+			points = append(points, point{s, th})
+		}
+	}
+	rows := make([]ScaleoutRow, len(points))
+	regs := make([]*obs.Registry, len(points))
+	label := func(i int) string {
+		return fmt.Sprintf("shards=%d/%s", points[i].shards, scaleoutDist(points[i].theta))
+	}
+	jobs := runner.Jobs("scaleout", len(points), label, func(i int) {
+		regs[i] = obs.NewRegistry()
+		rows[i] = scaleoutPoint(cfg, points[i].shards, points[i].theta, i, regs[i])
+		regs[i].Freeze() // keep the values, not the cluster, until export
+	})
+	return Spec{
+		ID:    "scaleout",
+		Jobs:  jobs,
+		Table: func() *Table { return scaleoutRender(rows) },
+		Obs: func() ([]obs.TraceJSON, []obs.MetricsJSON) {
+			return nil, namedMetrics(label, regs)
+		},
+	}
 }

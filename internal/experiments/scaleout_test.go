@@ -1,55 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"rambda/internal/obs"
 )
-
-// smallScaleout returns a fast sweep with the metrics export under dir.
-func smallScaleout(dir, tag string) ScaleoutConfig {
-	cfg := DefaultScaleoutConfig()
-	cfg.Shards = []int{2, 4}
-	cfg.Thetas = []float64{0, 0.99}
-	cfg.Keys = 1 << 11
-	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "scaleout-metrics-"+tag+".json")
-	return cfg
-}
-
-// TestScaleoutDeterministicExports is the golden determinism check of
-// the sharded cluster: the rendered table and the metrics export must
-// be byte-identical across runs and across worker counts — migrations,
-// stale retries, and per-shard loads are all functions of the seed
-// alone, never of scheduling.
-func TestScaleoutDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallScaleout(dir, "a")
-	b := smallScaleout(dir, "b")
-	ta := ScaleoutTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := ScaleoutTable(b).String()
-	if ta != tb {
-		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
-	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
-}
 
 // TestScaleoutSkewRebalances pins the experiment's headline claim: at
 // Zipf 0.99 the cluster migrates hot keys and the end-of-run imbalance
@@ -60,7 +15,7 @@ func TestScaleoutSkewRebalances(t *testing.T) {
 	cfg.Keys = 1 << 12
 	cfg.Requests = 4800
 	for i, shards := range []int{4, 8} {
-		row := scaleoutPoint(cfg, shards, 0.99, i, nil)
+		row := scaleoutPoint(cfg, shards, 0.99, i, obs.NewRegistry())
 		if row.Migrations == 0 || row.MovedKeys == 0 {
 			t.Fatalf("shards=%d: no migration under zipf 0.99: %+v", shards, row)
 		}

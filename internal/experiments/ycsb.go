@@ -35,13 +35,6 @@ type YCSBConfig struct {
 	Requests    int
 	ZipfTheta   float64
 	Seed        uint64
-	Parallel    int // sweep-point workers; 0 = runner default
-
-	// MetricsOut, when non-empty, exports every point's backend metrics
-	// registry (memtable/run gauges, flush/compaction/stall counters,
-	// hash hit rates) as one JSON file after the jobs have run. Same
-	// seed, same file, byte for byte.
-	MetricsOut string
 }
 
 // DefaultYCSBConfig returns the full-size sweep.
@@ -164,18 +157,14 @@ func ycsbPoint(cfg YCSBConfig, mix ycsbMix, backend string, point int, reg *obs.
 			// Pool sized for the preload plus workload-E inserts.
 			store := hashStore(m.Space, m.DataKind(), cfg.Keys, cfg.Keys+cfg.Requests)
 			preload(store, cfg.Keys, cfg.ValueBytes)
-			if reg != nil {
-				store.RegisterMetrics(reg, "ycsb.hash")
-			}
+			store.RegisterMetrics(reg, "ycsb.hash")
 			return store
 		case "lsm":
 			db = lsm.Open(m.Space, m.Mem, ycsbLSMConfig())
 			preload(db, cfg.Keys, cfg.ValueBytes)
 			db.Maintain(0) // preload flushes are free; measurement starts clean
 			base = db.Stats()
-			if reg != nil {
-				db.RegisterMetrics(reg, "ycsb.lsm")
-			}
+			db.RegisterMetrics(reg, "ycsb.lsm")
 			return db
 		}
 		panic("ycsb: unknown backend " + backend)
@@ -194,45 +183,11 @@ func ycsbPoint(cfg YCSBConfig, mix ycsbMix, backend string, point int, reg *obs.
 		row.Compactions = st.Compactions - base.Compactions
 		row.Stalls = st.Stalls - base.Stalls
 	}
-	if reg != nil {
-		reg.SnapshotNow(res.End)
-	}
+	reg.SnapshotNow(res.End)
 	return row
 }
 
-// ycsbPlan enumerates (mix × backend) as runner jobs. Registries are
-// slot-indexed like the rows, so the export is identical for every
-// worker count.
-func ycsbPlan(cfg YCSBConfig) (func() *Table, []runner.Job) {
-	type point struct {
-		mix     ycsbMix
-		backend string
-	}
-	var points []point
-	for _, m := range ycsbMixes {
-		for _, b := range ycsbBackends {
-			points = append(points, point{m, b})
-		}
-	}
-	rows := make([]YCSBRow, len(points))
-	var regs []*obs.Registry
-	if cfg.MetricsOut != "" {
-		regs = make([]*obs.Registry, len(points))
-	}
-	jobs := runner.Jobs("ycsb", len(points),
-		func(i int) string { return points[i].mix.name + "/" + points[i].backend },
-		func(i int) {
-			var reg *obs.Registry
-			if regs != nil {
-				regs[i] = obs.NewRegistry()
-				reg = regs[i]
-			}
-			rows[i] = ycsbPoint(cfg, points[i].mix, points[i].backend, i, reg)
-		})
-	return func() *Table { return ycsbRender(cfg, rows, regs) }, jobs
-}
-
-func ycsbRender(cfg YCSBConfig, rows []YCSBRow, regs []*obs.Registry) *Table {
+func ycsbRender(rows []YCSBRow) *Table {
 	t := &Table{
 		ID:    "ycsb",
 		Title: "YCSB-style mixes x storage backend (hash vs tiered LSM)",
@@ -258,28 +213,38 @@ func ycsbRender(cfg YCSBConfig, rows []YCSBRow, regs []*obs.Registry) *Table {
 			na(r.Backend, r.Flushes), na(r.Backend, r.Compactions), na(r.Backend, r.Stalls),
 		)
 	}
-	if cfg.MetricsOut != "" {
-		mj := make([]obs.MetricsJSON, len(regs))
-		for i, reg := range regs {
-			mj[i] = obs.MetricsJSON{Name: rows[i].Workload + "/" + rows[i].Backend, Registry: reg}
-		}
-		if err := obs.WriteMetricsFile(cfg.MetricsOut, mj); err != nil {
-			panic(fmt.Sprintf("ycsb: write metrics: %v", err))
-		}
-		// Constant note (no path): the rendered table must stay
-		// byte-identical across runs that export to different files.
-		t.Notes = append(t.Notes, "metrics exported (-ycsb-metrics-out)")
-	}
 	return t
 }
 
-// YCSBSpec exposes the sweep for a shared pool.
+// YCSBSpec enumerates (mix × backend) as runner jobs. Registries are
+// slot-indexed like the rows, so the table and the metrics export
+// (memtable/run gauges, flush/compaction/stall counters, hash hit
+// rates) are identical for every worker count.
 func YCSBSpec(cfg YCSBConfig) Spec {
-	table, jobs := ycsbPlan(cfg)
-	return Spec{ID: "ycsb", Jobs: jobs, Table: table}
-}
-
-// YCSBTable runs the whole sweep and renders it.
-func YCSBTable(cfg YCSBConfig) *Table {
-	return RunSpec(cfg.Parallel, YCSBSpec(cfg))
+	type point struct {
+		mix     ycsbMix
+		backend string
+	}
+	var points []point
+	for _, m := range ycsbMixes {
+		for _, b := range ycsbBackends {
+			points = append(points, point{m, b})
+		}
+	}
+	rows := make([]YCSBRow, len(points))
+	regs := make([]*obs.Registry, len(points))
+	label := func(i int) string { return points[i].mix.name + "/" + points[i].backend }
+	jobs := runner.Jobs("ycsb", len(points), label, func(i int) {
+		regs[i] = obs.NewRegistry()
+		rows[i] = ycsbPoint(cfg, points[i].mix, points[i].backend, i, regs[i])
+		regs[i].Freeze() // keep the values, not the machines, until export
+	})
+	return Spec{
+		ID:    "ycsb",
+		Jobs:  jobs,
+		Table: func() *Table { return ycsbRender(rows) },
+		Obs: func() ([]obs.TraceJSON, []obs.MetricsJSON) {
+			return nil, namedMetrics(label, regs)
+		},
+	}
 }

@@ -1,57 +1,10 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"rambda/internal/obs"
 )
-
-// smallYCSB returns a fast sweep with the metrics export under dir.
-func smallYCSB(dir, tag string) YCSBConfig {
-	cfg := DefaultYCSBConfig()
-	cfg.Keys = 1 << 11
-	cfg.Requests = 2400
-	cfg.Parallel = 2
-	cfg.MetricsOut = filepath.Join(dir, "ycsb-metrics-"+tag+".json")
-	return cfg
-}
-
-// TestYCSBDeterministicExports pins the ycsb sweep's determinism: the
-// rendered table and the per-point metrics export must be
-// byte-identical across runs and across worker counts — compaction
-// schedules, WAL-wrap stalls, and scan results are functions of the
-// seed alone, never of scheduling.
-func TestYCSBDeterministicExports(t *testing.T) {
-	dir := t.TempDir()
-	a := smallYCSB(dir, "a")
-	b := smallYCSB(dir, "b")
-	ta := YCSBTable(a).String()
-	b.Parallel = 1 // scheduling must not matter either
-	tb := YCSBTable(b).String()
-	if ta != tb {
-		t.Fatalf("same seed, different tables:\n%s\n---\n%s", ta, tb)
-	}
-
-	x, err := os.ReadFile(a.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := os.ReadFile(b.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(x) == 0 {
-		t.Fatalf("%s: empty export", a.MetricsOut)
-	}
-	if !bytes.Equal(x, y) {
-		t.Fatalf("metrics exports differ: same seed must export byte-identical files")
-	}
-	if !strings.Contains(string(x), "ycsb.lsm") {
-		t.Fatalf("metrics export missing lsm registry gauges")
-	}
-}
 
 // TestYCSBBackendsBehave pins the sweep's storage claims on single
 // points: the update-heavy mix drives real LSM background work, and the
@@ -63,7 +16,7 @@ func TestYCSBBackendsBehave(t *testing.T) {
 	cfg.Requests = 3200
 	mixA, mixE := ycsbMixes[0], ycsbMixes[3]
 
-	lsmA := ycsbPoint(cfg, mixA, "lsm", 0, nil)
+	lsmA := ycsbPoint(cfg, mixA, "lsm", 0, obs.NewRegistry())
 	if lsmA.Flushes == 0 {
 		t.Fatalf("workload A on lsm never flushed: %+v", lsmA)
 	}
@@ -71,12 +24,12 @@ func TestYCSBBackendsBehave(t *testing.T) {
 		t.Fatalf("implausible row %+v", lsmA)
 	}
 
-	lsmE := ycsbPoint(cfg, mixE, "lsm", 1, nil)
+	lsmE := ycsbPoint(cfg, mixE, "lsm", 1, obs.NewRegistry())
 	if lsmE.Goodput <= 0 {
 		t.Fatalf("workload E on lsm produced no goodput: %+v", lsmE)
 	}
 
-	hashE := ycsbPoint(cfg, mixE, "hash", 2, nil)
+	hashE := ycsbPoint(cfg, mixE, "hash", 2, obs.NewRegistry())
 	if hashE.Goodput <= 0 {
 		t.Fatalf("workload E on hash produced no goodput: %+v", hashE)
 	}

@@ -82,6 +82,18 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 	r.gauges = append(r.gauges, gauge{name: name, fn: fn})
 }
 
+// Freeze evaluates every gauge one last time and keeps the value in
+// place of its closure. Call it once the instrumented system is done:
+// a registry held for a later export then no longer keeps that system's
+// machines, stores and memory images reachable. Final and any later
+// sample read the frozen values.
+func (r *Registry) Freeze() {
+	for i := range r.gauges {
+		v := r.gauges[i].fn()
+		r.gauges[i].fn = func() float64 { return v }
+	}
+}
+
 // SetInterval arms the virtual-time ticker: Tick(now) snapshots all
 // series whenever now crosses the next interval boundary. A zero
 // interval disarms it.

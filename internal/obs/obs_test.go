@@ -106,6 +106,23 @@ func TestRegistryTicker(t *testing.T) {
 	}
 }
 
+// TestRegistryFreeze pins Freeze's contract: gauges keep the value
+// they had when frozen, whatever the instrumented state does after.
+func TestRegistryFreeze(t *testing.T) {
+	reg := NewRegistry()
+	depth := 3
+	reg.Gauge("depth", func() float64 { return float64(depth) })
+	reg.Freeze()
+	depth = 9
+	reg.SnapshotNow(10)
+	if _, vals := reg.Final(); vals[0] != 3 {
+		t.Fatalf("final after Freeze = %v, want 3", vals[0])
+	}
+	if g := reg.Samples()[0].Gauges[0]; g != 3 {
+		t.Fatalf("sample after Freeze = %v, want 3", g)
+	}
+}
+
 func TestCounterIdentity(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x")
