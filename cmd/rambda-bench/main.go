@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	go run ./cmd/rambda-bench -quick                 # figures + micro, write BENCH_9.json
+//	go run ./cmd/rambda-bench -quick                 # figures + micro, write the next BENCH_<n>.json
 //	go run ./cmd/rambda-bench -skip-figures          # microbenchmarks only
-//	go run ./cmd/rambda-bench -quick -baseline BENCH_8.json
+//	go run ./cmd/rambda-bench -quick -baseline BENCH_<n>.json
 //	go run ./cmd/rambda-bench -quick -sim-parallel 4 # partitioned engine, 4 goroutines per sim
 //
 // With -baseline, the run fails (exit 1) when anything regresses:
@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -53,6 +54,7 @@ import (
 
 	"rambda/internal/chainrep"
 	"rambda/internal/experiments"
+	"rambda/internal/kvs"
 	"rambda/internal/lsm"
 	"rambda/internal/rnic"
 	"rambda/internal/runner"
@@ -71,11 +73,6 @@ type microResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Normalized  float64 `json:"normalized"`
-	// Filled only when -seed points at a BENCH file measured on the
-	// pre-optimization engine: the seed's raw ns/op and the speedup of
-	// this run over it (same-machine comparison, not normalized).
-	SeedNsPerOp   float64 `json:"seed_ns_per_op,omitempty"`
-	SpeedupVsSeed float64 `json:"speedup_vs_seed,omitempty"`
 }
 
 type report struct {
@@ -111,17 +108,18 @@ var microKernels = []struct {
 	{"MigrationFailoverReplay", func(n int) { scaleout.BenchMigrationFailoverReplay(n) }},
 	{"LSMReadHotPath", func(n int) { lsm.BenchReadHotPath(n) }},
 	{"ScanMerge", func(n int) { lsm.BenchScanMerge(n) }},
+	{"KVSPreload", func(n int) { kvs.BenchPreload(n) }},
+	{"KVSGetInto", func(n int) { kvs.BenchGetHit(n) }},
 }
 
 func main() {
 	quick := flag.Bool("quick", false, "run figures at quick scale (mirrors rambda-figures -quick)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for figure sweep points")
 	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams")
-	out := flag.String("out", "BENCH_9.json", "output JSON path")
+	out := flag.String("out", nextBenchPath(), "output JSON path (the next BENCH_<n>.json in the working directory by default)")
 	only := flag.String("only", "", "time a single figure id (e.g. fig7)")
 	skipFigures := flag.Bool("skip-figures", false, "skip figure timings, run only the sim microbenchmarks")
 	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to compare microbenchmarks against")
-	seedPath := flag.String("seed", "", "BENCH_*.json measured on the pre-optimization engine; embeds per-kernel speedups in the output")
 	maxRegress := flag.Float64("max-regress", 0.25, "fail when a microbenchmark's normalized score regresses by more than this fraction")
 	flag.Parse()
 
@@ -192,10 +190,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "figure %-12s %10s  %12d allocs  peak-rss %d MiB\n",
 				s.ID, wall.Round(time.Millisecond), ms1.Mallocs-ms0.Mallocs, peakRSSBytes()>>20)
 		}
-	}
-
-	if *seedPath != "" {
-		embedSeed(&rep, *seedPath)
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -301,31 +295,18 @@ func compareBaseline(rep *report, path string, maxRegress float64) (failed bool)
 	return failed
 }
 
-// embedSeed copies the pre-optimization ns/op for each kernel out of a
-// seed BENCH file and records the raw same-machine speedup alongside
-// this run's numbers.
-func embedSeed(rep *report, path string) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seed: %v\n", err)
-		return
-	}
-	var seed report
-	if err := json.Unmarshal(raw, &seed); err != nil {
-		fmt.Fprintf(os.Stderr, "seed %s: %v\n", path, err)
-		return
-	}
-	for name, cur := range rep.Micro {
-		s, ok := seed.Micro[name]
-		if !ok || s.NsPerOp <= 0 || cur.NsPerOp <= 0 {
-			continue
+// nextBenchPath names the BENCH_<n>.json after the highest-numbered
+// one in the working directory, as `make bench` does.
+func nextBenchPath() string {
+	last := 0
+	paths, _ := filepath.Glob("BENCH_*.json")
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(p, "BENCH_"), ".json"))
+		if err == nil && n > last {
+			last = n
 		}
-		cur.SeedNsPerOp = s.NsPerOp
-		cur.SpeedupVsSeed = s.NsPerOp / cur.NsPerOp
-		rep.Micro[name] = cur
-		fmt.Fprintf(os.Stderr, "seed    %-28s %12.2f -> %10.2f ns/op  %8.1fx\n",
-			name, s.NsPerOp, cur.NsPerOp, cur.SpeedupVsSeed)
 	}
+	return fmt.Sprintf("BENCH_%d.json", last+1)
 }
 
 // resetPeakRSS makes the next peakRSSBytes reading per-figure: free

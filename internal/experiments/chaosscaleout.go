@@ -120,13 +120,13 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	c.RegisterFaultMetrics(reg, "scaleout")
 	reg.SetInterval(scaleoutMetricsInterval)
 
-	var key []byte
+	key := appendKVSKey(nil, 0)
 	val := make([]byte, cfg.ValueBytes)
 	now := sim.Time(0)
 	for i := 0; i < cfg.Keys; i++ {
-		key = appendKVSKey(key[:0], i)
 		binary.LittleEndian.PutUint64(val, uint64(i))
 		now = c.Preload(now, key, val)
+		nextKVSKey(key)
 	}
 	t0 := now
 

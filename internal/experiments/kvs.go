@@ -184,12 +184,12 @@ func newSNICKVS(cfg KVSConfig) *snicKVS {
 	// Warm the cache with the hottest keys (the generator's Zipf ranks
 	// low indices hottest), standing in for a long-running server whose
 	// cache reached steady state.
-	var key []byte
+	key := appendKVSKey(nil, 0)
 	var trace []kvs.Access
 	for i := 0; i < cfg.Keys; i++ {
-		key = appendKVSKey(key[:0], i)
 		// Fresh value allocation per iteration (dst nil): the cache
-		// retains it. Only the trace scratch is reused.
+		// retains it and copies the key. Only the trace scratch is
+		// reused.
 		v, t, ok := store.GetInto(nil, trace[:0], key)
 		trace = t
 		if !ok {
@@ -200,6 +200,7 @@ func newSNICKVS(cfg KVSConfig) *snicKVS {
 		if s.cache.Len() == before {
 			break // capacity reached
 		}
+		nextKVSKey(key)
 	}
 	return s
 }

@@ -22,33 +22,57 @@ import (
 // (de)serializer, FSM transitions).
 const kvsAPUCycles = 6
 
+// kvsKeyDigits is the zero-padded decimal width of a KVS key index.
+const kvsKeyDigits = 14
+
+// digitPairs holds "00".."99", two ASCII digits per value.
+const digitPairs = "0001020304050607080910111213141516171819" +
+	"2021222324252627282930313233343536373839" +
+	"4041424344454647484950515253545556575859" +
+	"6061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
 // appendKVSKey appends key i ("user" + 14-digit zero-padded decimal,
 // the paper's 18 B keys) onto dst — the allocation-free formatter the
-// hot request loops use with a reusable buffer.
+// hot request loops use with a reusable buffer. It writes two digits
+// per division.
 func appendKVSKey(dst []byte, i int) []byte {
-	dst = append(dst, "user"...)
-	var digits [14]byte
-	for p := len(digits) - 1; p >= 0; p-- {
-		digits[p] = byte('0' + i%10)
-		i /= 10
+	dst = append(dst, "user00000000000000"...)
+	d := dst[len(dst)-kvsKeyDigits:]
+	for p := kvsKeyDigits; p > 0 && i > 0; p -= 2 {
+		r := i % 100
+		d[p-2], d[p-1] = digitPairs[2*r], digitPairs[2*r+1]
+		i /= 100
 	}
-	return append(dst, digits[:]...)
+	return dst
+}
+
+// nextKVSKey advances a key formatted by appendKVSKey to the next index
+// in place, so a sequential walk over keys 0..n-1 formats nothing.
+func nextKVSKey(key []byte) {
+	for p := len(key) - 1; p >= len(key)-kvsKeyDigits; p-- {
+		if key[p] != '9' {
+			key[p]++
+			return
+		}
+		key[p] = '0'
+	}
 }
 
 // preload inserts keys 0..keys-1, each holding a valueBytes value whose
 // first eight bytes are the key's index.
 func preload(be kvs.Backend, keys, valueBytes int) {
 	val := make([]byte, valueBytes)
-	var key []byte
+	key := appendKVSKey(nil, 0)
 	var trace []kvs.Access
 	for i := 0; i < keys; i++ {
 		binary.LittleEndian.PutUint64(val, uint64(i))
-		key = appendKVSKey(key[:0], i)
 		t, err := be.PutInto(trace[:0], key, val)
 		if err != nil {
 			panic(err)
 		}
 		trace = t
+		nextKVSKey(key)
 	}
 }
 

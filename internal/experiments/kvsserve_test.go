@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"rambda/internal/core"
@@ -145,5 +146,60 @@ func TestKVSServerSteadyStateZeroAlloc(t *testing.T) {
 	reads := ycsbMix{name: "A-reads", readPct: 100}
 	if n := steadyStateAllocs(srv, ycsbGen(ycfg, reads, 1)); n != 0 {
 		t.Errorf("ycsb-A lsm shape: %.2f allocs per call, want 0", n)
+	}
+}
+
+// TestAppendKVSKeyFormat pins the two-digits-per-division formatter to
+// the "user%014d" key format at every digit-count boundary.
+func TestAppendKVSKeyFormat(t *testing.T) {
+	var is []int
+	for p := 1; p <= 1e13; p *= 10 {
+		is = append(is, p-1, p, p+1, 3*p+7)
+	}
+	for i := 0; i < 1000; i++ {
+		is = append(is, i, i*7919*104729)
+	}
+	for _, i := range is {
+		want := fmt.Sprintf("user%014d", i)
+		if got := appendKVSKey(nil, i); string(got) != want {
+			t.Fatalf("appendKVSKey(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestNextKVSKey checks that k in-place increments of appendKVSKey(i)
+// give appendKVSKey(i+k): key by key over 0..2^18 (the quick preload),
+// at every carry up to 10^7-1, and across the widest carries.
+func TestNextKVSKey(t *testing.T) {
+	key := appendKVSKey(nil, 0)
+	for i := 1; i <= 1<<18; i++ {
+		nextKVSKey(key)
+		if want := appendKVSKey(nil, i); !bytes.Equal(key, want) {
+			t.Fatalf("after %d increments: %q, want %q", i, key, want)
+		}
+	}
+	// Every carry below 10^7: check each multiple of ten as the walk
+	// lands on it.
+	key = appendKVSKey(key[:0], 0)
+	var want []byte
+	for i := 1; i < 1e7; i++ {
+		nextKVSKey(key)
+		if i%10 != 0 {
+			continue
+		}
+		if want = appendKVSKey(want[:0], i); !bytes.Equal(key, want) {
+			t.Fatalf("carry into %d: %q, want %q", i, key, want)
+		}
+	}
+	for p := 10; p <= 1e13; p *= 10 {
+		for _, k := range []int{1, 2, 11, 101} {
+			key = appendKVSKey(key[:0], p-1)
+			for j := 0; j < k; j++ {
+				nextKVSKey(key)
+			}
+			if want = appendKVSKey(want[:0], p-1+k); !bytes.Equal(key, want) {
+				t.Fatalf("%d + %d increments: %q, want %q", p-1, k, key, want)
+			}
+		}
 	}
 }

@@ -100,8 +100,9 @@ func (s *Store) ScanInto(buf []byte, pairs []ScanPair, trace []Access,
 		bkt := s.index.Base + memspace.Addr(((uint64(bi)+uint64(nBuckets))%uint64(nBuckets))*bucketBytes)
 		for {
 			trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+			b := s.bucket(bkt)
 			for i := 0; i < slotsPerBkt && emitted < limit; i++ {
-				tag, addr := s.readSlot(bkt, i)
+				tag, addr := slot(b, i)
 				if tag == 0 {
 					continue
 				}
@@ -113,7 +114,7 @@ func (s *Store) ScanInto(buf []byte, pairs []ScanPair, trace []Access,
 				pairs = append(pairs, ScanPair{KeyOff: keyOff, KeyLen: len(k), ValLen: len(v)})
 				emitted++
 			}
-			ct, next := s.readSlot(bkt, slotsPerBkt)
+			ct, next := slot(b, slotsPerBkt)
 			if ct != chainTag || emitted >= limit {
 				break
 			}

@@ -2,6 +2,7 @@ package kvs
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"rambda/internal/memspace"
@@ -112,6 +113,23 @@ func FuzzDecodeScanResponse(f *testing.F) {
 		}
 		if enc := AppendScanResponse(nil, status, buf, re); !bytes.Equal(enc, b) {
 			t.Fatalf("re-encode mismatch: %x vs %x", enc, b)
+		}
+	})
+}
+
+// FuzzHashKeyMatchesFNV checks the inlined FNV-1a loop against
+// hash/fnv. The value is load-bearing twice over: it picks the index
+// bucket and the in-slot tag, and Hash64 routes keys to scale-out
+// shards.
+func FuzzHashKeyMatchesFNV(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("user00000000000042"))
+	f.Add(bytes.Repeat([]byte{0xA5}, 300))
+	f.Fuzz(func(t *testing.T, key []byte) {
+		h := fnv.New64a()
+		h.Write(key)
+		if got, want := Hash64(key), h.Sum64(); got != want {
+			t.Fatalf("Hash64(%x) = %#x, hash/fnv says %#x", key, got, want)
 		}
 	})
 }

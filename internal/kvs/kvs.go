@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"rambda/internal/memspace"
 	"rambda/internal/obs"
@@ -66,9 +65,10 @@ type Config struct {
 	Kind memspace.Kind
 }
 
-// Store is the key-value store.
+// Store is the key-value store. Every index bucket, chained bucket and
+// item lives in one of its two regions, so the store addresses its own
+// bytes and never looks up the address space.
 type Store struct {
-	space *memspace.Space
 	index *memspace.Region
 	pool  *memspace.Region
 	slab  *slabAllocator
@@ -91,7 +91,6 @@ func New(space *memspace.Space, cfg Config) *Store {
 	index := space.Alloc("kvs-index", uint64(n)*bucketBytes, cfg.Kind)
 	pool := space.Alloc("kvs-pool", cfg.PoolBytes, cfg.Kind)
 	return &Store{
-		space: space,
 		index: index,
 		pool:  pool,
 		slab:  newSlabAllocator(pool.Range),
@@ -104,11 +103,30 @@ func New(space *memspace.Space, cfg Config) *Store {
 func (s *Store) IndexRange() memspace.Range { return s.index.Range }
 func (s *Store) PoolRange() memspace.Range  { return s.pool.Range }
 
-// hashKey returns the 64-bit FNV-1a hash of key.
+// at returns the live bytes [addr, addr+n) of the index or the pool
+// (New allocates the pool right after the index). Region.Slice panics
+// on a span outside the region.
+func (s *Store) at(addr memspace.Addr, n int) []byte {
+	if addr < s.pool.Base {
+		return s.index.Slice(addr, n)
+	}
+	return s.pool.Slice(addr, n)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashKey returns the 64-bit FNV-1a hash of key, the value of
+// hash/fnv's New64a.
 func hashKey(key []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(key)
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	for _, c := range key {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Hash64 exposes the store's 64-bit FNV-1a key hash. Cluster-level
@@ -133,31 +151,25 @@ func tagOf(h uint64) uint16 {
 
 const chainTag = 0xFFFF
 
-// zeroBucket is the shared zero-fill source for freshly chained
-// buckets; memspace.Write copies from it, so sharing is safe.
-var zeroBucket [bucketBytes]byte
+// bucket returns the live bytes of the bucket at addr; a probe decodes
+// all of a bucket's slots from this one slice.
+func (s *Store) bucket(addr memspace.Addr) []byte { return s.at(addr, bucketBytes) }
 
-// slot helpers: a slot is [2B tag][6B item address].
-func (s *Store) readSlot(bkt memspace.Addr, i int) (uint16, memspace.Addr) {
-	raw := s.space.Slice(bkt+memspace.Addr(i*slotBytes), slotBytes)
-	tag := binary.LittleEndian.Uint16(raw[0:2])
-	var a [8]byte
-	copy(a[:6], raw[2:8])
-	addr := memspace.Addr(binary.LittleEndian.Uint64(a[:]))
-	return tag, addr
+// slot decodes slot i of a bucket. A slot is one little-endian word:
+// the 2 B tag in the low 16 bits, the 6 B item address above them.
+func slot(bkt []byte, i int) (uint16, memspace.Addr) {
+	v := binary.LittleEndian.Uint64(bkt[i*slotBytes:])
+	return uint16(v), memspace.Addr(v >> 16)
 }
 
 func (s *Store) writeSlot(bkt memspace.Addr, i int, tag uint16, addr memspace.Addr) {
-	raw := s.space.Slice(bkt+memspace.Addr(i*slotBytes), slotBytes)
-	binary.LittleEndian.PutUint16(raw[0:2], tag)
-	var a [8]byte
-	binary.LittleEndian.PutUint64(a[:], uint64(addr))
-	copy(raw[2:8], a[:6])
+	raw := s.at(bkt+memspace.Addr(i*slotBytes), slotBytes)
+	binary.LittleEndian.PutUint64(raw, uint64(tag)|uint64(addr)<<16)
 }
 
 // writeItem serializes a key-value pair at addr.
 func (s *Store) writeItem(addr memspace.Addr, key, val []byte) {
-	buf := s.space.Slice(addr, itemHdrBytes+len(key)+len(val))
+	buf := s.at(addr, itemHdrBytes+len(key)+len(val))
 	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(val)))
 	copy(buf[itemHdrBytes:], key)
@@ -166,10 +178,10 @@ func (s *Store) writeItem(addr memspace.Addr, key, val []byte) {
 
 // readItem deserializes the item at addr.
 func (s *Store) readItem(addr memspace.Addr) (key, val []byte) {
-	hdr := s.space.Slice(addr, itemHdrBytes)
+	hdr := s.at(addr, itemHdrBytes)
 	kl := int(binary.LittleEndian.Uint16(hdr[0:2]))
 	vl := int(binary.LittleEndian.Uint32(hdr[2:6]))
-	body := s.space.Slice(addr+itemHdrBytes, kl+vl)
+	body := s.at(addr+itemHdrBytes, kl+vl)
 	return body[:kl], body[kl : kl+vl]
 }
 
@@ -187,8 +199,9 @@ func (s *Store) GetInto(dst []byte, trace []Access, key []byte) ([]byte, []Acces
 	bkt := s.bucketAddr(h)
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := slot(b, i)
 			if t != tag {
 				continue
 			}
@@ -200,7 +213,7 @@ func (s *Store) GetInto(dst []byte, trace []Access, key []byte) ([]byte, []Acces
 			trace = append(trace, Access{Addr: addr + memspace.Addr(itemHdrBytes+len(k)), Bytes: len(v)})
 			return append(dst, v...), trace, true
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := slot(b, slotsPerBkt)
 		if ct != chainTag {
 			s.misses++
 			return dst, trace, false
@@ -224,8 +237,9 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 	lastBkt := bkt
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := slot(b, i)
 			if t == 0 {
 				if freeSlot < 0 {
 					freeBkt, freeSlot = bkt, i
@@ -260,7 +274,7 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 			trace = append(trace, Access{Addr: addr, Bytes: itemBytes(key, val), Write: true})
 			return trace, nil
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := slot(b, slotsPerBkt)
 		if ct != chainTag {
 			lastBkt = bkt
 			break
@@ -276,7 +290,7 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 		if err != nil {
 			return trace, fmt.Errorf("kvs: chain allocation failed: %w", err)
 		}
-		s.space.Write(nb, zeroBucket[:])
+		clear(s.bucket(nb)) // the block may be a freed item's
 		s.writeSlot(lastBkt, slotsPerBkt, chainTag, nb)
 		trace = append(trace, Access{Addr: lastBkt, Bytes: slotBytes, Write: true})
 		s.chained++
@@ -304,8 +318,9 @@ func (s *Store) DeleteInto(trace []Access, key []byte) ([]Access, bool) {
 	bkt := s.bucketAddr(h)
 	for {
 		trace = append(trace, Access{Addr: bkt, Bytes: bucketBytes})
+		b := s.bucket(bkt)
 		for i := 0; i < slotsPerBkt; i++ {
-			t, addr := s.readSlot(bkt, i)
+			t, addr := slot(b, i)
 			if t != tag {
 				continue
 			}
@@ -319,7 +334,7 @@ func (s *Store) DeleteInto(trace []Access, key []byte) ([]Access, bool) {
 			trace = append(trace, Access{Addr: bkt, Bytes: slotBytes, Write: true})
 			return trace, true
 		}
-		ct, next := s.readSlot(bkt, slotsPerBkt)
+		ct, next := slot(b, slotsPerBkt)
 		if ct != chainTag {
 			return trace, false
 		}

@@ -263,3 +263,12 @@ func TestClassFor(t *testing.T) {
 		t.Fatal("oversize accepted")
 	}
 }
+
+func TestBenchKernelsSmoke(t *testing.T) {
+	if got := BenchPreload(benchKeys + 10); got != benchKeys+10 {
+		t.Fatalf("BenchPreload checksum %d, want one put per op", got)
+	}
+	if BenchGetHit(1000) < 3*1000 {
+		t.Fatal("BenchGetHit traced fewer than three accesses per GET")
+	}
+}
