@@ -61,7 +61,7 @@ func BenchmarkFig5DDIOTPH(b *testing.B) {
 // --- Fig. 7: microbenchmark ---
 
 func fig7BenchConfig() experiments.Fig7Config {
-	return experiments.Fig7Config{Nodes: 1 << 16, Requests: 10000, Window: 16, Seed: 7, Parallel: *benchParallel}
+	return experiments.Fig7Config{Nodes: 1 << 16, Requests: 10000, Window: 16, Seed: 7}
 }
 
 func BenchmarkFig7Microbenchmark(b *testing.B) {
@@ -84,7 +84,6 @@ func kvsBenchConfig() experiments.KVSConfig {
 	cfg := experiments.DefaultKVSConfig()
 	cfg.Keys = 1 << 16
 	cfg.Requests = 8000
-	cfg.Parallel = *benchParallel
 	return cfg
 }
 
@@ -143,7 +142,7 @@ func BenchmarkTab3PowerEfficiency(b *testing.B) {
 // --- Fig. 12: chain-replicated transactions ---
 
 func BenchmarkFig12ChainTxLatency(b *testing.B) {
-	cfg := experiments.Fig12Config{Pairs: 4000, Transactions: 3000, Seed: 12, Parallel: *benchParallel}
+	cfg := experiments.Fig12Config{Pairs: 4000, Transactions: 3000, Seed: 12}
 	for i := 0; i < b.N; i++ {
 		rows := experiments.Fig12(cfg)
 		for _, r := range rows {
@@ -157,7 +156,7 @@ func BenchmarkFig12ChainTxLatency(b *testing.B) {
 // --- Fig. 13: DLRM inference ---
 
 func BenchmarkFig13DLRMThroughput(b *testing.B) {
-	cfg := experiments.Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13, Parallel: *benchParallel}
+	cfg := experiments.Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13}
 	cat := dlrm.AmazonCategories[0]
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(experiments.Fig13CPUOne(cat, cfg, 8)/1e6, "Mqps-CPU-8")

@@ -117,7 +117,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for figure sweep points")
 	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams")
 	out := flag.String("out", nextBenchPath(), "output JSON path (the next BENCH_<n>.json in the working directory by default)")
-	only := flag.String("only", "", "time a single figure id (e.g. fig7)")
+	only := flag.String("only", "", "comma-separated figure ids to time (e.g. fig7,fig8)")
 	skipFigures := flag.Bool("skip-figures", false, "skip figure timings, run only the sim microbenchmarks")
 	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to compare microbenchmarks against")
 	maxRegress := flag.Float64("max-regress", 0.25, "fail when a microbenchmark's normalized score regresses by more than this fraction")
@@ -125,6 +125,11 @@ func main() {
 
 	runner.SetDefault(*parallel)
 	sim.SetParallel(*simParallel)
+	specs, err := experiments.SelectSpecs(*quick, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	rep := report{
 		Schema:      "rambda-bench/1",
 		Quick:       *quick,
@@ -167,10 +172,7 @@ func main() {
 	}
 
 	if !*skipFigures {
-		for _, s := range experiments.StandardSpecs(*quick) {
-			if *only != "" && !strings.EqualFold(*only, s.ID) {
-				continue
-			}
+		for _, s := range specs {
 			resetPeakRSS()
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)

@@ -5,6 +5,7 @@
 //
 //	go run ./cmd/rambda-figures              # everything, one worker per CPU
 //	go run ./cmd/rambda-figures -only fig8   # one experiment
+//	go run ./cmd/rambda-figures -only fig8,fig9,fig10,tab3  # several, in print order
 //	go run ./cmd/rambda-figures -quick       # smaller workloads
 //	go run ./cmd/rambda-figures -parallel 1  # sequential (pre-harness behaviour)
 //	go run ./cmd/rambda-figures -sim-parallel 4  # partitioned engine, 4 goroutines per sim
@@ -24,7 +25,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
-	"strings"
 
 	"rambda/internal/experiments"
 	"rambda/internal/runner"
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment: fig1, fig5, fig7, fig8, fig9, fig10, fig12, fig13, tab3, scalability, chaos, breakdown, scaleout, chaos-scaleout, ycsb")
+	only := flag.String("only", "", "comma-separated experiments to run: fig1, fig5, fig7, fig8, fig9, fig10, fig12, fig13, tab3, scalability, chaos, breakdown, scaleout, chaos-scaleout, ycsb")
 	quick := flag.Bool("quick", false, "scale workloads down for a fast pass")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for sweep points (1 = sequential)")
 	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams (1 = sequential; output is byte-identical for every value)")
@@ -94,14 +94,9 @@ func main() {
 	runner.SetDefault(*parallel)
 	sim.SetParallel(*simParallel)
 
-	var selected []experiments.Spec
-	for _, s := range experiments.StandardSpecs(*quick) {
-		if *only == "" || strings.EqualFold(*only, s.ID) {
-			selected = append(selected, s)
-		}
-	}
-	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *only)
+	selected, err := experiments.SelectSpecs(*quick, *only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

@@ -54,8 +54,8 @@ func TestChaosLossInflatesTailAndErodesGoodput(t *testing.T) {
 func TestChaosDeterministicAcrossRuns(t *testing.T) {
 	// Fixed seed => byte-identical rendered table on every run.
 	cfg := testChaosConfig()
-	r1 := ChaosTable(cfg).String()
-	r2 := ChaosTable(cfg).String()
+	r1 := RunSpec(0, ChaosSpec(cfg)).String()
+	r2 := RunSpec(0, ChaosSpec(cfg)).String()
 	if r1 != r2 {
 		t.Fatalf("chaos table diverged across runs:\n--- run1 ---\n%s--- run2 ---\n%s", r1, r2)
 	}

@@ -46,12 +46,11 @@ type ChaosScaleoutConfig struct {
 	Theta      float64
 
 	// OpenLoopInterval is the per-frontend inter-arrival time of the
-	// open-loop rows. CrashDur is each crash window's length. Elastic
-	// adds a mid-run AddShard at Requests/3 and a RemoveShard(0) drain
-	// at 2*Requests/3, so the crash storm races the reshape too.
+	// open-loop rows. CrashDur is each crash window's length. Every
+	// point adds a mid-run AddShard at Requests/3 and a RemoveShard(0)
+	// drain at 2*Requests/3, so the crash storm races the reshape too.
 	OpenLoopInterval sim.Duration
 	CrashDur         sim.Duration
-	Elastic          bool
 
 	Seed uint64
 }
@@ -72,7 +71,6 @@ func DefaultChaosScaleoutConfig() ChaosScaleoutConfig {
 
 		OpenLoopInterval: 2 * sim.Microsecond,
 		CrashDur:         200 * sim.Microsecond,
-		Elastic:          true,
 		Seed:             31,
 	}
 }
@@ -93,20 +91,6 @@ type ChaosScaleoutRow struct {
 	StateOK   bool
 }
 
-// chaosScaleoutCluster maps a point onto a cluster config — the
-// scaleout sweep's sizing plus the retry/elasticity knobs.
-func chaosScaleoutCluster(cfg ChaosScaleoutConfig, shards int, seed uint64) scaleout.Config {
-	ccfg := scaleout.DefaultConfig()
-	ccfg.Shards = shards
-	ccfg.Seed = seed
-	ccfg.SlotsPerShard = 2*cfg.Keys/shards + 1024
-	ccfg.RebalanceEvery = cfg.Requests / 12
-	ccfg.ImbalanceThreshold = 1.15
-	ccfg.HotKeysPerMove = 8
-	ccfg.MaxMigrations = 16
-	return ccfg
-}
-
 // chaosScaleoutPoint runs one grid point: preload, schedule the crash
 // storm over the run's nominal horizon, drive the workload (closed or
 // open loop) with the elastic reshape racing it, then converge and
@@ -114,21 +98,13 @@ func chaosScaleoutCluster(cfg ChaosScaleoutConfig, shards int, seed uint64) scal
 func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival string,
 	point int, reg *obs.Registry) ChaosScaleoutRow {
 	seed := runner.Seed("chaos-scaleout", point)
-	ccfg := chaosScaleoutCluster(cfg, shards, seed)
+	ccfg := scaleoutCluster(cfg.Keys, cfg.Requests, shards, seed)
 	c := scaleout.New(ccfg)
 	c.RegisterMetrics(reg, "scaleout")
 	c.RegisterFaultMetrics(reg, "scaleout")
 	reg.SetInterval(scaleoutMetricsInterval)
 
-	key := appendKVSKey(nil, 0)
-	val := make([]byte, cfg.ValueBytes)
-	now := sim.Time(0)
-	for i := 0; i < cfg.Keys; i++ {
-		binary.LittleEndian.PutUint64(val, uint64(i))
-		now = c.Preload(now, key, val)
-		nextKVSKey(key)
-	}
-	t0 := now
+	key, val, t0 := preloadCluster(c, cfg.Keys, cfg.ValueBytes)
 
 	perCli := cfg.Requests / cfg.Frontends
 	executed := cfg.Requests
@@ -150,21 +126,17 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	// so crashes race the reshape's installs too.
 	if crashPerK > 0 {
 		frng := sim.NewRNG(runner.SubSeed(seed, 2))
-		pool := shards
-		if cfg.Elastic {
-			pool++
-		}
 		n := cfg.Requests * crashPerK / 1000
 		wins := make([]fault.Window, 0, n)
 		for i := 0; i < n; i++ {
-			node := fmt.Sprintf("s%dr%d", frng.Intn(pool), frng.Intn(ccfg.Replicas))
+			node := fmt.Sprintf("s%dr%d", frng.Intn(shards+1), frng.Intn(ccfg.Replicas))
 			from := t0 + sim.Time(frng.Uint64n(uint64(horizon)))
 			wins = append(wins, fault.Window{
 				Node: node, Kind: fault.Crash, From: from, To: from + sim.Time(cfg.CrashDur),
 			})
 		}
 		c.EnableFaults(fault.New(fault.Plan{Seed: seed, Nodes: wins}))
-	} else if cfg.Elastic {
+	} else {
 		// Fault-free rows still reshape; the nil injector keeps every
 		// request on the fast path.
 		c.EnableFaults(fault.New(fault.Plan{}))
@@ -181,7 +153,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	}
 
 	addAt, rmAt := cfg.Requests/3, 2*cfg.Requests/3
-	added, removed := !cfg.Elastic, !cfg.Elastic
+	var added, removed bool
 	reqIdx := 0
 	body := func(fe *scaleout.Frontend, issue sim.Time) sim.Time {
 		i := reqIdx
@@ -223,7 +195,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 		})
 		end = t0 + res.End
 	} else {
-		now = t0
+		now := t0
 		for i := 0; i < cfg.Requests; i++ {
 			now = body(fes[i%len(fes)], now)
 		}
@@ -233,7 +205,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 	// Converge: heal every chain, finish the reshape (issuing the drain
 	// here if the run ended before it was accepted), heal again.
 	end = c.RejoinAll(end)
-	if cfg.Elastic && !removed {
+	if !removed {
 		end = c.DrainResize(end)
 		if err := c.RemoveShard(end, 0); err == nil {
 			removed = true

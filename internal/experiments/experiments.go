@@ -10,6 +10,7 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"rambda/internal/core"
@@ -127,6 +128,37 @@ func StandardSpecs(quick bool) []Spec {
 		ChaosScaleoutSpec(cso),
 		YCSBSpec(yc),
 	}
+}
+
+// SelectSpecs picks the StandardSpecs named by only, a comma-separated
+// list of ids matched case-insensitively, in print order with each spec
+// at most once; an empty list selects every spec. An unknown id is an
+// error, so a typo never yields an empty run.
+func SelectSpecs(quick bool, only string) ([]Spec, error) {
+	specs := StandardSpecs(quick)
+	if only == "" {
+		return specs, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.ToLower(strings.TrimSpace(id))] = true
+	}
+	var selected []Spec
+	for _, s := range specs {
+		if want[s.ID] {
+			selected = append(selected, s)
+			delete(want, s.ID)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s", strings.Join(unknown, ", "))
+	}
+	return selected, nil
 }
 
 // RunSpec executes a figure's jobs on `parallel` workers (<= 0 uses the

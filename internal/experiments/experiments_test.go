@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"rambda/internal/core"
@@ -302,6 +304,48 @@ func TestTablesRender(t *testing.T) {
 	tab.AddRow("only-one")
 }
 
+// TestSelectSpecs pins the -only selector shared by rambda-figures and
+// rambda-bench: print order, case-insensitive ids, duplicates run once,
+// and an unknown id is an error rather than an empty run.
+func TestSelectSpecs(t *testing.T) {
+	var all []string
+	for _, s := range StandardSpecs(true) {
+		all = append(all, s.ID)
+	}
+	if len(all) != 15 {
+		t.Fatalf("StandardSpecs has %d specs, want 15", len(all))
+	}
+	for _, tc := range []struct {
+		only    string
+		want    []string
+		wantErr string
+	}{
+		{only: "", want: all},
+		{only: "Tab3, fig8", want: []string{"fig8", "tab3"}},
+		{only: "fig8,fig8", want: []string{"fig8"}},
+		{only: "fig8,nope", wantErr: "nope"},
+	} {
+		specs, err := SelectSpecs(true, tc.only)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("SelectSpecs(%q) error = %v, want one naming %q", tc.only, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("SelectSpecs(%q): %v", tc.only, err)
+			continue
+		}
+		var got []string
+		for _, s := range specs {
+			got = append(got, s.ID)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("SelectSpecs(%q) = %v, want %v", tc.only, got, tc.want)
+		}
+	}
+}
+
 // TestParallelMatchesSequentialFig7 asserts the harness's core
 // guarantee: the same seeds produce byte-identical rendered tables
 // whether the sweep runs on one worker or eight.
@@ -311,10 +355,8 @@ func TestParallelMatchesSequentialFig7(t *testing.T) {
 	}
 	cfg := testFig7Config()
 	cfg.Requests = 6000
-	cfg.Parallel = 1
-	seq := Fig7Table(cfg).String()
-	cfg.Parallel = 8
-	par := Fig7Table(cfg).String()
+	seq := RunSpec(1, Fig7Spec(cfg)).String()
+	par := RunSpec(8, Fig7Spec(cfg)).String()
 	if seq != par {
 		t.Fatalf("fig7 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -328,10 +370,8 @@ func TestParallelMatchesSequentialFig8(t *testing.T) {
 	}
 	cfg := testKVSConfig()
 	cfg.Requests = 5000
-	cfg.Parallel = 1
-	seq := Fig8Table(cfg).String()
-	cfg.Parallel = 8
-	par := Fig8Table(cfg).String()
+	seq := RunSpec(1, Fig8Spec(cfg)).String()
+	par := RunSpec(8, Fig8Spec(cfg)).String()
 	if seq != par {
 		t.Fatalf("fig8 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}

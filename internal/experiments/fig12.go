@@ -24,7 +24,6 @@ type Fig12Config struct {
 	Pairs        int // preloaded key-value pairs
 	Transactions int
 	Seed         uint64
-	Parallel     int // sweep-point workers; 0 = runner default
 }
 
 // DefaultFig12Config mirrors the paper's 100K pairs / 100K transactions
@@ -190,7 +189,7 @@ func fig12Plan(cfg Fig12Config) ([]Fig12Row, []runner.Job) {
 // representative (0,1) and (4,2) transaction shapes.
 func Fig12(cfg Fig12Config) []Fig12Row {
 	rows, jobs := fig12Plan(cfg)
-	runner.MustRun(cfg.Parallel, jobs)
+	runner.MustRun(0, jobs)
 	return rows
 }
 
@@ -213,9 +212,4 @@ func fig12Render(rows []Fig12Row) *Table {
 func Fig12Spec(cfg Fig12Config) Spec {
 	rows, jobs := fig12Plan(cfg)
 	return Spec{ID: "fig12", Jobs: jobs, Table: func() *Table { return fig12Render(rows) }}
-}
-
-// Fig12Table renders Fig. 12.
-func Fig12Table(cfg Fig12Config) *Table {
-	return RunSpec(cfg.Parallel, Fig12Spec(cfg))
 }

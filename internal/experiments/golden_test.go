@@ -26,18 +26,12 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick figure sweeps take minutes; skipped with -short")
 	}
-	specs := StandardSpecs(true)
-	for _, id := range []string{"fig7", "fig8"} {
-		var spec *Spec
-		for i := range specs {
-			if specs[i].ID == id {
-				spec = &specs[i]
-				break
-			}
-		}
-		if spec == nil {
-			t.Fatalf("StandardSpecs lost %s", id)
-		}
+	specs, err := SelectSpecs(true, "fig7,fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		id := spec.ID
 		t.Run(id, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", id+"_quick.golden"))
 			if err != nil {

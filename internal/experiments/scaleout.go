@@ -36,17 +36,6 @@ type ScaleoutConfig struct {
 	PutPercent int
 	Frontends  int
 	Seed       uint64
-
-	// OpenLoopInterval, when > 0, switches the workload from the
-	// closed loop (each frontend issues its next request when the
-	// previous one completes — the load self-throttles under slowdown)
-	// to an open-loop arrival process: every frontend issues a request
-	// each interval regardless of completions, the way real datacenter
-	// load arrives. Under overload or fault windows the open loop keeps
-	// pushing and response times grow with the backlog — the queueing
-	// collapse a closed loop structurally cannot show. 0 (the default)
-	// keeps the closed loop and its byte-identical output.
-	OpenLoopInterval sim.Duration
 }
 
 // DefaultScaleoutConfig returns the full-size sweep.
@@ -88,20 +77,36 @@ func scaleoutDist(theta float64) string {
 	return fmt.Sprintf("zipf%.2f", theta)
 }
 
-// scaleoutCluster maps an experiment point onto a cluster config: the
-// chainrep testbed parameters, stores sized for the point's share of
-// the key universe (double headroom for ring imbalance plus migrated
-// hot keys), and a detection policy of ~12 windows per run.
-func scaleoutCluster(cfg ScaleoutConfig, shards int, seed uint64) scaleout.Config {
+// scaleoutCluster maps a scaleout or chaos-scaleout point onto a
+// cluster config: the chainrep testbed parameters, stores sized for the
+// point's share of the key universe (double headroom for ring imbalance
+// plus migrated hot keys), and a detection policy of ~12 windows per
+// run.
+func scaleoutCluster(keys, requests, shards int, seed uint64) scaleout.Config {
 	ccfg := scaleout.DefaultConfig()
 	ccfg.Shards = shards
 	ccfg.Seed = seed
-	ccfg.SlotsPerShard = 2*cfg.Keys/shards + 1024
-	ccfg.RebalanceEvery = cfg.Requests / 12
+	ccfg.SlotsPerShard = 2*keys/shards + 1024
+	ccfg.RebalanceEvery = requests / 12
 	ccfg.ImbalanceThreshold = 1.15
 	ccfg.HotKeysPerMove = 8
 	ccfg.MaxMigrations = 16
 	return ccfg
+}
+
+// preloadCluster writes the key universe 0..keys-1 (value = the key's
+// index) through the cluster's preload path and returns the key and
+// value buffers for the workload to reuse, plus the time the preload
+// finished.
+func preloadCluster(c *scaleout.Cluster, keys, valueBytes int) (key, val []byte, t0 sim.Time) {
+	key = appendKVSKey(nil, 0)
+	val = make([]byte, valueBytes)
+	for i := 0; i < keys; i++ {
+		binary.LittleEndian.PutUint64(val, uint64(i))
+		t0 = c.Preload(t0, key, val)
+		nextKVSKey(key)
+	}
+	return key, val, t0
 }
 
 // scaleoutPoint preloads one cluster and drives the skewed closed-loop
@@ -111,19 +116,12 @@ func scaleoutCluster(cfg ScaleoutConfig, shards int, seed uint64) scaleout.Confi
 func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 	reg *obs.Registry) ScaleoutRow {
 	seed := runner.Seed("scaleout", point)
-	c := scaleout.New(scaleoutCluster(cfg, shards, seed))
+	c := scaleout.New(scaleoutCluster(cfg.Keys, cfg.Requests, shards, seed))
 	c.RegisterMetrics(reg, "scaleout")
 	reg.SetInterval(scaleoutMetricsInterval)
 
-	key := appendKVSKey(nil, 0)
-	val := make([]byte, cfg.ValueBytes)
-	now := sim.Time(0)
-	for i := 0; i < cfg.Keys; i++ {
-		binary.LittleEndian.PutUint64(val, uint64(i))
-		now = c.Preload(now, key, val)
-		nextKVSKey(key)
-	}
-	t0 := now
+	key, val, t0 := preloadCluster(c, cfg.Keys, cfg.ValueBytes)
+	now := t0
 
 	wrng := sim.NewRNG(runner.SubSeed(seed, 1))
 	var zipf *sim.Zipf
@@ -140,54 +138,24 @@ func scaleoutPoint(cfg ScaleoutConfig, shards int, theta float64, point int,
 		}
 		return wrng.Intn(cfg.Keys)
 	}
-	if cfg.OpenLoopInterval > 0 {
-		// Open loop: issue times are fixed by the arrival process (the
-		// driver's clock is relative, so completions are rebased to t0);
-		// the request sequence still draws from wrng in driver event
-		// order, which is deterministic.
-		reqIdx := 0
-		drv := sim.OpenLoop{
-			Clients:  cfg.Frontends,
-			PerCli:   cfg.Requests / cfg.Frontends,
-			Interval: cfg.OpenLoopInterval,
-		}
-		res := drv.Run(func(cli int, issue sim.Time) sim.Time {
-			i := reqIdx
-			reqIdx++
-			key = appendKVSKey(key[:0], nextKey())
-			fe := fes[cli]
-			if wrng.Intn(100) < cfg.PutPercent {
-				binary.LittleEndian.PutUint64(val, uint64(i))
-				return fe.Put(t0+issue, key, val) - t0
-			}
-			_, done := fe.Get(t0+issue, key)
-			return done - t0
-		})
-		now = t0 + res.End
-	} else {
-		for i := 0; i < cfg.Requests; i++ {
-			key = appendKVSKey(key[:0], nextKey())
-			fe := fes[i%len(fes)]
-			if wrng.Intn(100) < cfg.PutPercent {
-				binary.LittleEndian.PutUint64(val, uint64(i))
-				now = fe.Put(now, key, val)
-			} else {
-				_, done := fe.Get(now, key)
-				now = done
-			}
+	for i := 0; i < cfg.Requests; i++ {
+		key = appendKVSKey(key[:0], nextKey())
+		fe := fes[i%len(fes)]
+		if wrng.Intn(100) < cfg.PutPercent {
+			binary.LittleEndian.PutUint64(val, uint64(i))
+			now = fe.Put(now, key, val)
+		} else {
+			_, done := fe.Get(now, key)
+			now = done
 		}
 	}
 	reg.SnapshotNow(now)
 
 	st := c.Stats()
 	hist := c.MergedLatency()
-	executed := cfg.Requests
-	if cfg.OpenLoopInterval > 0 {
-		executed = (cfg.Requests / cfg.Frontends) * cfg.Frontends
-	}
 	goodput := 0.0
 	if now > t0 {
-		goodput = float64(executed) / (float64(now-t0) / float64(sim.Second))
+		goodput = float64(cfg.Requests) / (float64(now-t0) / float64(sim.Second))
 	}
 	return ScaleoutRow{
 		Shards:       shards,

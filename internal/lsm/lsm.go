@@ -445,15 +445,6 @@ func (db *DB) Maintain(now sim.Time) (sim.Time, bool) {
 	return at, stalled
 }
 
-// PendingBytes reports the backlog Maintain would charge.
-func (db *DB) PendingBytes() int {
-	n := 0
-	for _, p := range db.pending {
-		n += p.bytes
-	}
-	return n
-}
-
 // --- kvs.Backend: the trace-emitting serving path ---
 
 // memAccess maps a memtable touch for key into the DRAM arena: a
@@ -941,39 +932,4 @@ func (db *DB) Runs() [][]*memspace.Region {
 // the memtable), calling fn until it returns false.
 func (db *DB) Range(fn func(key string, val []byte) bool) {
 	db.Snapshot().Scan("", 0, false, fn)
-}
-
-// ScanAt is the timed range scan: a merged-iterator walk from start
-// charging one NVM probe per run record consulted, with a StageScan
-// span when a trace collector is attached. It returns the completion
-// time and the number of live pairs visited.
-func (db *DB) ScanAt(now sim.Time, start string, limit int, reverse bool,
-	fn func(key string, val []byte) bool) (sim.Time, int) {
-	db.scans++
-	it := newMergeIter(db.memtable, db.levels, db.seq, start, reverse)
-	at := now
-	n := 0
-	for it.next() {
-		for _, p := range it.probes {
-			at = db.mem.NVM.Read(at, p.Bytes)
-		}
-		it.probes = it.probes[:0]
-		if it.tomb {
-			continue
-		}
-		n++
-		if !fn(it.key, it.val) {
-			break
-		}
-		if limit > 0 && n >= limit {
-			break
-		}
-	}
-	for _, p := range it.probes {
-		at = db.mem.NVM.Read(at, p.Bytes)
-	}
-	if db.tr != nil {
-		db.tr.Span("lsm.scan", obs.StageScan, now, at)
-	}
-	return at, n
 }

@@ -160,12 +160,6 @@ func Jobs(experiment string, n int, name func(int) string, fn func(int)) []Job {
 	return jobs
 }
 
-// ForEach runs fn for every point of an n-point sweep and panics with
-// the failing point's identity if one panics.
-func ForEach(parallel int, experiment string, n int, fn func(point int)) {
-	MustRun(parallel, Jobs(experiment, n, nil, fn))
-}
-
 // Seed derives a deterministic sim.RNG seed from an (experiment, point)
 // key via an FNV-1a fold, so concurrently executing sweep points that
 // need fresh randomness never share a stream and never depend on

@@ -125,16 +125,6 @@ func TestMustRunPanicsWithIdentity(t *testing.T) {
 	}))
 }
 
-func TestForEach(t *testing.T) {
-	out := make([]int, 16)
-	ForEach(4, "exp", 16, func(i int) { out[i] = 1 })
-	for i, v := range out {
-		if v != 1 {
-			t.Fatalf("point %d not run", i)
-		}
-	}
-}
-
 func TestDefaultParallelism(t *testing.T) {
 	old := Default()
 	defer SetDefault(0)

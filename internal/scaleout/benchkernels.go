@@ -42,8 +42,8 @@ func NewRouteBench() *RouteBench {
 
 // Step runs one iteration of the routing hot path: format the key,
 // hash it, route through the (stale) client map, detect the ownership
-// mismatch, and re-route through the current map — the exact client
-//-side work of Frontend.do minus the simulated chain.
+// mismatch, and re-route through the current map — the exact
+// client-side work of Frontend.do minus the simulated chain.
 func (b *RouteBench) Step(i int) uint64 {
 	b.key = appendBenchKey(b.key[:0], i%routeBenchKeys)
 	h := kvs.Hash64(b.key)

@@ -90,12 +90,6 @@ func (s *SmartNIC) LocalAccess(now sim.Time, bytes int) sim.Time {
 	return s.local.Access(now, bytes)
 }
 
-// LocalAccessOverlapped hides local latency across `overlap` streams.
-func (s *SmartNIC) LocalAccessOverlapped(now sim.Time, bytes, overlap int) sim.Time {
-	s.localAccesses++
-	return s.local.AccessOverlapped(now, bytes, overlap)
-}
-
 // HostAccess reaches host memory with a one-sided RDMA read/write over
 // PCIe (direct verbs, paper Sec. II-B). overlap > 1 models
 // batching/pipelining that hides part of the round trip.
