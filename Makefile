@@ -61,17 +61,20 @@ BENCH_NEXT := $(shell expr $(BENCH_LAST) + 1)
 # Performance-regression harness: times every figure plus the sim
 # microbenchmark kernels and writes BENCH_$(BENCH_NEXT).json (schema
 # documented in cmd/rambda-bench and EXPERIMENTS.md), gated against the
-# newest committed BENCH file. Runs the partitioned engine at
-# -sim-parallel 4 — output stays byte-identical, only wall time moves.
+# newest committed BENCH file. Every BENCH file from BENCH_11 on is
+# recorded in one canonical configuration, one worker and one goroutine
+# per simulation (-parallel 1 -sim-parallel 1, as simbench runs), so the
+# figure walls form a trajectory across PRs.
+BENCH_FLAGS := -quick -parallel 1 -sim-parallel 1
 bench:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
+	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 
 # Figures + microbenchmarks compared against the committed baseline;
 # fails on a >25% machine-normalized time regression or on alloc-count
 # regressions (micro allocs/op and per-figure totals). This is what
 # CI's bench-smoke job runs.
 bench-check:
-	$(GO) run ./cmd/rambda-bench -quick -parallel $(PARALLEL) -sim-parallel 4 -out /tmp/BENCH_ci.json -baseline BENCH_$(BENCH_LAST).json
+	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out /tmp/BENCH_ci.json -baseline BENCH_$(BENCH_LAST).json
 
 # CPU-profile one figure end to end, then open pprof. Usage:
 #   make profile FIG=fig8

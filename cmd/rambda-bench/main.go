@@ -6,6 +6,7 @@
 // Usage:
 //
 //	go run ./cmd/rambda-bench -quick                 # figures + micro, write the next BENCH_<n>.json
+//	go run ./cmd/rambda-bench -quick -parallel 1 -sim-parallel 1  # the configuration BENCH files are recorded in (make bench)
 //	go run ./cmd/rambda-bench -skip-figures          # microbenchmarks only
 //	go run ./cmd/rambda-bench -quick -baseline BENCH_<n>.json
 //	go run ./cmd/rambda-bench -quick -sim-parallel 4 # partitioned engine, 4 goroutines per sim
@@ -96,6 +97,7 @@ var microKernels = []struct {
 	{"ResourceAcquireGapHeavy", func(n int) { sim.BenchAcquireGapHeavy(n) }},
 	{"ResourceAcquireGapSaturated", func(n int) { sim.BenchAcquireGapSaturated(n) }},
 	{"ResourceAcquireBackfillMix", func(n int) { sim.BenchAcquireBackfillMix(n) }},
+	{"ResourceAcquireShortGapsLongOps", func(n int) { sim.BenchAcquireShortGapsLongOps(n) }},
 	{"ClosedLoopRun", func(n int) { sim.BenchClosedLoop(n) }},
 	{"HistogramRecord", func(n int) { sim.BenchHistogramRecord(n) }},
 	{"HistogramPercentile", func(n int) { sim.BenchHistogramPercentile(n) }},

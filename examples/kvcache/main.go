@@ -4,7 +4,8 @@
 //
 // The example compares the RAMBDA accelerator against the CPU baseline
 // on the same store contents, printing throughput and latency for both
-// — a miniature of the paper's Fig. 8/9.
+// — a miniature of the paper's Fig. 8/9 — and the busiest modeled
+// resource on each server, which names what bounds each system.
 //
 // Run with:
 //
@@ -17,6 +18,7 @@ import (
 	"rambda"
 	"rambda/internal/hostcpu"
 	"rambda/internal/kvs"
+	"rambda/internal/sim"
 )
 
 const (
@@ -56,7 +58,26 @@ func workload(seed uint64) func() kvs.Request {
 	}
 }
 
-func runRambda() *rambda.Result {
+// busiest returns the server's most utilized modeled resource over
+// [0, end]: the accelerator's cc-link issue stage (when it has one), the
+// UPI link, DRAM, both PCIe directions and the CPU cores.
+func busiest(m *rambda.Machine, end rambda.Time) (*sim.Resource, float64) {
+	res := []*sim.Resource{m.CCLink.Resource(), m.Mem.DRAM.Resource(),
+		m.PCIeIn.Resource(), m.PCIeOut.Resource(), m.CPU.Cores()}
+	if m.Accel != nil {
+		res = append(res, m.Accel.IssueResource())
+	}
+	var top *sim.Resource
+	util := -1.0
+	for _, r := range res {
+		if u := r.Utilization(end); u > util {
+			top, util = r, u
+		}
+	}
+	return top, util
+}
+
+func runRambda() (*rambda.Result, *rambda.Machine) {
 	server := rambda.NewMachine(rambda.MachineConfig{Name: "server", Variant: rambda.Prototype})
 	client := rambda.NewMachine(rambda.MachineConfig{Name: "client"})
 	rambda.Connect(server, client)
@@ -107,10 +128,10 @@ func runRambda() *rambda.Result {
 		reqBuf = kvs.AppendRequest(reqBuf[:0], next())
 		_, done := conns[id%connections].Call(issue, reqBuf)
 		return done
-	})
+	}), server
 }
 
-func runCPU() *rambda.Result {
+func runCPU() (*rambda.Result, *rambda.Machine) {
 	server := rambda.NewMachine(rambda.MachineConfig{Name: "server"})
 	client := rambda.NewMachine(rambda.MachineConfig{Name: "client"})
 	rambda.Connect(server, client)
@@ -150,18 +171,29 @@ func runCPU() *rambda.Result {
 		reqBuf = kvs.AppendRequest(reqBuf[:0], next())
 		_, done := conns[id%connections].Call(issue, reqBuf)
 		return done
-	})
+	}), server
 }
 
 func main() {
-	r := runRambda()
-	c := runCPU()
-	fmt.Printf("%-8s  %-12s  %-10s  %-10s\n", "system", "throughput", "avg", "p99")
-	fmt.Printf("%-8s  %9.2f Mops  %-10v  %-10v\n", "RAMBDA", r.Throughput/1e6, r.Latency.Mean(), r.Latency.P99())
-	fmt.Printf("%-8s  %9.2f Mops  %-10v  %-10v\n", "CPU", c.Throughput/1e6, c.Latency.Mean(), c.Latency.P99())
+	r, rs := runRambda()
+	c, cs := runCPU()
+	fmt.Printf("%-8s  %-12s  %-10s  %-10s  %s\n", "system", "throughput", "avg", "p99", "busiest resource")
+	for _, row := range []struct {
+		name   string
+		res    *rambda.Result
+		server *rambda.Machine
+	}{{"RAMBDA", r, rs}, {"CPU", c, cs}} {
+		top, util := busiest(row.server, row.res.End)
+		fmt.Printf("%-8s  %9.2f Mops  %-10v  %-10v  %s %.0f%%\n", row.name, row.res.Throughput/1e6,
+			row.res.Latency.Mean(), row.res.Latency.P99(), top.Name(), 100*util)
+	}
 	fmt.Println()
-	fmt.Println("note: at this moderate load both systems are below their peaks and")
-	fmt.Println("RAMBDA's average latency sits slightly above the CPU's — its data")
-	fmt.Println("accesses cross the UPI link (paper Sec. VI-B). Run cmd/rambda-figures")
-	fmt.Println("for the saturated Fig. 8 comparison where RAMBDA comes out ahead.")
+	fmt.Println("note: at this load RAMBDA is saturated and the CPU is not. Each")
+	fmt.Println("request makes about seven memory operations, and the prototype's")
+	fmt.Println("coherence controller issues them onto the UPI link one at a time")
+	fmt.Println("(paper Sec. VI-D): that issue stage is the busiest resource above and")
+	fmt.Println("caps RAMBDA at less than half the CPU's throughput. Its closed-loop")
+	fmt.Println("clients queue there, so its average latency is about twice the CPU's,")
+	fmt.Println("whose cores are half idle. Run cmd/rambda-figures for the saturated")
+	fmt.Println("Fig. 8 comparison where RAMBDA comes out ahead.")
 }

@@ -22,7 +22,7 @@ func BenchAcquireGapFree(n int) Time {
 // BenchAcquireGapHeavy drives n Acquires through a churning gap
 // population: periodic leaps past the frontier open idle windows,
 // backdated arrivals backfill and split them. This is the regime the
-// indexed gap structure exists for.
+// gap lists exist for.
 func BenchAcquireGapHeavy(n int) Time {
 	r := NewResource("bench:gapheavy", 2, 0, 16e9, 0)
 	rng := NewRNG(42)
@@ -70,8 +70,8 @@ func BenchAcquireGapSaturated(n int) Time {
 // stage of a request issued ~16us earlier, so the table sits at maxGaps
 // and two generations of windows interleave in age order. Current
 // arrivals open windows at the frontier; backdated ones backfill the
-// window straddling them. This is the kernel for the gap index's
-// subtree pruning.
+// window straddling them. This is the kernel for the gap lists'
+// backdated predecessor lookups.
 func BenchAcquireBackfillMix(n int) Time {
 	r := NewResource("bench:backfill", 6, 0, 25e9, 0)
 	rng := NewRNG(5)
@@ -86,6 +86,44 @@ func BenchAcquireBackfillMix(n int) Time {
 		_, done = r.Acquire(at, 64*(1+rng.Intn(4)))
 	}
 	return done
+}
+
+// BenchAcquireShortGapsLongOps reproduces the shape of fig13's DRAM
+// channels: six servers, 39 ns operations, and a frontier that leaves a
+// gap of about 11 ns behind each one. Every other operation arrives
+// ~2.5 us behind the frontier, where each server holds about 30 gaps and
+// every one is too short for it, so the search must rule all of them
+// out before the operation falls back to a frontier. This is the kernel
+// for the gap lists' suffix bound. (The shape is an equilibrium: one
+// gap long enough to backfill moves a lagging operation off the
+// frontier, which lengthens the next gaps.)
+func BenchAcquireShortGapsLongOps(n int) Time {
+	r := NewResource("bench:shortgaps", 6, 39*Nanosecond, 0, 0)
+	arrivals := shortGapArrivals{rng: NewRNG(13)}
+	var done Time
+	for i := 0; i < n; i++ {
+		_, done = r.Acquire(arrivals.next(), 0)
+	}
+	return done
+}
+
+// shortGapArrivals generates BenchAcquireShortGapsLongOps's arrival
+// times. Front arrivals step 13-16.7 ns: each server then serves a
+// front and a lagging operation (78 ns) per ~89 ns, and the front one
+// opens an ~11 ns gap behind the server's frontier.
+type shortGapArrivals struct {
+	rng     *RNG
+	now     Time
+	lagging bool
+}
+
+func (a *shortGapArrivals) next() Time {
+	a.lagging = !a.lagging
+	if a.lagging {
+		return max(0, a.now-2500*Nanosecond-Duration(a.rng.Intn(int(100*Nanosecond))))
+	}
+	a.now += 13*Nanosecond + Duration(a.rng.Intn(int(3700*Picosecond)))
+	return a.now
 }
 
 // BenchClosedLoop runs one closed loop of ~n requests (32 clients over

@@ -1,307 +1,302 @@
 package sim
 
-import "math/bits"
-
-// gapTable indexes a resource's backfillable idle windows so that
-// Resource.place no longer pays O(gaps) per Acquire. It is the indexed
-// replacement for the original flat `[]gap` slice, and its contract is
-// bit-exact equivalence with the original linear scan (see
-// placement_equiv_test.go):
+// gapTable remembers a resource's backfillable idle windows ("gaps").
+// Its contract is bit-exact equivalence with the original linear scan
+// over an age-ordered list (placement_equiv_test.go): the winner for
+// (now, occupy) is the age-earliest gap achieving the minimal feasible
+// start s = max(now, g.start) with s+occupy <= g.end, and recording a
+// gap into a full table first evicts the oldest live one.
 //
-//   - the winning gap for (now, occupy) is the age-earliest gap that
-//     achieves the minimal feasible start s = max(now, g.start) subject
-//     to s+occupy <= g.end;
-//   - when the table is full, recording a new gap evicts the oldest
-//     live gap.
-//
-// Both rules are age-sensitive: two gaps can tie on feasible start (the
-// common case is several gaps straddling `now`, all feasible at s ==
-// now), and the original scan breaks that tie toward the gap recorded
-// first. A start-ordered structure cannot reproduce that order, so the
-// table keeps gaps in age order — a sliding window over a flat buffer —
-// and indexes that order with a three-level tree of summaries (min
-// start, max end, max length): a leaf per gapLeafSize slots, a block
-// per gapBlockLeaves leaves, and the root. Each inner summary is the
-// merge of its children's.
-//
-// Search walks the blocks of the live window in age order, descends
-// only into blocks that can hold a gap that fits (maxEnd >= now+occupy
-// and maxLen >= occupy) and that starts strictly before the best
-// candidate so far (the original scan's strict-< replacement rule),
-// applies the same test to the leaves inside, and tests the live slots
-// (a bitmap per leaf) of the leaves that survive. The first gap
-// feasible at s == now ends the search: no later gap can strictly beat
-// it. A miss on every gap is answered by the root alone.
-//
-// Updates touch one leaf path. Recording a gap widens its leaf, its
-// block and the root. Consuming a gap rebuilds its leaf only when the
-// gap defined one of the leaf's extremes, and re-merges the block only
-// when the old leaf summary may have defined one of the block's; the
-// root shrinks back to the merge of the blocks after a search that
-// misses. Evicting the oldest gap leaves the head leaf's summary as it
-// was until the head moves past the leaf. Summaries may therefore
-// over-approximate what they summarize; a too-generous summary can only
-// cause a fruitless scan, never a different winner, so the bit-exact
-// contract is unaffected.
-//
-// Consumed gaps become tombstones (start=MaxTime, end=0 — a window no
-// request can fit) instead of being spliced out, and eviction advances
-// the window head, so both are O(1) in buffer traffic where the slice
-// paid an O(n) memmove. Appends slide the tail forward; when the tail
-// reaches the end of the buffer the live gaps are compacted back to the
-// front. The buffer is 2x maxGaps, so each compaction is separated by
-// at least maxGaps appends and amortizes to O(1) per append.
+// A gap is opened behind one server's frontier and a backfill only
+// splits it, so one server's gaps never overlap. The table keeps one
+// list per server, ordered by start and therefore also by end: a
+// frontier gap is an append, a backfill rewrites the consumed entry in
+// place (plus one insert when both remainders survive), and only a
+// server's last entry starting at or before now can cover
+// [now, now+occupy]. Age lives in a record number per entry, and
+// eviction advances a threshold instead of splicing. DESIGN.md §14
+// walks through the search and its bounds.
 type gapTable struct {
-	buf    []gap                 // fixed gapSlots slots; live window is [head, tail)
-	occ    [gapLeaves]uint64     // per-leaf live-slot bitmaps
-	leaves [gapLeaves]gapSummary // one per gapLeafSize slots
-	blocks [gapBlocks]gapSummary // one per gapBlockLeaves leaves
-	root   gapSummary            // bounds every live gap
-	head   int                   // oldest slot (may be a tombstone)
-	tail   int                   // one past the newest slot
-	live   int                   // live (non-tombstone) gaps in [head, tail)
+	lists  []gapList
+	rank   []int32  // per record: 1 while live, 0 once consumed; ranks while renumbering
+	maxEnd Time     // bounds every listed gap's end
+	short  Duration // every live gap is shorter than this
+	oldest int32    // records below it are evicted
+	next   int32    // record number of the next gap
+	live   int      // live gaps
 }
 
-// gapSummary bounds a run of slots. Tombstones are neutral: they cannot
-// lower minStart, raise maxEnd, or raise maxLen, so a summary over a
-// whole physical run stays valid.
-type gapSummary struct {
-	minStart Time
-	maxEnd   Time
-	maxLen   Duration
+// gapList is one server's gaps in start order.
+type gapList struct {
+	ents   []gapEntry
+	from   int      // every live entry at index >= from ...
+	short  Duration // ... is shorter than short
+	pos    int      // search scratch: the last entry starting at or before now
+	finger int      // where the last backdated predecessor lookup ended
 }
 
-const (
-	gapSlots       = 2 * maxGaps
-	gapLeafShift   = 5 // 32 slots per leaf (at most 64: one bitmap word)
-	gapLeafSize    = 1 << gapLeafShift
-	gapLeaves      = gapSlots / gapLeafSize
-	gapBlockShift  = 4 // 16 leaves per block
-	gapBlockLeaves = 1 << gapBlockShift
-	gapBlocks      = gapLeaves / gapBlockLeaves
-)
-
-// deadGap marks a consumed or evicted slot. max(now, MaxTime)+occupy
-// can never sit inside [MaxTime, 0), so tombstones fail every
-// feasibility test without a dedicated branch (the fit check is written
-// end-s >= occupy, which cannot overflow for any slot state).
-var deadGap = gap{start: MaxTime, end: 0}
-
-// deadSummary bounds an empty run: every search skips it.
-var deadSummary = gapSummary{minStart: MaxTime}
-
-func newGapTable() *gapTable {
-	t := &gapTable{buf: make([]gap, gapSlots)}
-	for i := range t.buf {
-		t.buf[i] = deadGap
-	}
-	t.reset()
-	return t
+// gapEntry is a listed gap and its record number, which orders gaps by
+// age across servers. An entry whose record is below gapTable.oldest
+// was evicted and is dropped at the next renumber.
+type gapEntry struct {
+	gap
+	rec int32
 }
 
-// len reports the number of live gaps.
-func (t *gapTable) len() int { return t.live }
+// gapRecords bounds the record numbers handed out between renumbers.
+// Every live or evicted entry holds one, so the lists never hold more
+// entries than this, and the first gap allocates an arena of that size.
+const gapRecords = 2 * maxGaps
 
-// widen grows s to cover g.
-func (s *gapSummary) widen(g gap) {
-	s.minStart = min(s.minStart, g.start)
-	s.maxEnd = max(s.maxEnd, g.end)
-	s.maxLen = max(s.maxLen, g.end-g.start)
+// gapArena is one allocation holding every list's initial share and
+// the per-record marks.
+type gapArena struct {
+	ents [gapRecords]gapEntry
+	rank [gapRecords]int32
 }
 
-// admits reports whether the run s summarizes can hold a gap that ends
-// at or after target, is at least occupy long, and starts before
-// before.
-func (s *gapSummary) admits(target Time, occupy Duration, before Time) bool {
-	return s.maxEnd >= target && s.maxLen >= occupy && s.minStart < before
+func newGapTable(servers int) gapTable {
+	return gapTable{lists: make([]gapList, servers)}
 }
 
-// mergeSummaries returns the smallest summary covering every summary
-// in run.
-func mergeSummaries(run []gapSummary) gapSummary {
-	m := deadSummary
-	for _, s := range run {
-		m.minStart = min(m.minStart, s.minStart)
-		m.maxEnd = max(m.maxEnd, s.maxEnd)
-		m.maxLen = max(m.maxLen, s.maxLen)
-	}
-	return m
-}
-
-// add appends a gap as the newest entry, evicting the oldest live gap
-// first when the table is at capacity — the same drop-oldest policy the
-// flat slice used, but O(1) instead of an O(n) memmove.
-func (t *gapTable) add(g gap) {
-	if t.live >= maxGaps {
-		t.evictOldest()
-	}
-	if t.tail == gapSlots {
-		t.compact()
-	}
-	slot := t.tail
-	t.tail++
-	t.live++
-	t.buf[slot] = g
-	leaf := slot >> gapLeafShift
-	t.occ[leaf] |= 1 << (slot & (gapLeafSize - 1))
-	t.leaves[leaf].widen(g)
-	t.blocks[leaf>>gapBlockShift].widen(g)
-	t.root.widen(g)
-}
-
-// evictOldest tombstones the oldest live gap. Evictions walk the head
-// leaf front to back, so its summary is left as is — an
-// over-approximation while the leaf still holds live gaps — and is
-// rebuilt once the head has moved past the leaf.
-func (t *gapTable) evictOldest() {
-	from := t.head >> gapLeafShift
-	for t.buf[t.head] == deadGap {
-		t.head++
-	}
-	t.buf[t.head] = deadGap
-	t.occ[t.head>>gapLeafShift] &^= 1 << (t.head & (gapLeafSize - 1))
-	t.live--
-	t.head++
-	for leaf := from; leaf < t.head>>gapLeafShift; leaf++ {
-		t.refresh(leaf)
+// alloc splits one arena evenly across the servers. A list that
+// outgrows its share reallocates alone (append over a capped slice).
+func (t *gapTable) alloc() {
+	a := new(gapArena)
+	t.rank = a.rank[:]
+	share := gapRecords / len(t.lists)
+	for k := range t.lists {
+		t.lists[k].ents = a.ents[k*share : k*share : (k+1)*share]
 	}
 }
 
-// take removes and returns the gap at slot (previously returned by
-// search). Its leaf is rebuilt only when the gap defined one of the
-// leaf's extremes: a gap strictly inside all three bounds cannot
-// change them.
-func (t *gapTable) take(slot int) gap {
-	g := t.buf[slot]
-	t.buf[slot] = deadGap
-	leaf := slot >> gapLeafShift
-	t.occ[leaf] &^= 1 << (slot & (gapLeafSize - 1))
-	t.live--
-	if s := &t.leaves[leaf]; g.start <= s.minStart || g.end >= s.maxEnd || g.end-g.start >= s.maxLen {
-		t.refresh(leaf)
-	}
-	return g
+// mayFit answers most misses in O(1) from the table's bounds: no gap
+// ends late enough or is long enough.
+func (t *gapTable) mayFit(now Time, occupy Duration) bool {
+	return t.maxEnd >= now+occupy && occupy < t.short
 }
 
-// refresh rebuilds leaf i's summary from its slots. Tombstones are
-// summary-neutral, so a straight sweep over the leaf needs no bitmap.
-// The leaf's block is re-merged only if the old leaf summary may have
-// defined one of the block's extremes. The root is left to shrink
-// lazily (see search).
-func (t *gapTable) refresh(i int) {
-	s := deadSummary
-	for _, g := range t.buf[i<<gapLeafShift : (i+1)<<gapLeafShift] {
-		s.widen(g)
-	}
-	old := t.leaves[i]
-	t.leaves[i] = s
-	b := i >> gapBlockShift
-	if blk := &t.blocks[b]; old.minStart == blk.minStart || old.maxEnd == blk.maxEnd || old.maxLen == blk.maxLen {
-		*blk = mergeSummaries(t.leaves[b<<gapBlockShift : (b+1)<<gapBlockShift])
-	}
-}
-
-// compact slides the live gaps back to the front of the buffer in age
-// order and rebuilds the bitmaps and every summary.
-func (t *gapTable) compact() {
-	n := 0
-	for i := t.head; i < t.tail; i++ {
-		if g := t.buf[i]; g != deadGap {
-			t.buf[n] = g
-			n++
-		}
-	}
-	for i := n; i < t.tail; i++ {
-		t.buf[i] = deadGap
-	}
-	t.head, t.tail = 0, n
-	for i := range t.leaves {
-		lo, hi := i<<gapLeafShift, min((i+1)<<gapLeafShift, n)
-		if lo >= hi {
-			t.occ[i], t.leaves[i] = 0, deadSummary
-			continue
-		}
-		s := deadSummary
-		for _, g := range t.buf[lo:hi] {
-			s.widen(g)
-		}
-		t.occ[i], t.leaves[i] = 1<<(hi-lo)-1, s
-	}
-	for b := range t.blocks {
-		t.blocks[b] = mergeSummaries(t.leaves[b<<gapBlockShift : (b+1)<<gapBlockShift])
-	}
-	t.root = mergeSummaries(t.blocks[:])
-}
-
-// search returns the slot of the gap the original linear scan would
-// have chosen for an operation of length occupy arriving at now, and
-// the feasible start within it, or slot -1 if no gap fits.
-func (t *gapTable) search(now Time, occupy Duration) (slot int, start Time) {
+// search returns the server and list index of the gap the linear scan
+// would have chosen for an operation of length occupy arriving at now,
+// and the feasible start within it; ok is false if no gap fits.
+func (t *gapTable) search(now Time, occupy Duration) (k, i int, start Time, ok bool) {
 	target := now + occupy
-	// Any feasible gap ends at or after now+occupy (s >= now always) and
-	// is at least occupy long, and it can only displace the best
-	// candidate so far by starting strictly before it. bestStart starts
-	// at MaxTime, which no live gap's start reaches, so the same test
-	// admits every run that could hold a first candidate.
-	best, bestStart := -1, MaxTime
-	if !t.root.admits(target, occupy, bestStart) {
-		return -1, 0
-	}
-	// Only the leaves of the live window [head, tail) can hold a gap.
-	first, last := t.head>>gapLeafShift, (t.tail-1)>>gapLeafShift
-	for b := first >> gapBlockShift; b <= last>>gapBlockShift; b++ {
-		if !t.blocks[b].admits(target, occupy, bestStart) {
+	bestK, bestRec := -1, int32(0)
+	for k := range t.lists {
+		l := &t.lists[k]
+		n := l.fits(occupy)
+		if n == 0 || l.ents[n-1].end < target {
+			l.pos = n // ordered by end: nothing on this server fits
 			continue
 		}
-		for leaf := max(first, b<<gapBlockShift); leaf <= min(last, (b+1)<<gapBlockShift-1); leaf++ {
-			if !t.leaves[leaf].admits(target, occupy, bestStart) {
+		l.pos = l.pred(n, now)
+		if l.pos < 0 {
+			continue
+		}
+		if e := &l.ents[l.pos]; e.end >= target && e.rec >= t.oldest && (bestK < 0 || e.rec < bestRec) {
+			bestK, bestRec = k, e.rec
+		}
+	}
+	if bestK >= 0 {
+		return bestK, t.lists[bestK].pos, now, true
+	}
+	bestStart := MaxTime
+	for k := range t.lists {
+		l := &t.lists[k]
+		first, stop := l.pos+1, l.fits(occupy)
+		j := first
+		for ; j < stop; j++ {
+			e := &l.ents[j]
+			if e.start > bestStart {
+				break
+			}
+			if e.end-e.start >= occupy && e.rec >= t.oldest {
+				if e.start < bestStart || e.rec < bestRec {
+					bestK, bestRec, bestStart = k, e.rec, e.start
+					i = j
+				}
+				break
+			}
+		}
+		if j == stop && first < stop {
+			l.from, l.short = first, occupy
+		}
+	}
+	if bestK < 0 {
+		// A full miss: re-tighten the table's bounds from the lists' last
+		// ends and whole-list suffix bounds.
+		t.maxEnd, t.short = 0, 0
+		for k := range t.lists {
+			l := &t.lists[k]
+			if n := len(l.ents); n > 0 {
+				t.maxEnd = max(t.maxEnd, l.ents[n-1].end)
+			}
+			if l.from == 0 {
+				t.short = max(t.short, l.short)
+			} else {
+				t.short = MaxTime
+			}
+		}
+		return 0, 0, 0, false
+	}
+	return bestK, i, bestStart, true
+}
+
+// fits returns how many leading entries can hold an operation of
+// length occupy: the suffix bound rules out the rest.
+func (l *gapList) fits(occupy Duration) int {
+	if occupy >= l.short {
+		return l.from
+	}
+	return len(l.ents)
+}
+
+// pred returns the index of the last of the first n entries that
+// starts at or before now, or -1. Arrivals at the frontier land past
+// the newest entry; backdated ones land near where the previous
+// backdated lookup ended, so it gallops from that finger and bisects.
+func (l *gapList) pred(n int, now Time) int {
+	ents := l.ents[:n]
+	if ents[n-1].start <= now {
+		return n - 1
+	}
+	lo, hi := -1, n-1 // ents[lo] starts at or before now (lo == -1: none), ents[hi] after it
+	if f := min(l.finger, n-2); f >= 0 && ents[f].start <= now {
+		lo = f
+		step := 1
+		for ; lo+step < hi && ents[lo+step].start <= now; step *= 2 {
+			lo += step
+		}
+		hi = min(hi, lo+step)
+	} else if f >= 0 {
+		hi = f
+		step := 1
+		for ; hi-step >= 0 && ents[hi-step].start > now; step *= 2 {
+			hi -= step
+		}
+		lo = max(lo, hi-step)
+	}
+	for hi-lo > 1 {
+		m := int(uint(lo+hi) >> 1)
+		if ents[m].start <= now {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	l.finger = lo
+	return lo
+}
+
+// take consumes the gap search returned for an operation occupying
+// [s, s+occupy) and records its remainders in its place, earlier one
+// first, exactly as the linear scan appended them.
+func (t *gapTable) take(k, i int, s Time, occupy Duration) {
+	l := &t.lists[k]
+	g := l.ents[i].gap
+	t.rank[l.ents[i].rec] = 0
+	t.live--
+	lo, hi := gap{g.start, s}, gap{s + occupy, g.end}
+	switch {
+	case lo.end > lo.start && hi.end > hi.start:
+		l.ents[i] = t.record(lo)
+		l.ents = append(l.ents, gapEntry{})
+		copy(l.ents[i+2:], l.ents[i+1:])
+		l.ents[i+1] = t.record(hi)
+		if i < l.from {
+			l.from++
+		}
+	case lo.end > lo.start:
+		l.ents[i] = t.record(lo)
+	case hi.end > hi.start:
+		l.ents[i] = t.record(hi)
+	default:
+		l.ents = append(l.ents[:i], l.ents[i+1:]...)
+		if i < l.from {
+			l.from--
+		}
+	}
+	t.renumberIfFull()
+}
+
+// push appends a gap opened behind server k's frontier, which lies past
+// every gap the server already has.
+func (t *gapTable) push(k int, g gap) {
+	if t.rank == nil {
+		t.alloc()
+	}
+	l := &t.lists[k]
+	l.ents = append(l.ents, t.record(g))
+	l.short = max(l.short, g.end-g.start+1)
+	t.short = max(t.short, l.short)
+	t.maxEnd = max(t.maxEnd, g.end)
+	t.renumberIfFull()
+}
+
+// record numbers g as the newest gap, evicting the oldest live gap
+// first when the table is full (old gaps are the least likely to be
+// backfilled by future arrivals).
+func (t *gapTable) record(g gap) gapEntry {
+	if t.live >= maxGaps {
+		for t.rank[t.oldest] == 0 {
+			t.oldest++ // consumed records need no eviction
+		}
+		t.oldest++
+		t.live--
+	}
+	rec := t.next
+	t.next++
+	t.rank[rec] = 1
+	t.live++
+	return gapEntry{g, rec}
+}
+
+// renumberIfFull keeps room for the two records a backfill may take.
+// When the record numbers run out it renumbers the live gaps densely in
+// age order and drops evicted entries in the same pass; at least
+// maxGaps records pass between renumbers, so this amortizes to O(1).
+func (t *gapTable) renumberIfFull() {
+	if int(t.next) <= gapRecords-2 {
+		return
+	}
+	live := int32(0)
+	for rec := t.oldest; rec < t.next; rec++ {
+		if t.rank[rec] != 0 {
+			t.rank[rec] = live
+			live++
+		}
+	}
+	for k := range t.lists {
+		l := &t.lists[k]
+		n, from := 0, -1
+		for j, e := range l.ents {
+			if j == l.from {
+				from = n
+			}
+			if e.rec < t.oldest {
 				continue
 			}
-			lo := leaf << gapLeafShift
-			// Only live slots carry a set bit, and ascending bit order is
-			// age order, so the scan tests exactly the live gaps the
-			// original slot walk would have tested, in the same order.
-			for mask := t.occ[leaf]; mask != 0; mask &= mask - 1 {
-				i := lo + bits.TrailingZeros64(mask)
-				g := t.buf[i]
-				s := max(now, g.start)
-				if g.end-s < occupy {
-					continue
-				}
-				if s == now {
-					// Age-earliest covering gap: nothing later can
-					// strictly improve on it, exactly as in the linear
-					// scan.
-					return i, s
-				}
-				if s < bestStart {
-					best, bestStart = i, s
-				}
-			}
+			e.rec = t.rank[e.rec]
+			l.ents[n] = e
+			n++
 		}
+		if from < 0 {
+			from = n
+		}
+		l.ents, l.from = l.ents[:n], from
 	}
-	if best < 0 {
-		// A full miss: re-tighten the root to the merge of the blocks, so
-		// that the next query no block can admit is again answered by the
-		// root alone.
-		t.root = mergeSummaries(t.blocks[:])
-		return -1, 0
+	clear(t.rank[live:t.next])
+	for rec := range t.rank[:live] {
+		t.rank[rec] = 1
 	}
-	return best, bestStart
+	t.oldest, t.next = 0, live
 }
 
-// reset clears the table, keeping the allocation.
+// reset clears the table, keeping its allocations.
 func (t *gapTable) reset() {
-	for i := t.head; i < t.tail; i++ {
-		t.buf[i] = deadGap
+	for k := range t.lists {
+		t.lists[k] = gapList{ents: t.lists[k].ents[:0]}
 	}
-	t.head, t.tail, t.live = 0, 0, 0
-	t.occ = [gapLeaves]uint64{}
-	for i := range t.leaves {
-		t.leaves[i] = deadSummary
-	}
-	for i := range t.blocks {
-		t.blocks[i] = deadSummary
-	}
-	t.root = deadSummary
+	clear(t.rank[:t.next])
+	t.maxEnd, t.short, t.oldest, t.next, t.live = 0, 0, 0, 0, 0
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 )
 
@@ -130,63 +131,72 @@ func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec f
 		}
 		if s1 != s2 || d1 != d2 {
 			t.Fatalf("op %d (now=%v bytes=%d occupy=%v): indexed (%v,%v) != linear (%v,%v); live gaps=%d",
-				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.len())
+				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.live)
 		}
 		if i%invariantEvery == 0 {
-			checkGapTable(t, indexed.gaps, linear.gaps)
+			checkGapTable(t, &indexed.gaps, linear.gaps)
 		}
 	}
-	checkGapTable(t, indexed.gaps, linear.gaps)
+	checkGapTable(t, &indexed.gaps, linear.gaps)
 }
 
 // invariantEvery spaces the full-table invariant checks of a long
 // equivalence run (each one walks every slot).
 const invariantEvery = 4093
 
-// checkGapTable verifies the invariants gapTable.search relies on: the
-// live slots hold exactly the reference's gaps in the same (age)
-// order, every live slot lies in [head, tail) with its bitmap bit set
-// and every other bit clear, and each summary bounds what it
-// summarizes — a live gap by its leaf, a leaf by its block, a block by
-// the root. Summaries may over-approximate; they must never
-// under-approximate.
+// checkGapTable verifies the invariants gapTable.search relies on:
+// each server's list is ordered by start and its gaps do not overlap;
+// no consumed gap is listed; the live gaps sorted by record number are
+// exactly the reference's gaps in its (age) order; the end bound covers
+// every listed gap and the length bound every live one; and every
+// list's suffix bound holds. Bounds may be
+// loose; they must never be tight enough to hide a gap.
 func checkGapTable(t *testing.T, g *gapTable, want []gap) {
 	t.Helper()
-	covers := func(s gapSummary, minStart, maxEnd Time, maxLen Duration) bool {
-		return s.minStart <= minStart && s.maxEnd >= maxEnd && s.maxLen >= maxLen
-	}
-	n := 0
-	for i, x := range g.buf {
-		leaf := i >> gapLeafShift
-		bit := g.occ[leaf]>>(i&(gapLeafSize-1))&1 == 1
-		if x == deadGap {
-			if bit {
-				t.Fatalf("slot %d: tombstone with its live bit set", i)
+	var live []gapEntry
+	for k, l := range g.lists {
+		if l.from < 0 || l.from > len(l.ents) {
+			t.Fatalf("server %d: suffix bound index %d outside [0,%d]", k, l.from, len(l.ents))
+		}
+		for j, e := range l.ents {
+			if e.end <= e.start {
+				t.Fatalf("server %d entry %d: empty gap %v", k, j, e.gap)
 			}
-			continue
+			if j > 0 && l.ents[j-1].end > e.start {
+				t.Fatalf("server %d entry %d: %v overlaps or precedes %v", k, j, e.gap, l.ents[j-1].gap)
+			}
+			if e.end > g.maxEnd {
+				t.Fatalf("server %d entry %d: end %v above the end bound %v", k, j, e.end, g.maxEnd)
+			}
+			if e.rec < g.oldest {
+				continue // evicted, dropped at the next renumber
+			}
+			if e.rec >= g.next || g.rank[e.rec] != 1 {
+				t.Fatalf("server %d entry %d: record %d (next %d) is not marked live", k, j, e.rec, g.next)
+			}
+			if j >= l.from && e.end-e.start >= l.short {
+				t.Fatalf("server %d entry %d: %v breaks the suffix bound (from %d, short %v)", k, j, e.gap, l.from, l.short)
+			}
+			if e.end-e.start >= g.short {
+				t.Fatalf("server %d entry %d: %v is not shorter than the length bound %v", k, j, e.gap, g.short)
+			}
+			live = append(live, e)
 		}
-		if !bit || i < g.head || i >= g.tail {
-			t.Fatalf("slot %d: live gap %v outside the window [%d,%d) or without its bit", i, x, g.head, g.tail)
-		}
-		if n >= len(want) || want[n] != x {
-			t.Fatalf("slot %d: live gap %d is %v, reference has %v", i, n, x, want[min(n, len(want)-1)])
-		}
-		if !covers(g.leaves[leaf], x.start, x.end, x.end-x.start) {
-			t.Fatalf("slot %d: leaf %d summary %+v does not bound gap %v", i, leaf, g.leaves[leaf], x)
-		}
-		n++
 	}
-	if n != len(want) || n != g.live {
-		t.Fatalf("live gaps: table %d counted %d, reference %d", g.live, n, len(want))
+	sort.Slice(live, func(a, b int) bool { return live[a].rec < live[b].rec })
+	marked := 0
+	for _, m := range g.rank[g.oldest:g.next] {
+		marked += int(m)
 	}
-	for i, s := range g.leaves {
-		if b := i >> gapBlockShift; !covers(g.blocks[b], s.minStart, s.maxEnd, s.maxLen) {
-			t.Fatalf("block %d summary %+v does not bound leaf %d %+v", b, g.blocks[b], i, s)
+	if len(live) != len(want) || len(live) != g.live || marked != g.live {
+		t.Fatalf("live gaps: table %d listed %d marked %d, reference %d", g.live, len(live), marked, len(want))
+	}
+	for n, e := range live {
+		if n > 0 && live[n-1].rec == e.rec {
+			t.Fatalf("record %d listed twice", e.rec)
 		}
-	}
-	for b, s := range g.blocks {
-		if !covers(g.root, s.minStart, s.maxEnd, s.maxLen) {
-			t.Fatalf("root %+v does not bound block %d %+v", g.root, b, s)
+		if e.gap != want[n] {
+			t.Fatalf("live gap %d (record %d) is %v, reference has %v", n, e.rec, e.gap, want[n])
 		}
 	}
 }
@@ -330,6 +340,82 @@ func TestPlacementEquivalenceInterleavedGenerations(t *testing.T) {
 	}
 }
 
+// TestPlacementEquivalenceShortGapsLongOps replays
+// BenchAcquireShortGapsLongOps's arrivals: six servers, 39 ns
+// operations, ~11 ns gaps at the frontier, and lagging arrivals facing
+// ~30 gaps per server that are all too short. It pins the suffix bound
+// set by fruitless scans; the mixed case also backfills short Occupy
+// calls into those gaps, splitting entries inside the bounded suffix
+// and in front of it.
+func TestPlacementEquivalenceShortGapsLongOps(t *testing.T) {
+	n := 100_000
+	if raceEnabled || testing.Short() {
+		n = 20_000
+	}
+	for _, tc := range []struct {
+		name       string
+		shortEvery int // one op in shortEvery is a short Occupy; 0: none
+	}{
+		{"long-only", 0},
+		{"mixed-lengths", 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := shortGapArrivals{rng: NewRNG(13)}
+			rng := NewRNG(17)
+			ops := make([]equivOp, n)
+			for i := range ops {
+				ops[i] = equivOp{now: a.next()}
+				if tc.shortEvery > 0 && rng.Intn(tc.shortEvery) == 0 {
+					ops[i].occupy = Duration(rng.Intn(int(12*Nanosecond))) + Nanosecond
+				}
+			}
+			runEquivalence(t, 6, 39*Nanosecond, 0, 0, ops)
+		})
+	}
+}
+
+// TestPlacementEquivalenceGapEdges lands backdated arrivals exactly on
+// remembered gap starts and ends (taken from the reference's list), and
+// often repeat the previous arrival time, so predecessor lookups meet
+// start == now on every path: at the newest entry, at the finger left
+// by the previous lookup, and mid-bisection.
+func TestPlacementEquivalenceGapEdges(t *testing.T) {
+	n := 60_000
+	if raceEnabled || testing.Short() {
+		n = 15_000
+	}
+	indexed := NewResource("equiv", 3, 0, 1e9, 0) // 1 byte = 1 ns
+	linear := newLinearResource(3, 0, 1e9, 0)
+	rng := NewRNG(23)
+	now, at := Time(0), Time(0)
+	for i := 0; i < n; i++ {
+		switch r := rng.Intn(6); {
+		case r < 2:
+			// Repeat the previous arrival time: its lookup left the
+			// finger on an entry that starts exactly at now.
+		case r < 4 && len(linear.gaps) > 0:
+			g := linear.gaps[rng.Intn(len(linear.gaps))]
+			at = g.start
+			if r == 3 {
+				at = g.end
+			}
+		default:
+			now += Duration(rng.Intn(300)) * Nanosecond
+			at = now
+		}
+		bytes := 1 + rng.Intn(160)
+		s1, d1 := indexed.Acquire(at, bytes)
+		s2, d2 := linear.acquire(at, bytes)
+		if s1 != s2 || d1 != d2 {
+			t.Fatalf("op %d (now=%v bytes=%d): indexed (%v,%v) != linear (%v,%v)", i, at, bytes, s1, d1, s2, d2)
+		}
+		if i%invariantEvery == 0 {
+			checkGapTable(t, &indexed.gaps, linear.gaps)
+		}
+	}
+	checkGapTable(t, &indexed.gaps, linear.gaps)
+}
+
 // TestPlacementEquivalenceAcrossReset resets a saturated resource
 // mid-stream: afterwards it must place exactly like a fresh reference,
 // with every summary and bitmap cleared.
@@ -345,11 +431,11 @@ func TestPlacementEquivalenceAcrossReset(t *testing.T) {
 				t.Fatalf("round %d op %d: indexed (%v,%v) != linear (%v,%v)", round, i, s1, d1, s2, d2)
 			}
 		}
-		checkGapTable(t, indexed.gaps, linear.gaps)
+		checkGapTable(t, &indexed.gaps, linear.gaps)
 		indexed.Reset()
-		checkGapTable(t, indexed.gaps, nil)
-		if indexed.gaps.root != deadSummary {
-			t.Fatalf("round %d: Reset left root summary %+v", round, indexed.gaps.root)
+		checkGapTable(t, &indexed.gaps, nil)
+		if g := &indexed.gaps; g.maxEnd != 0 || g.next != 0 || g.oldest != 0 {
+			t.Fatalf("round %d: Reset left end bound %v, records [%d,%d)", round, g.maxEnd, g.oldest, g.next)
 		}
 	}
 }
@@ -436,12 +522,12 @@ func FuzzPlacementEquivalence(f *testing.F) {
 func TestResourceResetClearsGapTable(t *testing.T) {
 	r := NewResource("x", 1, 0, 1e9, 0)
 	r.Acquire(Microsecond, 100) // opens gap [0, 1us)
-	if r.gaps.len() != 1 {
-		t.Fatalf("live gaps=%d, want 1", r.gaps.len())
+	if r.gaps.live != 1 {
+		t.Fatalf("live gaps=%d, want 1", r.gaps.live)
 	}
 	r.Reset()
-	if r.gaps.len() != 0 {
-		t.Fatalf("Reset left %d gaps", r.gaps.len())
+	if r.gaps.live != 0 {
+		t.Fatalf("Reset left %d gaps", r.gaps.live)
 	}
 	// Post-reset behaviour matches a fresh resource.
 	s, _ := r.Acquire(0, 100)

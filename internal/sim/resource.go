@@ -16,7 +16,7 @@ type Resource struct {
 	propagation Duration // added to completion, does not occupy a server
 
 	free serverHeap // min-heap of per-server next-free times
-	gaps *gapTable  // backfillable idle windows, oldest first
+	gaps gapTable   // backfillable idle windows, one start-ordered list per server
 
 	// Accumulated statistics.
 	ops      int64
@@ -50,12 +50,15 @@ func NewResource(name string, capacity int, overhead Duration, bytesPerSec float
 		capacity:    capacity,
 		overhead:    overhead,
 		propagation: propagation,
-		gaps:        newGapTable(),
+		gaps:        newGapTable(capacity),
 	}
 	if bytesPerSec > 0 {
 		r.psPerByte = float64(Second) / bytesPerSec
 	}
 	r.free = make(serverHeap, capacity)
+	for i := range r.free {
+		r.free[i].id = i
+	}
 	return r
 }
 
@@ -105,38 +108,25 @@ func (r *Resource) Acquire(now Time, bytes int) (start, done Time) {
 
 // place finds the earliest service slot of length occupy at or after
 // now: first by backfilling a remembered idle gap, then at the earliest
-// server frontier (recording any idle window this opens). The gap
-// lookup is indexed (see gapTable) but chooses the same slot the
-// original linear scan over the age-ordered gap list would have.
+// server frontier (recording any idle window this opens on that
+// server). The gap lookup is indexed (see gapTable) but chooses the
+// same slot the original linear scan over the age-ordered gap list
+// would have.
 func (r *Resource) place(now Time, occupy Duration) Time {
-	if slot, s := r.gaps.search(now, occupy); slot >= 0 {
-		g := r.gaps.take(slot)
-		// Replace the consumed gap with its (up to two) remainders.
-		if s > g.start {
-			r.recordGap(g.start, s)
+	if r.gaps.mayFit(now, occupy) {
+		if k, i, s, ok := r.gaps.search(now, occupy); ok {
+			r.gaps.take(k, i, s, occupy)
+			return s
 		}
-		if s+occupy < g.end {
-			r.recordGap(s+occupy, g.end)
-		}
-		return s
 	}
-	frontier := r.free[0]
-	start := Max(now, frontier)
-	if start > frontier {
-		r.recordGap(frontier, start)
+	f := &r.free[0]
+	start := Max(now, f.at)
+	if start > f.at {
+		r.gaps.push(f.id, gap{start: f.at, end: start})
 	}
-	r.free[0] = start + occupy
+	f.at = start + occupy
 	r.free.fixRoot()
 	return start
-}
-
-func (r *Resource) recordGap(start, end Time) {
-	if end <= start {
-		return
-	}
-	// gapTable.add drops the oldest window when full; old gaps are the
-	// least likely to be backfillable by future arrivals.
-	r.gaps.add(gap{start: start, end: end})
 }
 
 // Occupy books a server for `dur` starting at or after `now`,
@@ -166,7 +156,7 @@ func (r *Resource) Delay(now Time) Time {
 }
 
 // NextFree reports the earliest time at which a server is available.
-func (r *Resource) NextFree() Time { return r.free[0] }
+func (r *Resource) NextFree() Time { return r.free[0].at }
 
 // Ops returns the number of operations serviced so far.
 func (r *Resource) Ops() int64 { return r.ops }
@@ -189,7 +179,7 @@ func (r *Resource) Utilization(horizon Time) float64 {
 // Reset clears queue state and statistics, keeping the configuration.
 func (r *Resource) Reset() {
 	for i := range r.free {
-		r.free[i] = 0
+		r.free[i].at = 0
 	}
 	r.gaps.reset()
 	r.ops, r.bytes, r.busy, r.lastDone = 0, 0, 0, 0
@@ -200,8 +190,15 @@ func (r *Resource) Reset() {
 // root's frontier advances — instead of going through container/heap's
 // interface, which boxed every element access. The sift order is the
 // same as container/heap's down(), so the heap layout (and therefore
-// placement under frontier ties) is unchanged.
-type serverHeap []Time
+// placement under frontier ties) is unchanged. Each entry carries its
+// server's id so that a frontier gap lands in that server's gap list;
+// comparisons use the time alone.
+type serverHeap []server
+
+type server struct {
+	at Time // next-free time
+	id int
+}
 
 // fixRoot is heap.Fix(h, 0) for a root-only mutation.
 func (h serverHeap) fixRoot() {
@@ -212,10 +209,10 @@ func (h serverHeap) fixRoot() {
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2] < h[j] {
+		if j2 := j + 1; j2 < n && h[j2].at < h[j].at {
 			j = j2
 		}
-		if h[i] <= h[j] {
+		if h[i].at <= h[j].at {
 			break
 		}
 		h[i], h[j] = h[j], h[i]

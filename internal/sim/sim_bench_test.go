@@ -29,6 +29,11 @@ func BenchmarkResourceAcquireBackfillMix(b *testing.B) {
 	benchSink = BenchAcquireBackfillMix(b.N)
 }
 
+func BenchmarkResourceAcquireShortGapsLongOps(b *testing.B) {
+	b.ReportAllocs()
+	benchSink = BenchAcquireShortGapsLongOps(b.N)
+}
+
 func BenchmarkClosedLoopRun(b *testing.B) {
 	b.ReportAllocs()
 	_ = BenchClosedLoop(b.N)
