@@ -1,10 +1,11 @@
 // Package accel models the RAMBDA cc-accelerator (paper Sec. III-C,
 // Fig. 4): a coherence controller with TLB and pinned local cache
 // sitting on the cc-interconnect, a round-robin scheduler fed by cpoll
-// signals, a table-based FSM tracking up to 256 outstanding requests
-// for memory-level parallelism, an application processing unit (APU)
-// plug-in interface, and an RDMA SQ handler that drives the NIC
-// directly (WQE assembly + doorbells) without CPU involvement.
+// signals, an application processing unit (APU) plug-in interface,
+// and an RDMA SQ handler that drives the NIC directly (WQE assembly +
+// doorbells) without CPU involvement. The prototype's 256-entry FSM
+// table of outstanding requests is not modeled: each request is walked
+// to completion by its caller.
 //
 // The same type models all three hardware variants of the paper's
 // evaluation: the prototype with no local memory (all data over UPI),
@@ -30,8 +31,6 @@ type Config struct {
 	// LocalCacheBytes is the coherence-domain local cache (64 KB on the
 	// prototype); the direct-mode cpoll region must fit here.
 	LocalCacheBytes int
-	// MaxOutstanding is the FSM table capacity (256 in the prototype).
-	MaxOutstanding int
 	// IssueCycles is the controller occupancy, in fabric cycles, to
 	// issue one memory operation onto the cc-link. This is the "memory
 	// requests have to be issued serially from the FPGA's wimpy
@@ -39,10 +38,6 @@ type Config struct {
 	IssueCycles int
 	// ComputeUnits is the number of parallel APU functional units.
 	ComputeUnits int
-	// ResponseDoorbellBatch amortizes the MMIO doorbell across this
-	// many responses (paper Fig. 10: batching doorbells gives RAMBDA
-	// ~2x throughput).
-	ResponseDoorbellBatch int
 	// TLBEntries and PageBytes configure the controller TLB (2 MB huge
 	// pages on the prototype). A miss costs a page-table walk in host
 	// memory.
@@ -53,15 +48,13 @@ type Config struct {
 // DefaultConfig returns the paper's prototype configuration.
 func DefaultConfig(name string) Config {
 	return Config{
-		Name:                  name,
-		ClockHz:               400e6,
-		LocalCacheBytes:       64 << 10,
-		MaxOutstanding:        256,
-		IssueCycles:           2,
-		ComputeUnits:          4,
-		ResponseDoorbellBatch: 1,
-		TLBEntries:            512,
-		PageBytes:             2 << 20,
+		Name:            name,
+		ClockHz:         400e6,
+		LocalCacheBytes: 64 << 10,
+		IssueCycles:     2,
+		ComputeUnits:    4,
+		TLBEntries:      512,
+		PageBytes:       2 << 20,
 	}
 }
 
@@ -88,7 +81,6 @@ type Accel struct {
 	local *memdev.LocalMem
 
 	tlb *TLB
-	fsm *FSMTable
 
 	pinned []memspace.Range // regions held in the local cache
 }
@@ -102,9 +94,6 @@ func New(cfg Config, link *interconnect.CCLink, host *memdev.System, space *mems
 	}
 	if cfg.ComputeUnits <= 0 {
 		cfg.ComputeUnits = 1
-	}
-	if cfg.ResponseDoorbellBatch <= 0 {
-		cfg.ResponseDoorbellBatch = 1
 	}
 	cyc := sim.Duration(float64(sim.Second) / cfg.ClockHz)
 	return &Accel{
@@ -120,15 +109,11 @@ func New(cfg Config, link *interconnect.CCLink, host *memdev.System, space *mems
 		coh:     coh,
 		local:   local,
 		tlb:     NewTLB(cfg.TLBEntries, cfg.PageBytes),
-		fsm:     NewFSMTable(cfg.MaxOutstanding),
 	}
 }
 
 // Config returns the accelerator's configuration.
 func (a *Accel) Config() Config { return a.cfg }
-
-// FSM returns the outstanding-request table.
-func (a *Accel) FSM() *FSMTable { return a.fsm }
 
 // TLBStats exposes translation statistics.
 func (a *Accel) TLBStats() (hits, misses int64) { return a.tlb.hits, a.tlb.misses }

@@ -193,3 +193,26 @@ func TestBadConfigPanics(t *testing.T) {
 	}()
 	New(cfg, f.link, f.host, f.space, f.coh, nil)
 }
+
+func TestTLBEviction(t *testing.T) {
+	tlb := NewTLB(2, 1<<20)
+	tlb.Lookup(0)
+	tlb.Insert(0)
+	tlb.Lookup(1 << 20)
+	tlb.Insert(1 << 20)
+	// Touch page 0 so page 1 is LRU.
+	if !tlb.Lookup(100) {
+		t.Fatal("page 0 should hit")
+	}
+	tlb.Lookup(2 << 20)
+	tlb.Insert(2 << 20)
+	if tlb.Resident() != 2 {
+		t.Fatalf("resident=%d", tlb.Resident())
+	}
+	if tlb.Lookup(1 << 20) {
+		t.Fatal("LRU page should have been evicted")
+	}
+	if !tlb.Lookup(100) {
+		t.Fatal("MRU page must survive")
+	}
+}

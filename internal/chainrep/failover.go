@@ -240,32 +240,3 @@ func StateEqual(a, b Backend, n int) bool {
 	bv, _ := b.ReadInto(nil, 0, 0, n)
 	return bytes.Equal(av, bv)
 }
-
-// conflictBackoffCap bounds the exponential conflict backoff shift.
-const conflictBackoffCap = 6
-
-// RambdaTxWithRetry wraps RambdaTxInto with retry-on-conflict: a transaction
-// that loses its concurrency-control race backs off exponentially and
-// re-executes, up to maxAttempts (<=0 takes 3). It returns the attempt
-// count alongside the usual results; on exhaustion err is ErrConflict.
-func (c *Chain) RambdaTxWithRetry(now sim.Time, tx Tx, backoff sim.Duration,
-	maxAttempts int) (vals [][]byte, done sim.Time, attempts int, err error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	at := now
-	for attempts = 1; ; attempts++ {
-		vals, done, err = c.RambdaTxInto(at, tx, nil)
-		if err != ErrConflict || attempts >= maxAttempts {
-			if err != nil {
-				done = at
-			}
-			return vals, done, attempts, err
-		}
-		shift := attempts - 1
-		if shift > conflictBackoffCap {
-			shift = conflictBackoffCap
-		}
-		at += sim.Time(backoff << uint(shift))
-	}
-}

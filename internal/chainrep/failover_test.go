@@ -254,36 +254,6 @@ func TestDeterministicChaosSequence(t *testing.T) {
 	}
 }
 
-func TestConflictRetryBackoff(t *testing.T) {
-	c := newChain(1)
-	n := c.Nodes[0]
-	n.CC.TryAcquire([]uint32{0})
-
-	// Every attempt conflicts: the wrapper backs off exponentially and
-	// surfaces ErrConflict with the attempt count.
-	_, done, attempts, err := c.RambdaTxWithRetry(0, writeTx(0, "x"), 10*sim.Microsecond, 4)
-	if err != ErrConflict {
-		t.Fatalf("err=%v", err)
-	}
-	if attempts != 4 {
-		t.Fatalf("attempts=%d, want 4", attempts)
-	}
-	// Backoffs 10+20+40 = 70us elapsed across retries.
-	if done != sim.Time(70*sim.Microsecond) {
-		t.Fatalf("done=%v, want 70us of accumulated backoff", done)
-	}
-
-	// Release between attempts is the normal case: first attempt wins.
-	n.CC.Release([]uint32{0})
-	_, _, attempts, err = c.RambdaTxWithRetry(done, writeTx(0, "y"), 10*sim.Microsecond, 4)
-	if err != nil || attempts != 1 {
-		t.Fatalf("post-release attempts=%d err=%v", attempts, err)
-	}
-	if n.CC.Held() != 0 {
-		t.Fatal("locks leaked")
-	}
-}
-
 // TestRejoinRacesApplyCommitted interleaves the constructive
 // reconfiguration path (ApplyCommitted — the migration install machinery)
 // with a crash window and a rejoin: installs flowing while a replica is

@@ -30,11 +30,6 @@ type CPUServerOptions struct {
 	// DispatchCycles is the per-request RPC dispatch/response-post
 	// instruction path, amortized by Batch.
 	DispatchCycles int
-	// BatchWaitUnit is the average per-slot delay a request spends
-	// waiting for its batch to fill before processing starts (RAMBDA
-	// "does not need to wait for the batch size of arrived requests",
-	// Fig. 10; the CPU and SmartNIC baselines do).
-	BatchWaitUnit sim.Duration
 	// JitterProb/JitterCycles model OS-scheduling and cache-contention
 	// hiccups on server cores — the reason the paper's CPU tail latency
 	// exceeds RAMBDA's ("more stable behavior than the CPU core, whose
@@ -56,7 +51,6 @@ func DefaultCPUServerOptions() CPUServerOptions {
 		Batch:          32,
 		PollCycles:     60,
 		DispatchCycles: 600,
-		BatchWaitUnit:  0, // under load, queueing supplies the batch
 	}
 }
 
@@ -180,10 +174,10 @@ func (s *CPUServer) Serve(arrive sim.Time, idx int) ([]byte, sim.Time) {
 		panic(fmt.Sprintf("core: CPU serve on empty ring %d", idx))
 	}
 	resp, work := s.Handler(payload)
-	// Wait for the batch to fill, then pay the polling + dispatch
-	// instruction path (amortized by batching) plus the
-	// handler-declared work with the batch's latency hiding.
-	t := arrive + sim.Duration(s.Opts.Batch-1)*s.Opts.BatchWaitUnit
+	// Pay the polling + dispatch instruction path (amortized by
+	// batching) plus the handler-declared work with the batch's latency
+	// hiding. Under load, queueing supplies the batch, so a request does
+	// not wait for it to fill.
 	work.Cycles += s.Opts.PollCycles + s.Opts.DispatchCycles/s.Opts.Batch
 	if s.Opts.JitterProb > 0 && s.jitter.Float64() < s.Opts.JitterProb {
 		work.Cycles += s.Opts.JitterCycles
@@ -191,7 +185,7 @@ func (s *CPUServer) Serve(arrive sim.Time, idx int) ([]byte, sim.Time) {
 	if work.Batch == 0 {
 		work.Batch = s.Opts.Batch
 	}
-	t = s.M.CPU.Process(t, work)
+	t := s.M.CPU.Process(arrive, work)
 	conn.Complete(eidx)
 	done := conn.Respond(t, resp)
 	s.served++

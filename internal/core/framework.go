@@ -165,7 +165,6 @@ type Server struct {
 	rings   []*ringbuf.Ring
 	conns   []*ringbuf.ServerConn
 	checker *cpoll.Checker
-	poller  *cpoll.SpinPoller
 	ptrBuf  *ringbuf.PointerBuffer
 	ctx     *AppCtx
 
@@ -192,10 +191,7 @@ func NewServer(m *Machine, app App, opts ServerOptions) *Server {
 		s.rings = append(s.rings, ringbuf.NewRing(m.Space, ringbuf.NewLayout(r, opts.RingEntries)))
 	}
 
-	switch opts.Notify {
-	case NotifyPolling:
-		s.poller = cpoll.NewSpinPoller(s.rings, opts.PollInterval)
-	default:
+	if opts.Notify != NotifyPolling {
 		switch opts.Mode {
 		case cpoll.Direct:
 			m.Accel.Pin(all.Range)
@@ -269,7 +265,6 @@ func (s *Server) Serve(arrive sim.Time, idx int) ([]byte, sim.Time) {
 		for i := 0; i < s.Opts.PollFetchesPerRequest; i++ {
 			t = a.Fetch(t, ringHead, coherence.LineSize)
 		}
-		s.poller.Advance(idx, 1)
 		if s.Opts.Trace != nil {
 			s.Opts.Trace.Span("poll-discover", obs.StageNotify, arrive, t)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"rambda/internal/fault"
 	"rambda/internal/hostcpu"
 	"rambda/internal/memspace"
 	"rambda/internal/sim"
@@ -214,18 +215,19 @@ func TestThroughputOrdering(t *testing.T) {
 	}
 }
 
-// TestLossyFabricKeepsCorrectnessInflatesTail injects RoCE packet loss
-// between the machines: every request still completes with the right
-// payload (RC retransmission), while tail latency grows by RTOs.
+// TestLossyFabricKeepsCorrectnessInflatesTail attaches a fault plan
+// that drops RoCE packets in both directions between the machines:
+// every request still completes with the right payload (RC
+// retransmission), while tail latency grows by RTOs.
 func TestLossyFabricKeepsCorrectnessInflatesTail(t *testing.T) {
 	run := func(loss float64) (*sim.Histogram, bool) {
 		sm := NewMachine(MachineConfig{Name: "srv", Variant: AccelBase})
 		cm := NewMachine(MachineConfig{Name: "cli"})
 		d := ConnectMachines(sm, cm)
-		if loss > 0 {
-			d.AtoB.InjectLoss(loss, 20*sim.Microsecond, 9)
-			d.BtoA.InjectLoss(loss, 20*sim.Microsecond, 10)
-		}
+		d.AttachFaults(fault.New(fault.Plan{Seed: 9, Links: []fault.LinkRule{
+			{Link: d.AtoB.Name(), Drop: loss},
+			{Link: d.BtoA.Name(), Drop: loss},
+		}}))
 		s := NewServer(sm, echoApp(), smallOpts())
 		c := ConnectClient(cm, s, 0)
 		h := sim.NewHistogram(0)

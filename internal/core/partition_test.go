@@ -21,9 +21,9 @@ func machinePairRun(t *testing.T, workers, n int) (uint64, sim.Duration) {
 	sm := NewMachine(MachineConfig{Name: "srv"})
 	cm := NewMachine(MachineConfig{Name: "cli"})
 	d := ConnectMachines(sm, cm)
-	la := CrossLookahead(d)
+	la := d.Lookahead()
 	if la <= 0 {
-		t.Fatalf("CrossLookahead = %v, want positive", la)
+		t.Fatalf("Lookahead = %v, want positive", la)
 	}
 	// The derived bound must be what the wire actually enforces: an
 	// empty send from t=0 arrives no earlier than the lookahead.
@@ -80,26 +80,4 @@ func TestMachinePairPartitionedDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d diverged: fold %#x busy %v, want %#x %v", w, fw, bw, f1, b1)
 		}
 	}
-}
-
-func TestCrossLookaheadMatchesLinkMinimum(t *testing.T) {
-	a := NewMachine(MachineConfig{Name: "a"})
-	b := NewMachine(MachineConfig{Name: "b"})
-	d := ConnectMachines(a, b)
-	want := d.AtoB.MinLatency()
-	if o := d.BtoA.MinLatency(); o < want {
-		want = o
-	}
-	if got := CrossLookahead(d); got != want {
-		t.Fatalf("CrossLookahead = %v, want min direction %v", got, want)
-	}
-	if CrossLookahead(d, d) != want {
-		t.Fatal("CrossLookahead over a repeated link changed the bound")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CrossLookahead over an empty cut did not panic")
-		}
-	}()
-	CrossLookahead()
 }

@@ -16,9 +16,8 @@
 //     alongside each message. A 4-byte slot covers an arbitrarily large
 //     ring, so the pinned footprint stays tiny.
 //
-// The package also provides SpinPoller, the conventional alternative
-// used by the paper's "RAMBDA-polling" ablation, which burns cc-link
-// bandwidth proportional to the polling rate.
+// The paper's "RAMBDA-polling" ablation keeps no state here: core.Server
+// charges it as a calibrated per-request cc-link cost.
 package cpoll
 
 import (
@@ -315,50 +314,3 @@ func (c *Checker) PendingRings() int {
 	}
 	return n
 }
-
-// SpinPoller models the conventional notification path the paper
-// ablates against ("RAMBDA-polling"): the accelerator repeatedly reads
-// every ring head over the cc-interconnect at a fixed interval (30 FPGA
-// cycles in the paper's experiment), consuming link bandwidth whether
-// or not requests are present and adding up to one interval of
-// discovery latency.
-type SpinPoller struct {
-	rings    []*ringbuf.Ring
-	interval sim.Duration
-	seen     []uint32
-
-	polls int64
-}
-
-// NewSpinPoller builds a poller over the given rings.
-func NewSpinPoller(rings []*ringbuf.Ring, interval sim.Duration) *SpinPoller {
-	return &SpinPoller{rings: rings, interval: interval, seen: make([]uint32, len(rings))}
-}
-
-// Interval returns the polling period.
-func (p *SpinPoller) Interval() sim.Duration { return p.interval }
-
-// Polls reports the number of ring-head reads issued.
-func (p *SpinPoller) Polls() int64 { return p.polls }
-
-// PollOnce sweeps all rings once at `now`, charging one line fetch per
-// ring through fetch, and returns the indices of rings with pending
-// requests plus the sweep completion time. Discovery latency relative
-// to cpoll is the caller-visible effect: a message that landed just
-// after the previous sweep waits a full interval.
-func (p *SpinPoller) PollOnce(now sim.Time, fetch FetchFunc) ([]int, sim.Time) {
-	at := now
-	var pending []int
-	for i, r := range p.rings {
-		pos := int(p.seen[i]) % r.NumEntries
-		at = fetch(at, r.EntryAddr(pos), coherence.LineSize)
-		p.polls++
-		if r.EntryValid(pos) {
-			pending = append(pending, i)
-		}
-	}
-	return pending, at
-}
-
-// Advance records that `n` requests from ring i were consumed.
-func (p *SpinPoller) Advance(i, n int) { p.seen[i] += uint32(n) }

@@ -254,45 +254,8 @@ func TestPointerModeFalseSharingResolvedByDelta(t *testing.T) {
 	}
 }
 
-func TestSpinPollerFindsRequestsAndBurnsBandwidth(t *testing.T) {
-	f := newFixture(t, 4, 8, false)
-	p := NewSpinPoller(f.rings, 75*sim.Nanosecond)
-	seq := make([]uint32, 4)
-
-	pending, at := p.PollOnce(0, f.fetch)
-	if len(pending) != 0 {
-		t.Fatalf("idle poll found %v", pending)
-	}
-	if f.fetsum != 4*coherence.LineSize {
-		t.Fatalf("idle poll fetched %d bytes — polling must burn bandwidth", f.fetsum)
-	}
-	if at <= 0 {
-		t.Fatal("poll must take time")
-	}
-
-	f.writeRequest(2, &seq, "m")
-	pending, _ = p.PollOnce(at, f.fetch)
-	if len(pending) != 1 || pending[0] != 2 {
-		t.Fatalf("pending=%v", pending)
-	}
-	// After consuming, the ring is reset and Advance moves the cursor.
-	f.rings[2].ResetEntry(0)
-	p.Advance(2, 1)
-	pending, _ = p.PollOnce(at, f.fetch)
-	if len(pending) != 0 {
-		t.Fatalf("post-advance pending=%v", pending)
-	}
-	if p.Polls() != 12 {
-		t.Fatalf("polls=%d, want 12", p.Polls())
-	}
-	if p.Interval() != 75*sim.Nanosecond {
-		t.Fatal("interval accessor")
-	}
-}
-
 func TestCpollIdleCostIsZero(t *testing.T) {
-	// The headline property: with no traffic, cpoll fetches nothing
-	// while a spin poller fetches continuously.
+	// The headline property: with no traffic, cpoll fetches nothing.
 	f := newFixture(t, 8, 8, true)
 	c := NewPointer(f.domain, coherence.AgentAccel, f.pb, f.rings)
 	for i := 0; i < 100; i++ {

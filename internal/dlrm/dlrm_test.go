@@ -259,68 +259,3 @@ func TestReducePropertySumCommutes(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMultiModelConcatAndScore(t *testing.T) {
-	space := memspace.New()
-	cat := smallCategory()
-	cat.Rows = 1024
-	m, datasets := BuildMultiModel(space, memspace.KindDRAM, cat, 3, 16, 99)
-	if len(m.Tables) != 3 || m.MLP.Dim != 48 {
-		t.Fatalf("shape: tables=%d mlpDim=%d", len(m.Tables), m.MLP.Dim)
-	}
-	q := MultiQuery{}
-	for _, ds := range datasets {
-		q.PerTable = append(q.PerTable, ds.NextQuery())
-	}
-	score, st := m.Infer(q, AggSum)
-	if score <= 0 || score >= 1 {
-		t.Fatalf("score=%v", score)
-	}
-	if st.MemoHits == 0 {
-		t.Fatal("multi-table memoization never hit")
-	}
-	// Trace spans all three tables' address ranges.
-	inRange := make([]bool, 3)
-	for _, a := range st.Trace {
-		for i, table := range m.Tables {
-			if table.Range().Contains(a.Addr) || m.Memos[i].Table().Range().Contains(a.Addr) {
-				inRange[i] = true
-			}
-		}
-	}
-	for i, ok := range inRange {
-		if !ok {
-			t.Fatalf("table %d contributed no accesses", i)
-		}
-	}
-	// Determinism.
-	score2, _ := m.Infer(q, AggSum)
-	if score2 != score {
-		t.Fatal("multi-table inference must be deterministic")
-	}
-}
-
-func TestMultiModelValidation(t *testing.T) {
-	space := memspace.New()
-	rng := sim.NewRNG(1)
-	tbl := NewTable(space, "t", 64, 8, memspace.KindDRAM, rng)
-	mlp := NewMLP(8, 4, rng)
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("no tables", func() { NewMultiModel(nil, nil, mlp, nil) })
-	mustPanic("arity", func() {
-		NewMultiModel([]*Table{tbl}, []*Memo{nil, nil}, mlp, [][][]int{nil})
-	})
-	wrongMLP := NewMLP(16, 4, rng)
-	mustPanic("mlp dim", func() {
-		NewMultiModel([]*Table{tbl}, []*Memo{nil}, wrongMLP, [][][]int{nil})
-	})
-	m := NewMultiModel([]*Table{tbl}, []*Memo{nil}, mlp, [][][]int{{{1, 2}}})
-	mustPanic("query arity", func() { m.Infer(MultiQuery{}, AggSum) })
-}

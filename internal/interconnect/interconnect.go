@@ -125,14 +125,13 @@ func (l *CCLink) MinLatency() sim.Duration {
 // overhead and one-way propagation (half the base RTT, including switch
 // and NIC pipeline latency).
 //
-// Failure injection comes in two flavours. The legacy InjectLoss knob
-// enables a self-healing loss process inside Send (lost packets are
-// retransmitted by the link after a timeout, so delivery stays reliable
-// while tail latency inflates). The richer path is a fault.Plan rule
-// attached with AttachFaults: Transmit consults the plan per packet and
-// reports drops/corruption/duplication to the caller, so a reliability
-// layer above (the RC queue pair in internal/rnic) can do real
-// timeout-driven retransmission with backoff.
+// Failure injection is a fault.Plan rule attached with AttachFaults:
+// Transmit consults the plan per packet and reports drops/corruption/
+// duplication to the caller, so a reliability layer above (the RC queue
+// pair in internal/rnic) can do real timeout-driven retransmission with
+// backoff. Send absorbs the same losses itself: lost messages are
+// redelivered by the link after a timeout, so delivery stays reliable
+// while tail latency inflates.
 type NetLink struct {
 	res  *sim.Resource
 	name string
@@ -143,10 +142,7 @@ type NetLink struct {
 	// MTU is the maximum payload per packet.
 	MTU int
 
-	lossRate float64
-	rto      sim.Duration
-	rng      *sim.RNG
-	lost     int64
+	lost int64
 
 	// fi is the link's fault process; nil (the common case) is the
 	// allocation-free clean fast path.
@@ -188,18 +184,7 @@ func (n *NetLink) Faults() *fault.LinkInjector { return n.fi }
 // nothing.
 func (n *NetLink) SetTrace(tr *obs.Trace) { n.tr = tr }
 
-// InjectLoss enables the loss process: each transmission attempt drops
-// with probability rate and is retried after rto.
-func (n *NetLink) InjectLoss(rate float64, rto sim.Duration, seed uint64) {
-	if rate < 0 || rate >= 1 {
-		panic("interconnect: loss rate must be in [0, 1)")
-	}
-	n.lossRate = rate
-	n.rto = rto
-	n.rng = sim.NewRNG(seed)
-}
-
-// Lost reports dropped transmission attempts.
+// Lost reports transmission attempts Send redelivered.
 func (n *NetLink) Lost() int64 { return n.lost }
 
 // Outcome reports the fate of one Transmit: when the last packet's
@@ -262,11 +247,6 @@ func (n *NetLink) Transmit(now sim.Time, bytes int) Outcome {
 		// The message lands when its slowest packet does.
 		out.Arrive = done + spike
 	}
-	// Legacy InjectLoss process: one draw per transmission attempt
-	// (whole-message, matching the original Send semantics).
-	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
-		out.Dropped = true
-	}
 	if n.tr != nil {
 		n.tr.Span(n.name, obs.StageWire, now, out.Arrive)
 	}
@@ -278,16 +258,14 @@ func (n *NetLink) Transmit(now sim.Time, bytes int) Outcome {
 // on such a link is a configuration error, not a simulation state.
 const sendRedeliverCap = 64
 
-// defaultRedeliver is the link-level retransmission timeout used by
-// Send when the caller enabled a fault plan but never configured an RTO
-// via InjectLoss.
+// defaultRedeliver is Send's link-level retransmission timeout.
 const defaultRedeliver = 20 * sim.Microsecond
 
 // Send schedules a message of `bytes` payload and returns its arrival
 // time at the far end. Delivery is reliable at link level: fault-plan
 // drops (and corruption, which the receiver's ICRC discards) are
-// redelivered after a timeout, as is the legacy InjectLoss process —
-// use Transmit to see losses instead of absorbing them.
+// redelivered after defaultRedeliver — use Transmit to see losses
+// instead of absorbing them.
 func (n *NetLink) Send(now sim.Time, bytes int) sim.Time {
 	if bytes < 0 {
 		bytes = 0
@@ -299,11 +277,7 @@ func (n *NetLink) Send(now sim.Time, bytes int) sim.Time {
 			panic(fmt.Sprintf("interconnect: link %q dropped %d consecutive redeliveries — fault plan starves Send callers", n.name, attempt))
 		}
 		n.lost++
-		rto := n.rto
-		if rto <= 0 {
-			rto = defaultRedeliver
-		}
-		out = n.Transmit(done+rto, bytes)
+		out = n.Transmit(done+defaultRedeliver, bytes)
 		done = out.Arrive
 	}
 	return done

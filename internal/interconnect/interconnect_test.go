@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,7 +121,9 @@ func TestPCIeDMAMonotoneInBytes(t *testing.T) {
 
 func TestLossInjectionRetransmits(t *testing.T) {
 	n := NewNetLink("lossy", 3.125e9, 1500*sim.Nanosecond)
-	n.InjectLoss(0.3, 10*sim.Microsecond, 1)
+	n.AttachFaults(fault.New(fault.Plan{Seed: 1, Links: []fault.LinkRule{
+		{Link: "lossy", Drop: 0.3},
+	}}))
 	var worst sim.Time
 	var clean int
 	for i := 0; i < 500; i++ {
@@ -136,9 +139,9 @@ func TestLossInjectionRetransmits(t *testing.T) {
 	if n.Lost() == 0 {
 		t.Fatal("no losses at 30% rate")
 	}
-	// Retransmissions must show up as >= RTO tail inflation.
-	if worst < 10*sim.Microsecond {
-		t.Fatalf("worst=%v, want >= one RTO", worst)
+	// Redeliveries must show up as >= one timeout of tail inflation.
+	if worst < defaultRedeliver {
+		t.Fatalf("worst=%v, want >= one redelivery timeout", worst)
 	}
 	// Most packets still arrive clean.
 	if clean < 250 {
@@ -146,22 +149,15 @@ func TestLossInjectionRetransmits(t *testing.T) {
 	}
 }
 
-func TestLossInjectionValidation(t *testing.T) {
-	n := NewNetLink("l", 1e9, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rate 1.0 must panic")
-		}
-	}()
-	n.InjectLoss(1.0, sim.Microsecond, 1)
-}
-
 func TestLossFreeLinkUnchanged(t *testing.T) {
 	a := NewNetLink("a", 1e9, 0)
 	b := NewNetLink("b", 1e9, 0)
-	b.InjectLoss(0, sim.Microsecond, 1)
+	b.AttachFaults(fault.New(fault.Plan{Seed: 1, Links: []fault.LinkRule{{Link: "b", Drop: 0}}}))
+	if b.Faults() != nil {
+		t.Fatal("an all-zero rule must keep the nil injector")
+	}
 	if a.Send(0, 100) != b.Send(0, 100) {
-		t.Fatal("zero loss rate must not change timing")
+		t.Fatal("zero drop rate must not change timing")
 	}
 }
 
@@ -241,6 +237,44 @@ func TestSendSelfHealsPlanDrops(t *testing.T) {
 	}
 	if worst < 20*sim.Microsecond {
 		t.Fatalf("worst=%v, want >= one redelivery timeout", worst)
+	}
+}
+
+func TestSendPanicsWhenPlanStarvesRedelivery(t *testing.T) {
+	n := NewNetLink("dead", 1e9, 0)
+	n.AttachFaults(fault.New(fault.Plan{Seed: 3, Links: []fault.LinkRule{
+		{Link: "dead", Drop: 1.0},
+	}}))
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "fault plan starves Send callers") {
+			t.Fatalf("recovered %v, want the starvation panic", r)
+		}
+		if n.Lost() != sendRedeliverCap {
+			t.Fatalf("lost=%d before the panic, want the cap %d", n.Lost(), sendRedeliverCap)
+		}
+	}()
+	n.Send(0, 64)
+}
+
+func TestDuplexLookaheadIsMinOfDirections(t *testing.T) {
+	fast := NewNetLink("fast", 1e9, sim.Microsecond)
+	slow := NewNetLink("slow", 1e9, 2*sim.Microsecond)
+	want := fast.MinLatency()
+	if want >= slow.MinLatency() {
+		t.Fatalf("fixture: fast %v not below slow %v", want, slow.MinLatency())
+	}
+	for _, d := range []*Duplex{{AtoB: fast, BtoA: slow}, {AtoB: slow, BtoA: fast}} {
+		if got := d.Lookahead(); got != want {
+			t.Fatalf("Lookahead = %v, want the faster direction's %v", got, want)
+		}
+	}
+	// The bound is what the wire enforces: an empty send arrives no
+	// earlier than it.
+	d := NewDuplex("sym", 3.125e9, 1500*sim.Nanosecond)
+	if arrive := d.AtoB.Send(0, 0); arrive < d.Lookahead() {
+		t.Fatalf("Send(0) arrived at %v, before the lookahead %v", arrive, d.Lookahead())
 	}
 }
 

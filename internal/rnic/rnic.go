@@ -1,7 +1,7 @@
 // Package rnic models a standard RDMA NIC (the paper's ConnectX-6 /
 // BlueField-2 in NIC mode): reliable-connection queue pairs, work queue
 // entries, completion queues, MMIO doorbells with batching, unsignaled
-// WQEs, one-sided WRITE/READ and two-sided SEND, and memory-region
+// WQEs, one-sided WRITE and two-sided SEND, and memory-region
 // registration carrying the per-region TPH attribute that the adaptive
 // DDIO design adds to the NIC (paper Sec. III-D guideline 2).
 //
@@ -12,7 +12,6 @@
 package rnic
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"rambda/internal/coherence"
@@ -29,18 +28,8 @@ type Op int
 const (
 	// OpWrite is a one-sided RDMA WRITE.
 	OpWrite Op = iota
-	// OpRead is a one-sided RDMA READ.
-	OpRead
 	// OpSend is a two-sided SEND consuming a remote receive buffer.
 	OpSend
-	// OpFetchAdd is a one-sided atomic fetch-and-add on a remote
-	// 64-bit word (paper Sec. II-A lists atomics among the one-sided
-	// verbs; one-sided designs pay for them with extra round trips —
-	// exactly the cost RAMBDA's combined requests avoid).
-	OpFetchAdd
-	// OpCompSwap is a one-sided atomic compare-and-swap on a remote
-	// 64-bit word.
-	OpCompSwap
 )
 
 // String names the opcode.
@@ -48,14 +37,8 @@ func (o Op) String() string {
 	switch o {
 	case OpWrite:
 		return "WRITE"
-	case OpRead:
-		return "READ"
 	case OpSend:
 		return "SEND"
-	case OpFetchAdd:
-		return "FETCH_ADD"
-	case OpCompSwap:
-		return "CMP_SWAP"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -65,14 +48,11 @@ func (o Op) String() string {
 // SQ handler assembles (Sec. III-C).
 type WQE struct {
 	Op         Op
-	LocalAddr  memspace.Addr // source (WRITE/SEND) or result buffer (READ/atomics)
-	RemoteAddr memspace.Addr // destination (WRITE/atomics) or source (READ); ignored for SEND
+	LocalAddr  memspace.Addr // source
+	RemoteAddr memspace.Addr // destination (WRITE); ignored for SEND
 	Len        int
 	Signaled   bool   // write a CQE on completion (paper uses unsignaled WQEs)
 	WRID       uint64 // caller cookie returned in the CQE
-	// Atomics: Add is the FETCH_ADD operand; Compare/Swap drive
-	// CMP_SWAP.
-	Add, Compare, Swap uint64
 }
 
 // CQE is a completion queue entry.
@@ -186,8 +166,6 @@ type NIC struct {
 	// proc models the NIC's packet-processing pipeline (WQE fetch,
 	// transport state, DMA engine scheduling).
 	proc *sim.Resource
-	// atomicUnit serializes one-sided atomics at the responder.
-	atomicUnit *sim.Resource
 
 	tx *interconnect.NetLink // toward the peer
 	// peer is the NIC at the far end of tx.
@@ -196,7 +174,7 @@ type NIC struct {
 	mrs []MR
 
 	// arena pools payload staging buffers for this NIC's operations
-	// (requester-side WRITE/SEND staging and responder-side READ data).
+	// (requester-side WRITE/SEND staging).
 	arena payloadArena
 
 	// tr, when attached via SetObs, records StageNIC spans for WQE
@@ -225,10 +203,9 @@ func New(cfg Config, host *Host) *NIC {
 		cfg.PerWQE = 15 * sim.Nanosecond
 	}
 	return &NIC{
-		Name:       cfg.Name,
-		Host:       host,
-		proc:       sim.NewResource(cfg.Name+":proc", cfg.Pipelines, cfg.PerWQE, 0, 0),
-		atomicUnit: sim.NewResource(cfg.Name+":atomic", 1, 60*sim.Nanosecond, 0, 0),
+		Name: cfg.Name,
+		Host: host,
+		proc: sim.NewResource(cfg.Name+":proc", cfg.Pipelines, cfg.PerWQE, 0, 0),
 	}
 }
 
@@ -317,8 +294,7 @@ type recvBuf struct {
 
 // QPStats counts traffic through a QP.
 type QPStats struct {
-	Writes, Reads, Sends, Atomics int64
-	BytesOut, BytesIn             int64
+	Writes, Sends, BytesOut int64
 	// Retransmits counts timeout-driven wire-leg retransmissions,
 	// Timeouts counts retry budgets exhausted, RNRNaks counts receiver-
 	// not-ready NAKs seen by this QP's sends.
@@ -391,8 +367,7 @@ type OpResult struct {
 	WRID uint64
 	Op   Op
 	// RemoteVisible is when the operation's effect is visible at the
-	// target (data landed in remote memory for WRITE/SEND, data arrived
-	// locally for READ).
+	// target (data landed in remote memory).
 	RemoteVisible sim.Time
 	// CQEAt is when the local CQE was written (zero for unsignaled).
 	CQEAt sim.Time
@@ -475,30 +450,6 @@ func (q *QP) execute(now sim.Time, w WQE) OpResult {
 		q.stats.Writes++
 		q.stats.BytesOut += int64(w.Len)
 
-	case OpRead:
-		// Request travels to the peer, the peer's NIC DMA-reads its
-		// host memory, and the response travels back. A lost response
-		// is replayed from the responder without re-reading host memory
-		// (the read response replay buffer).
-		var ok bool
-		if t, ok = q.sendReliable(n.tx, t, wqeWireOverhead); !ok {
-			return q.failWQE(t, w, CQERetryExceeded)
-		}
-		rn := q.remote.nic
-		_, t = rn.proc.Acquire(t, 0)
-		buf := rn.arena.get(w.Len)
-		t = rn.Host.DMARead(t, w.RemoteAddr, buf)
-		if t, ok = q.sendReliable(rn.tx, t, w.Len+wqeWireOverhead); !ok {
-			rn.arena.put(buf)
-			return q.failWQE(t, w, CQERetryExceeded)
-		}
-		_, t = n.proc.Acquire(t, 0)
-		t = n.Host.DMAWrite(t, w.LocalAddr, buf, n.tphFor(w.LocalAddr))
-		rn.arena.put(buf)
-		res.RemoteVisible = t
-		q.stats.Reads++
-		q.stats.BytesIn += int64(w.Len)
-
 	case OpSend:
 		rq := q.remote
 		buf := n.arena.get(w.Len)
@@ -550,43 +501,6 @@ func (q *QP) execute(now sim.Time, w WQE) OpResult {
 		res.RemoteVisible = t
 		q.stats.Sends++
 		q.stats.BytesOut += int64(w.Len)
-
-	case OpFetchAdd, OpCompSwap:
-		// One-sided atomic: the request travels to the peer, the peer
-		// NIC performs a locked read-modify-write on host memory, and
-		// the original 64-bit value returns. Atomics serialize at the
-		// responder NIC (single atomic unit), which is why they are the
-		// slowest one-sided verbs. A lost response is replayed from the
-		// responder's atomic response buffer — the RMW itself is never
-		// re-executed (standard RC requirement for exactly-once
-		// atomics).
-		var ok bool
-		if t, ok = q.sendReliable(n.tx, t, 8+wqeWireOverhead); !ok {
-			return q.failWQE(t, w, CQERetryExceeded)
-		}
-		rn := q.remote.nic
-		_, t = rn.proc.Acquire(t, 0)
-		_, t = rn.atomicUnit.Acquire(t, 0)
-		var raw [8]byte
-		t = rn.Host.DMARead(t, w.RemoteAddr, raw[:])
-		orig := binary.LittleEndian.Uint64(raw[:])
-		next := orig
-		if w.Op == OpFetchAdd {
-			next = orig + w.Add
-		} else if orig == w.Compare {
-			next = w.Swap
-		}
-		binary.LittleEndian.PutUint64(raw[:], next)
-		t = rn.Host.DMAWrite(t, w.RemoteAddr, raw[:], rn.tphFor(w.RemoteAddr))
-		// The original value travels back into the local result buffer.
-		if t, ok = q.sendReliable(rn.tx, t, 8+wqeWireOverhead); !ok {
-			return q.failWQE(t, w, CQERetryExceeded)
-		}
-		_, t = n.proc.Acquire(t, 0)
-		binary.LittleEndian.PutUint64(raw[:], orig)
-		t = n.Host.DMAWrite(t, w.LocalAddr, raw[:], n.tphFor(w.LocalAddr))
-		res.RemoteVisible = t
-		q.stats.Atomics++
 
 	default:
 		panic("rnic: unknown opcode")

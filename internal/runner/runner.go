@@ -68,9 +68,9 @@ func Default() int {
 // Run executes the jobs on `parallel` workers (parallel <= 0 uses
 // Default()) and blocks until all have finished. With parallel == 1 the
 // jobs run sequentially in slice order on the calling goroutine. If any
-// job panics, the remaining unstarted jobs are skipped and the error
-// for the lowest-indexed panicking job is returned — the choice is
-// deterministic even when several jobs fail in the same run.
+// job panics, no job starts after that panic is recovered, and the
+// error for the lowest-indexed panicking job is returned — the choice
+// is deterministic even when several jobs fail in the same run.
 func Run(parallel int, jobs []Job) error {
 	if parallel <= 0 {
 		parallel = Default()
@@ -82,19 +82,31 @@ func Run(parallel int, jobs []Job) error {
 		parallel = len(jobs)
 	}
 	errs := make([]*PanicError, len(jobs))
+	var failed atomic.Bool
 	if parallel == 1 {
 		for i := range jobs {
-			if runJob(&jobs[i], &errs[i]); errs[i] != nil {
+			if runJob(&jobs[i], &errs[i], &failed); errs[i] != nil {
 				return errs[i]
 			}
 		}
 		return nil
 	}
+	runPool(parallel, jobs, errs, &failed)
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
 
+// runPool runs jobs on parallel workers, each claiming the next
+// unclaimed index. A worker checks failed before it starts a job, so no
+// job starts after runJob has recovered a panic.
+func runPool(parallel int, jobs []Job, errs []*PanicError, failed *atomic.Bool) {
 	var (
-		next   atomic.Int64 // index of the next unclaimed job
-		failed atomic.Bool  // stop claiming new jobs after a panic
-		wg     sync.WaitGroup
+		next atomic.Int64 // index of the next unclaimed job
+		wg   sync.WaitGroup
 	)
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
@@ -105,26 +117,23 @@ func Run(parallel int, jobs []Job) error {
 				if i >= len(jobs) || failed.Load() {
 					return
 				}
-				if runJob(&jobs[i], &errs[i]); errs[i] != nil {
-					failed.Store(true)
+				if runJob(&jobs[i], &errs[i], failed); errs[i] != nil {
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
 }
 
-// runJob executes one job, converting a panic into a PanicError.
-func runJob(j *Job, slot **PanicError) {
+// runJob executes one job, converting a panic into a PanicError. It
+// raises failed before capturing the stack, so other workers stop
+// claiming jobs as soon as the panic is recovered rather than after the
+// capture.
+func runJob(j *Job, slot **PanicError, failed *atomic.Bool) {
 	defer func() {
 		if v := recover(); v != nil {
+			failed.Store(true)
 			buf := make([]byte, 16<<10)
 			buf = buf[:runtime.Stack(buf, false)]
 			*slot = &PanicError{

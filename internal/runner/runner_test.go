@@ -2,9 +2,11 @@ package runner
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunFillsEverySlotInOrder(t *testing.T) {
@@ -92,18 +94,37 @@ func TestPanicReturnsLowestIndexDeterministically(t *testing.T) {
 }
 
 func TestPanicSkipsUnstartedJobs(t *testing.T) {
-	var ran atomic.Int64
+	var (
+		ran    atomic.Int64
+		failed atomic.Bool
+	)
 	jobs := Jobs("exp", 1000, nil, func(i int) {
 		ran.Add(1)
-		if i == 0 {
+		switch i {
+		case 0:
 			panic("early")
+		case 1:
+			// Hold the other worker until job 0's panic is recovered,
+			// so the check does not depend on how the two workers are
+			// scheduled. The deadline turns a runner that never raises
+			// the flag into a failure instead of a hang.
+			deadline := time.Now().Add(10 * time.Second)
+			for !failed.Load() && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
 		}
 	})
-	if err := Run(2, jobs); err == nil {
+	errs := make([]*PanicError, len(jobs))
+	runPool(2, jobs, errs, &failed)
+	if errs[0] == nil {
 		t.Fatal("want error")
 	}
 	if n := ran.Load(); n >= 1000 {
 		t.Fatalf("ran all %d jobs despite early panic", n)
+	}
+	// Only job 1 may have started before the panic was recovered.
+	if n := ran.Load(); n > 2 {
+		t.Fatalf("ran %d jobs, want at most jobs 0 and 1", n)
 	}
 }
 

@@ -20,6 +20,16 @@ import (
 // fully-crashed shard fails loudly and countably instead of wedging.
 var ErrRetriesExhausted = errors.New("scaleout: request retries exhausted")
 
+// ErrNotFound reports a GET of a key that was never written.
+var ErrNotFound = errors.New("scaleout: key not found")
+
+// ErrShardFull reports a PUT of a new key to a shard whose
+// SlotsPerShard slots are all taken.
+var ErrShardFull = errors.New("scaleout: shard store full")
+
+// ErrValueTooLarge reports a PUT of a value longer than SlotBytes.
+var ErrValueTooLarge = errors.New("scaleout: value exceeds slot size")
+
 // Config sizes a sharded cluster.
 type Config struct {
 	// Shards is the number of shard chains; Replicas the chain length of
@@ -216,26 +226,26 @@ func newShard(i int, cfg Config) *Shard {
 	}
 }
 
-// ensureSlot returns key hash h's slot, allocating the next free one on
-// first touch.
-func (s *Shard) ensureSlot(h uint64, n int) slotRef {
+// ensureSlot returns key hash h's slot for an n-byte value, allocating
+// the next free one on first touch.
+func (s *Shard) ensureSlot(h uint64, n int) (slotRef, error) {
+	if n > int(s.slotBytes) {
+		return slotRef{}, ErrValueTooLarge
+	}
 	if ref, ok := s.index[h]; ok {
 		if int(ref.n) != n {
 			ref.n = uint16(n)
 			s.index[h] = ref
 		}
-		return ref
+		return ref, nil
 	}
 	if s.nextSlot >= s.slots {
-		panic(fmt.Sprintf("scaleout: shard %d store full (%d slots)", s.id, s.slots))
-	}
-	if n > int(s.slotBytes) {
-		panic(fmt.Sprintf("scaleout: value %d B exceeds slot size %d B", n, s.slotBytes))
+		return slotRef{}, ErrShardFull
 	}
 	ref := slotRef{off: s.nextSlot * s.slotBytes, n: uint16(n)}
 	s.nextSlot++
 	s.index[h] = ref
-	return ref
+	return ref, nil
 }
 
 // migEntry is one write to a migrating key, logged at the source for
@@ -483,7 +493,10 @@ func (c *Cluster) RegisterMetrics(reg *obs.Registry, prefix string) {
 func (c *Cluster) Preload(now sim.Time, key, val []byte) sim.Time {
 	h := kvs.Hash64(key)
 	sh := c.shards[c.cur.Shard(h)]
-	ref := sh.ensureSlot(h, len(val))
+	ref, err := sh.ensureSlot(h, len(val))
+	if err != nil {
+		panic(fmt.Sprintf("scaleout: preload: %v", err))
+	}
 	c.migWr[0] = chainrep.Tuple{Offset: ref.off, Data: val}
 	done, err := sh.chain.ApplyCommitted(now, c.migWr[:1])
 	if err != nil {
@@ -505,13 +518,18 @@ func (c *Cluster) wireDur(n int) sim.Duration {
 // config; the transfer is versions plus overrides).
 func (c *Cluster) mapBytes() int { return 64 + 12*c.cur.Overrides() }
 
+// statusCost charges a request that a shard answers with a small
+// error status: one client round trip.
+func (c *Cluster) statusCost() sim.Duration {
+	return 2*c.cfg.ClientOneWay + c.wireDur(32)
+}
+
 // rejectCost charges a stale-map miss: the wasted round trip to the
-// wrong shard (which answers with a small WRONG_SHARD status) plus the
+// wrong shard (which answers with a WRONG_SHARD status) plus the
 // refresh fetch of the current map from the configuration service.
 func (c *Cluster) rejectCost() sim.Duration {
-	reject := 2*c.cfg.ClientOneWay + c.wireDur(32)
 	refresh := 2*c.cfg.ClientOneWay + c.wireDur(c.mapBytes())
-	return reject + refresh
+	return c.statusCost() + refresh
 }
 
 // Frontend is one client-side router holding a possibly stale shard
@@ -532,8 +550,8 @@ func (f *Frontend) MapVersion() uint64 { return f.m.Version }
 
 // Get reads key. The returned value aliases the owning shard's scratch
 // and is valid until the next request that shard serves. Get panics on
-// a retry-exhausted request — impossible without fault injection; use
-// TryGet when faults are armed.
+// any error TryGet would return: a key never written, or a
+// retry-exhausted request (impossible without fault injection).
 func (f *Frontend) Get(now sim.Time, key []byte) ([]byte, sim.Time) {
 	v, done, err := f.do(now, key, nil)
 	if err != nil {
@@ -542,8 +560,8 @@ func (f *Frontend) Get(now sim.Time, key []byte) ([]byte, sim.Time) {
 	return v, done
 }
 
-// Put writes key=val. Like Get it panics on a retry-exhausted request;
-// use TryPut when faults are armed.
+// Put writes key=val. Like Get it panics on any error TryPut would
+// return.
 func (f *Frontend) Put(now sim.Time, key, val []byte) sim.Time {
 	_, done, err := f.do(now, key, val)
 	if err != nil {
@@ -554,7 +572,8 @@ func (f *Frontend) Put(now sim.Time, key, val []byte) sim.Time {
 
 // TryGet is the fault-aware read: on ErrRetriesExhausted the returned
 // time is when the frontend gave up (attempt costs and backoff
-// included) and the read executed zero times.
+// included) and the read executed zero times. A key that was never
+// written returns ErrNotFound after one round trip to its shard.
 func (f *Frontend) TryGet(now sim.Time, key []byte) ([]byte, sim.Time, error) {
 	return f.do(now, key, nil)
 }
@@ -563,7 +582,10 @@ func (f *Frontend) TryGet(now sim.Time, key []byte) ([]byte, sim.Time, error) {
 // may still surface later — a crashed replica can hold its torn log
 // entry, and rejoin convergence applies it chain-wide — so callers
 // must treat a failed put as "at most once, never torn" (DESIGN.md
-// §11), exactly the contract of a timed-out RPC.
+// §11), exactly the contract of a timed-out RPC. A value longer than
+// SlotBytes returns ErrValueTooLarge, and a new key on a shard with no
+// free slot ErrShardFull, each after one round trip and without
+// writing anything.
 func (f *Frontend) TryPut(now sim.Time, key, val []byte) (sim.Time, error) {
 	_, done, err := f.do(now, key, val)
 	return done, err
@@ -613,7 +635,8 @@ func (f *Frontend) do(now sim.Time, key, val []byte) ([]byte, sim.Time, error) {
 		if val == nil {
 			ref, ok := sh.index[h]
 			if !ok {
-				panic("scaleout: GET of a key that was never loaded")
+				c.afterRequest(now)
+				return nil, at + c.statusCost(), ErrNotFound
 			}
 			sh.rd[0] = chainrep.ReadOp{Offset: ref.off, Len: int(ref.n)}
 			var vals [][]byte
@@ -622,7 +645,11 @@ func (f *Frontend) do(now sim.Time, key, val []byte) ([]byte, sim.Time, error) {
 				ret = vals[0]
 			}
 		} else {
-			ref := sh.ensureSlot(h, len(val))
+			ref, serr := sh.ensureSlot(h, len(val))
+			if serr != nil {
+				c.afterRequest(now)
+				return nil, at + c.statusCost(), serr
+			}
 			sh.wr[0] = chainrep.Tuple{Offset: ref.off, Data: val}
 			_, done, err = sh.chain.RambdaTxInto(at, chainrep.Tx{Writes: sh.wr[:1]}, &sh.sc)
 			// A write to a key mid-migration commits at the source (the
@@ -724,7 +751,10 @@ func (c *Cluster) stepMigration(now sim.Time) sim.Time {
 		if err != nil {
 			return c.abortMigration(now)
 		}
-		dref := dst.ensureSlot(h, int(ref.n))
+		dref, err := dst.ensureSlot(h, int(ref.n))
+		if err != nil {
+			panic(fmt.Sprintf("scaleout: migration to shard %d: %v", m.dst, err))
+		}
 		c.migWr[0] = chainrep.Tuple{Offset: dref.off, Data: vals[0]}
 		at, err = dst.chain.ApplyCommitted(at, c.migWr[:1])
 		if err != nil {
