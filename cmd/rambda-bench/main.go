@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"rambda/internal/chainrep"
+	"rambda/internal/dlrm"
 	"rambda/internal/experiments"
 	"rambda/internal/kvs"
 	"rambda/internal/lsm"
@@ -112,6 +113,7 @@ var microKernels = []struct {
 	{"ScanMerge", func(n int) { lsm.BenchScanMerge(n) }},
 	{"KVSPreload", func(n int) { kvs.BenchPreload(n) }},
 	{"KVSGetInto", func(n int) { kvs.BenchGetHit(n) }},
+	{"DLRMInferInto", func(n int) { dlrm.BenchInferInto(n) }},
 }
 
 func main() {

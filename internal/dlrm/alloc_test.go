@@ -1,7 +1,11 @@
 package dlrm
 
 import (
+	"math"
 	"testing"
+
+	"rambda/internal/memspace"
+	"rambda/internal/sim"
 )
 
 // Steady-state allocation guards for the DLRM gather path: a query
@@ -70,20 +74,29 @@ func TestInferIntoMatchesInfer(t *testing.T) {
 }
 
 // ReduceRowInto must be bit-identical to decode-then-Reduce for every
-// operator, including the first-fold overwrite semantics of max/min.
+// operator, including the first-fold overwrite semantics of max/min, at
+// widths on both sides of the sum fold's eight-element step. The first
+// row folded holds negative zeros, which an == comparison would let
+// through as +0.
 func TestReduceRowIntoMatchesReduce(t *testing.T) {
-	model, _ := buildModel(t, false)
-	tb := model.Table
-	for _, op := range []AggOp{AggSum, AggMax, AggMin, AggDot} {
-		ref := make([]float32, tb.Dim)
-		got := make([]float32, tb.Dim)
-		for i, row := range []int{3, 0, 77, 4095, 77} {
-			first := i == 0
-			Reduce(op, ref, tb.Row(row), 0.5, first)
-			tb.ReduceRowInto(op, got, row, 0.5, first)
-			for j := range ref {
-				if ref[j] != got[j] {
-					t.Fatalf("op=%v fold %d: [%d] %v vs %v", op, i, j, ref[j], got[j])
+	for _, dim := range []int{1, 7, 8, 9, 15, 64, 65} {
+		tb := NewTable(memspace.New(), "t", 4096, dim, memspace.KindDRAM, sim.NewRNG(11))
+		negZeros := tb.Row(3)
+		for j := 0; j < dim; j += 2 {
+			negZeros[j] = float32(math.Copysign(0, -1))
+		}
+		tb.SetRow(3, negZeros)
+		for _, op := range []AggOp{AggSum, AggMax, AggMin, AggDot} {
+			ref := make([]float32, dim)
+			got := make([]float32, dim)
+			for i, row := range []int{3, 0, 77, 4095, 77} {
+				first := i == 0
+				Reduce(op, ref, tb.Row(row), 0.5, first)
+				tb.ReduceRowInto(op, got, row, 0.5, first)
+				for j := range ref {
+					if math.Float32bits(ref[j]) != math.Float32bits(got[j]) {
+						t.Fatalf("dim=%d op=%v fold %d: [%d] %v vs %v", dim, op, i, j, ref[j], got[j])
+					}
 				}
 			}
 		}

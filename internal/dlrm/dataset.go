@@ -1,6 +1,10 @@
 package dlrm
 
-import "rambda/internal/sim"
+import (
+	"fmt"
+
+	"rambda/internal/sim"
+)
 
 // Category parameterizes a synthetic dataset modeled after one Amazon
 // Review category (the paper evaluates electronics, clothing-shoe-
@@ -61,9 +65,15 @@ type Dataset struct {
 // MERCI's clustering reorders items); singles draw from the whole
 // table.
 func NewDataset(cat Category, seed uint64) *Dataset {
+	if cat.BundleSize < 1 || cat.BundlesPerQuery < 0 || cat.SinglesPerQuery < 0 {
+		panic(fmt.Sprintf("dlrm: bad category %q: bundle size %d, %d bundles and %d singles per query",
+			cat.Name, cat.BundleSize, cat.BundlesPerQuery, cat.SinglesPerQuery))
+	}
 	nBundles := cat.Rows / (2 * cat.BundleSize)
-	if nBundles < 1 {
-		panic("dlrm: table too small for bundles")
+	// A query draws distinct bundles, so it needs at least that many.
+	if nBundles < max(1, cat.BundlesPerQuery) {
+		panic(fmt.Sprintf("dlrm: bad category %q: %d rows make %d bundles, %d wanted per query",
+			cat.Name, cat.Rows, nBundles, cat.BundlesPerQuery))
 	}
 	bundles := make([][]int, nBundles)
 	for b := range bundles {

@@ -2,6 +2,7 @@ package dlrm
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -215,6 +216,34 @@ func TestDatasetQueriesInRange(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A category NewDataset cannot draw queries from must panic up front:
+// with fewer bundles than a query's distinct draws, NextQuery would
+// spin forever.
+func TestNewDatasetRejectsBadShape(t *testing.T) {
+	for _, cat := range []Category{
+		{Name: "few-bundles", Rows: 8, BundleSize: 4, BundlesPerQuery: 2, SinglesPerQuery: 1, BundleSkew: 0.9},
+		{Name: "no-bundles", Rows: 4, BundleSize: 4, BundlesPerQuery: 0, SinglesPerQuery: 1, BundleSkew: 0.9},
+		{Name: "zero-size", Rows: 64, BundleSize: 0, BundlesPerQuery: 1, SinglesPerQuery: 1, BundleSkew: 0.9},
+		{Name: "neg-bundles", Rows: 64, BundleSize: 4, BundlesPerQuery: -1, SinglesPerQuery: 1, BundleSkew: 0.9},
+		{Name: "neg-singles", Rows: 64, BundleSize: 4, BundlesPerQuery: 1, SinglesPerQuery: -1, BundleSkew: 0.9},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "dlrm: bad ") {
+					t.Errorf("%s: recovered %q, want a dlrm: bad ... panic", cat.Name, msg)
+				}
+			}()
+			NewDataset(cat, 1)
+		}()
+	}
+	// The boundary shape is legal: one bundle, drawn once per query.
+	q := NewDataset(Category{Name: "one", Rows: 8, BundleSize: 4, BundlesPerQuery: 1, SinglesPerQuery: 1, BundleSkew: 0.9}, 1).NextQuery()
+	if len(q.Bundles) != 1 || q.Bundles[0] != 0 {
+		t.Fatalf("one-bundle query %+v", q)
 	}
 }
 

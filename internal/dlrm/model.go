@@ -38,28 +38,63 @@ func NewMLP(dim, hidden int, rng *sim.RNG) *MLP {
 }
 
 // Forward computes the score for a reduced embedding vector and returns
-// the FLOP count. The accumulation order matches the original nested
-// row-by-row loop exactly, so scores are bit-stable.
+// the FLOP count. Scores are bit-stable: each hidden unit starts from
+// its bias and adds its weighted inputs in index order, and the ReLU
+// terms join the output in unit order. Separate units' accumulators may
+// interleave, but no unit's sum is ever reassociated, split into
+// partial sums or fused into an FMA.
 func (m *MLP) Forward(x []float32) (float32, int) {
 	if len(x) != m.Dim {
 		panic("dlrm: MLP input dimension mismatch")
 	}
+	score := float32(1 / (1 + math.Exp(-float64(m.logit(x)))))
+	flops := m.Hidden*(2*m.Dim+2) + 4
+	return score, flops
+}
+
+// logit is the MLP's output before the sigmoid. Four hidden units share
+// each pass over x, each in its own accumulator, so four add chains
+// overlap where one ran alone; a scalar loop takes the last Hidden%4.
+func (m *MLP) logit(x []float32) float32 {
+	n := len(x)
 	var out float32
-	for i := 0; i < m.Hidden; i++ {
+	i := 0
+	for ; i+4 <= m.Hidden; i += 4 {
+		w := m.w1[i*n : (i+4)*n]
+		r0, r1, r2, r3 := w[:n], w[n:][:n], w[2*n:][:n], w[3*n:][:n]
+		b := m.b1[i : i+4]
+		a0, a1, a2, a3 := b[0], b[1], b[2], b[3]
+		for j, v := range x {
+			a0 += r0[j] * v
+			a1 += r1[j] * v
+			a2 += r2[j] * v
+			a3 += r3[j] * v
+		}
+		w2 := m.w2[i : i+4]
+		if a0 > 0 { // ReLU
+			out += a0 * w2[0]
+		}
+		if a1 > 0 {
+			out += a1 * w2[1]
+		}
+		if a2 > 0 {
+			out += a2 * w2[2]
+		}
+		if a3 > 0 {
+			out += a3 * w2[3]
+		}
+	}
+	for ; i < m.Hidden; i++ {
 		acc := m.b1[i]
-		row := m.w1[i*m.Dim : (i+1)*m.Dim]
-		xr := x[:len(row)]
-		for j, v := range xr {
+		row := m.w1[i*n : (i+1)*n]
+		for j, v := range x {
 			acc += row[j] * v
 		}
-		if acc > 0 { // ReLU
+		if acc > 0 {
 			out += acc * m.w2[i]
 		}
 	}
-	out += m.b2
-	score := float32(1 / (1 + math.Exp(-float64(out))))
-	flops := m.Hidden*(2*m.Dim+2) + 4
-	return score, flops
+	return out + m.b2
 }
 
 // Model couples an embedding table, an optional MERCI memo, and the
