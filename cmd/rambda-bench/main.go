@@ -58,6 +58,7 @@ import (
 	"rambda/internal/experiments"
 	"rambda/internal/kvs"
 	"rambda/internal/lsm"
+	"rambda/internal/memspace"
 	"rambda/internal/rnic"
 	"rambda/internal/runner"
 	"rambda/internal/scaleout"
@@ -113,6 +114,8 @@ var microKernels = []struct {
 	{"ScanMerge", func(n int) { lsm.BenchScanMerge(n) }},
 	{"KVSPreload", func(n int) { kvs.BenchPreload(n) }},
 	{"KVSGetInto", func(n int) { kvs.BenchGetHit(n) }},
+	{"KVSCheckoutRollback", func(n int) { kvs.BenchCheckoutRollback(n) }},
+	{"MemspaceRegion", func(n int) { memspace.BenchRegion(n) }},
 	{"DLRMInferInto", func(n int) { dlrm.BenchInferInto(n) }},
 }
 

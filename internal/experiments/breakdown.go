@@ -78,7 +78,8 @@ func breakdownKVS(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
 		Trace:         tr,
 		Metrics:       reg,
 	}, func(m *core.Machine) kvs.Backend {
-		store := preloadStore(m.Space, m.DataKind(), k)
+		store := preloadStore(k.storeShape())
+		store.AdoptInto(m.Space, m.DataKind())
 		store.RegisterMetrics(reg, "kvs")
 		return store
 	})

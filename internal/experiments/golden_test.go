@@ -8,15 +8,18 @@ import (
 	"rambda/internal/runner"
 )
 
-// TestQuickFigureGoldenOutput pins the rendered -quick fig7 and fig8
-// tables byte-for-byte against goldens captured before the sim hot-path
-// optimization (indexed gap placement, typed heaps, cached
-// percentiles). The optimization's contract is that placement decisions
-// — and therefore every figure — are unchanged; any diff here means the
-// engine's virtual-time behaviour drifted, not just a formatting nit.
-// If a future PR changes the *model* deliberately, regenerate with:
+// TestQuickFigureGoldenOutput pins the rendered -quick fig7, fig8,
+// fig9, fig10 and tab3 tables byte-for-byte. fig7 and fig8 were
+// captured before the sim hot-path optimization (indexed gap
+// placement, typed heaps, cached percentiles); fig9, fig10 and tab3
+// were captured from fresh per-point store preloads, before points
+// shared a pooled store rolled back between them. The contract of both
+// changes is that every figure is unchanged; any diff here means the
+// engine's virtual-time behaviour or a point's store drifted, not just
+// a formatting nit. If a change alters the *model* deliberately,
+// regenerate with:
 //
-//	go run ./cmd/rambda-figures -quick -only fig7   (resp. fig8)
+//	go run ./cmd/rambda-figures -quick -only fig7   (resp. fig8, ...)
 //
 // and update testdata/.
 func TestQuickFigureGoldenOutput(t *testing.T) {
@@ -26,7 +29,7 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick figure sweeps take minutes; skipped with -short")
 	}
-	specs, err := SelectSpecs(true, "fig7,fig8")
+	specs, err := SelectSpecs(true, "fig7,fig8,fig9,fig10,tab3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"rambda/internal/core"
 	"rambda/internal/hostcpu"
@@ -73,22 +74,103 @@ func (cfg KVSConfig) measure(sys kvsCaller, skewed, writes bool, window int) *si
 	return measureKVS(sys, cfg.Connections*window, cfg.Requests, cfg.Seed, kvsGen(cfg, skewed, writes))
 }
 
-// preloadStore builds a hash store holding the experiment's pairs.
-func preloadStore(space *memspace.Space, kind memspace.Kind, cfg KVSConfig) *kvs.Store {
-	store := hashStore(space, kind, cfg.Keys, cfg.Keys)
-	preload(store, cfg.Keys, cfg.ValueBytes)
+// storeShape is what a preloaded hash store's bytes depend on: the keys
+// preloaded, their value size and the pool's item capacity. Stores of
+// one shape preload byte-identical, whatever machine they serve.
+type storeShape struct{ keys, valueBytes, poolItems int }
+
+// storeShape is the Figs. 8-10 store: the experiment's pairs, with no
+// pool room beyond them.
+func (cfg KVSConfig) storeShape() storeShape {
+	return storeShape{keys: cfg.Keys, valueBytes: cfg.ValueBytes, poolItems: cfg.Keys}
+}
+
+// preloadStore builds a hash store of the given shape, preloaded, in an
+// address space of its own. A point maps it into its server's space
+// with kvs.Store.AdoptInto as that space's first allocation, where a
+// store built in the server's space would have been placed.
+func preloadStore(sh storeShape) *kvs.Store {
+	store := hashStore(memspace.New(), memspace.KindDRAM, sh.keys, sh.poolItems)
+	preload(store, sh.keys, sh.valueBytes)
 	return store
 }
 
-// newRambdaKVS builds the RAMBDA KVS (Sec. IV-A) for Figs. 8-10.
-func newRambdaKVS(cfg KVSConfig, variant core.AccelVariant, batch int) *kvsServer {
+// storePool hands one spec's points preloaded stores, so the spec
+// preloads once per worker instead of once per point. A store is
+// checkpointed right after its preload; checkin rolls it back to that
+// state and keeps it for the next point of its shape. Every point
+// therefore sees exactly the store a fresh preload would build, at any
+// worker count. A store is kept only while some planned checkout has
+// yet to be made, so at most one store per running point exists, and
+// once the spec's last point has started its pool holds nothing that
+// later specs would carry.
+type storePool struct {
+	mu   sync.Mutex
+	left int // planned checkouts not yet made
+	idle map[storeShape][]*kvs.Store
+}
+
+// newStorePool plans a pool for checkouts points.
+func newStorePool(checkouts int) *storePool {
+	return &storePool{left: checkouts, idle: map[storeShape][]*kvs.Store{}}
+}
+
+// checkout returns an idle store of shape sh, or preloads a new one
+// (outside the lock, so workers preload in parallel).
+func (p *storePool) checkout(sh storeShape) *kvs.Store {
+	p.mu.Lock()
+	p.left--
+	var st *kvs.Store
+	if l := p.idle[sh]; len(l) > 0 {
+		st = l[len(l)-1]
+		p.idle[sh] = l[:len(l)-1]
+	}
+	if p.left <= 0 {
+		p.idle = nil // no later checkout will want them
+	}
+	p.mu.Unlock()
+	if st == nil {
+		st = preloadStore(sh)
+		st.Checkpoint()
+	}
+	return st
+}
+
+// checkin rolls st back to its preloaded state and keeps it for a later
+// checkout; with none left to make, it lets st go.
+func (p *storePool) checkin(sh storeShape, st *kvs.Store) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.left > 0 {
+		st.Rollback()
+		p.idle[sh] = append(p.idle[sh], st)
+	}
+}
+
+// measurePooled measures one point on a store checked out of pool: mk
+// builds the system around the store, and the store goes back to the
+// pool once the point is measured.
+func (cfg KVSConfig) measurePooled(pool *storePool, mk func(*kvs.Store) kvsCaller, skewed, writes bool, window int) *sim.Result {
+	sh := cfg.storeShape()
+	st := pool.checkout(sh)
+	res := cfg.measure(mk(st), skewed, writes, window)
+	pool.checkin(sh, st)
+	return res
+}
+
+// newRambdaKVS builds the RAMBDA KVS (Sec. IV-A) for Figs. 8-10 over a
+// preloaded store, mapped into the server's space as its data kind.
+func newRambdaKVS(cfg KVSConfig, store *kvs.Store, variant core.AccelVariant, batch int) *kvsServer {
 	return newKVSServer(kvsServeOpts{
 		Variant:       variant,
 		Connections:   cfg.Connections,
 		RingEntries:   cfg.Batch * 4,
 		EntryBytes:    128,
 		ResponseBatch: batch,
-	}, func(m *core.Machine) kvs.Backend { return preloadStore(m.Space, m.DataKind(), cfg) })
+	}, func(m *core.Machine) kvs.Backend {
+		store.AdoptInto(m.Space, m.DataKind())
+		return store
+	})
 }
 
 // --- CPU KVS (MICA-backed two-sided RDMA RPC) ---
@@ -105,11 +187,11 @@ type cpuKVS struct {
 	respBuf []byte
 }
 
-func newCPUKVS(cfg KVSConfig, batch int, jitter bool) *cpuKVS {
+func newCPUKVS(cfg KVSConfig, store *kvs.Store, batch int, jitter bool) *cpuKVS {
 	sm := core.NewMachine(core.MachineConfig{Name: "srv", Cores: 10}) // paper: ten server threads
 	cm := core.NewMachine(core.MachineConfig{Name: "cli"})
 	core.ConnectMachines(sm, cm)
-	store := preloadStore(sm.Space, memspace.KindDRAM, cfg)
+	store.AdoptInto(sm.Space, memspace.KindDRAM)
 	c := &cpuKVS{}
 
 	h := core.CPUHandler(func(reqBytes []byte) ([]byte, hostcpu.Work) {
@@ -167,9 +249,9 @@ const snicARMCycles = 2200
 // newSNICKVS builds the SmartNIC baseline: ARM cores pipeline through
 // the eight-core pool; request batching has no further effect on the
 // dependent host-access chain.
-func newSNICKVS(cfg KVSConfig) *snicKVS {
+func newSNICKVS(cfg KVSConfig, store *kvs.Store) *snicKVS {
 	space := memspace.New()
-	store := preloadStore(space, memspace.KindDRAM, cfg)
+	store.AdoptInto(space, memspace.KindDRAM)
 	nic := smartnic.New(smartnic.DefaultConfig("bf2"), newHostMem(space))
 	// Cache : data ratio follows the paper (512MB : 7GB ~= 1:14).
 	dataBytes := int64(cfg.Keys) * 160
@@ -261,19 +343,20 @@ type Fig8Row struct {
 // kvsSystem is one design of the Fig. 8-10 matrix.
 type kvsSystem struct {
 	name string
-	mk   func() kvsCaller
+	mk   func(*kvs.Store) kvsCaller
 }
 
 // kvsSystems enumerates the Fig. 8-10 system matrix in table order.
-// Each factory builds a fresh, fully isolated system (machines, store,
-// cache), so one sweep point never observes another's state.
+// Each factory builds a fresh, fully isolated system (machines, cache)
+// around a checked-out store, which the pool rolls back after the
+// point, so one sweep point never observes another's state.
 func kvsSystems(cfg KVSConfig) []kvsSystem {
 	return []kvsSystem{
-		{"CPU", func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, false) }},
-		{"SmartNIC", func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", func() kvsCaller { return newRambdaKVS(cfg, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", func() kvsCaller { return newRambdaKVS(cfg, core.AccelLH, cfg.Batch) }},
+		{"CPU", func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }},
+		{"SmartNIC", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
+		{"RAMBDA", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
+		{"RAMBDA-LD", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLD, cfg.Batch) }},
+		{"RAMBDA-LH", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }},
 	}
 }
 
@@ -292,7 +375,7 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
 
 	type point struct {
 		system string
-		mk     func() kvsCaller
+		mk     func(*kvs.Store) kvsCaller
 		dist   string
 		skewed bool
 		wl     string
@@ -307,11 +390,12 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
 		}
 	}
 	rows := make([]Fig8Row, len(points))
+	pool := newStorePool(len(points))
 	jobs := runner.Jobs("fig8", len(points),
 		func(i int) string { return points[i].system + "/" + points[i].dist + "/" + points[i].wl },
 		func(i int) {
 			p := points[i]
-			res := cfg.measure(p.mk(), p.skewed, p.writes, cfg.Batch)
+			res := cfg.measurePooled(pool, p.mk, p.skewed, p.writes, cfg.Batch)
 			rows[i] = Fig8Row{System: p.system, Dist: p.dist, Workload: p.wl, Throughput: res.Throughput}
 		})
 	return rows, jobs
@@ -364,13 +448,13 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
 		name        string
 		tailApplies bool
 		window      int
-		mk          func() kvsCaller
+		mk          func(*kvs.Store) kvsCaller
 	}{
-		{"CPU", true, 8, func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, true) }},
-		{"SmartNIC", true, 1, func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", true, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", false, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", false, 8, func() kvsCaller { return newRambdaKVS(cfg, core.AccelLH, cfg.Batch) }},
+		{"CPU", true, 8, func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, true) }},
+		{"SmartNIC", true, 1, func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
+		{"RAMBDA", true, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
+		{"RAMBDA-LD", false, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLD, cfg.Batch) }},
+		{"RAMBDA-LH", false, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }},
 	}
 	type point struct {
 		sys    int
@@ -384,12 +468,13 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
 		}
 	}
 	rows := make([]Fig9Row, len(points))
+	pool := newStorePool(len(points))
 	jobs := runner.Jobs("fig9", len(points),
 		func(i int) string { return systems[points[i].sys].name + "/" + points[i].dist },
 		func(i int) {
 			p := points[i]
 			s := systems[p.sys]
-			res := cfg.measure(s.mk(), p.skewed, false, s.window)
+			res := cfg.measurePooled(pool, s.mk, p.skewed, false, s.window)
 			row := Fig9Row{System: s.name, Dist: p.dist, Avg: res.Latency.Mean()}
 			if s.tailApplies {
 				row.P99 = res.Latency.P99()
@@ -450,12 +535,12 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
 	batches := []int{1, 2, 4, 8, 16, 32}
 	systems := []struct {
 		name string
-		mk   func(batch int) kvsCaller
+		mk   func(st *kvs.Store, batch int) kvsCaller
 		win  func(batch int) int
 	}{
-		{"CPU", func(b int) kvsCaller { return newCPUKVS(cfg, b, false) }, func(b int) int { return b }},
-		{"SmartNIC", func(int) kvsCaller { return newSNICKVS(cfg) }, func(b int) int { return b }},
-		{"RAMBDA", func(b int) kvsCaller { return newRambdaKVS(cfg, core.AccelBase, b) }, func(int) int { return cfg.Batch }},
+		{"CPU", func(st *kvs.Store, b int) kvsCaller { return newCPUKVS(cfg, st, b, false) }, func(b int) int { return b }},
+		{"SmartNIC", func(st *kvs.Store, _ int) kvsCaller { return newSNICKVS(cfg, st) }, func(b int) int { return b }},
+		{"RAMBDA", func(st *kvs.Store, b int) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, b) }, func(int) int { return cfg.Batch }},
 	}
 	type point struct {
 		sys   int
@@ -468,12 +553,14 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
 		}
 	}
 	rows := make([]Fig10Row, len(points))
+	pool := newStorePool(len(points))
 	jobs := runner.Jobs("fig10", len(points),
 		func(i int) string { return fmt.Sprintf("%s/batch=%d", systems[points[i].sys].name, points[i].batch) },
 		func(i int) {
 			p := points[i]
 			s := systems[p.sys]
-			res := cfg.measure(s.mk(p.batch), true, false, s.win(p.batch))
+			mk := func(st *kvs.Store) kvsCaller { return s.mk(st, p.batch) }
+			res := cfg.measurePooled(pool, mk, true, false, s.win(p.batch))
 			rows[i] = Fig10Row{System: s.name, Batch: p.batch, Throughput: res.Throughput, Avg: res.Latency.Mean()}
 		})
 	return rows, jobs
@@ -521,18 +608,19 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
 	systems := []struct {
 		name  string
 		watts float64
-		mk    func() kvsCaller
+		mk    func(*kvs.Store) kvsCaller
 	}{
-		{"CPU", power.CPUFullLoad, func() kvsCaller { return newCPUKVS(cfg, cfg.Batch, false) }},
-		{"SmartNIC", power.SmartNICARMs, func() kvsCaller { return newSNICKVS(cfg) }},
-		{"RAMBDA", power.RambdaFPGA, func() kvsCaller { return newRambdaKVS(cfg, core.AccelBase, cfg.Batch) }},
+		{"CPU", power.CPUFullLoad, func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }},
+		{"SmartNIC", power.SmartNICARMs, func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
+		{"RAMBDA", power.RambdaFPGA, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
 	}
 	rows := make([]Tab3Row, len(systems))
+	pool := newStorePool(len(systems))
 	jobs := runner.Jobs("tab3", len(systems),
 		func(i int) string { return systems[i].name },
 		func(i int) {
 			s := systems[i]
-			tput := cfg.measure(s.mk(), false, false, cfg.Batch).Throughput
+			tput := cfg.measurePooled(pool, s.mk, false, false, cfg.Batch).Throughput
 			rows[i] = Tab3Row{System: s.name, Watts: s.watts, KopPerW: power.KopsPerWatt(tput, s.watts)}
 		})
 	return rows, jobs

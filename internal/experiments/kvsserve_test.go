@@ -135,7 +135,7 @@ func TestKVSServerSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("the race runtime allocates on its own")
 	}
 	cfg := testKVSConfig()
-	fig8 := newRambdaKVS(cfg, core.AccelBase, cfg.Batch)
+	fig8 := newRambdaKVS(cfg, preloadStore(cfg.storeShape()), core.AccelBase, cfg.Batch)
 	if n := steadyStateAllocs(fig8, kvsGen(cfg, true, true)); n != 0 {
 		t.Errorf("fig8 shape: %.2f allocs per call, want 0", n)
 	}

@@ -1,0 +1,150 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"testing"
+
+	"rambda/internal/core"
+	"rambda/internal/kvs"
+	"rambda/internal/runner"
+)
+
+// storeDigest hashes a store's whole state: index and pool bytes,
+// allocator state and Stats.
+func storeDigest(st *kvs.Store) [sha256.Size]byte {
+	h := sha256.New()
+	st.HashState(h)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// TestPooledStoreMatchesFreshPreload runs GET-only and mixed points in
+// turn on one pooled store, the way one worker runs a spec: every
+// checkout must hand over a store whose state equals a fresh preload's,
+// a GET-only point must journal no write, and a mixed point's writes
+// must roll back.
+func TestPooledStoreMatchesFreshPreload(t *testing.T) {
+	cfg := testKVSConfig()
+	cfg.Requests = 3000
+	sh := cfg.storeShape()
+	want := storeDigest(preloadStore(sh))
+
+	points := []struct {
+		name   string
+		mk     func(*kvs.Store) kvsCaller
+		writes bool
+	}{
+		{"SmartNIC/get", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }, false},
+		{"CPU/mixed", func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }, true},
+		{"RAMBDA/get", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }, false},
+		{"SmartNIC/mixed", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }, true},
+		{"RAMBDA-LH/mixed", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }, true},
+	}
+	pool := newStorePool(len(points))
+	var first *kvs.Store
+	for _, p := range points {
+		st := pool.checkout(sh)
+		if first == nil {
+			first = st
+		} else if st != first {
+			t.Fatalf("%s: one worker's points preloaded a second store", p.name)
+		}
+		if storeDigest(st) != want {
+			t.Fatalf("%s: checked-out store differs from a fresh preload", p.name)
+		}
+		cfg.measure(p.mk(st), true, p.writes, cfg.Batch)
+		if n := st.JournalLen(); (n == 0) == p.writes {
+			t.Fatalf("%s: %d journaled writes", p.name, n)
+		}
+		pool.checkin(sh, st)
+	}
+	// The last checkin lets the store go without rolling it back; roll
+	// it back here to check the last point as well.
+	first.Rollback()
+	if storeDigest(first) != want {
+		t.Fatal("store after the last point's rollback differs from a fresh preload")
+	}
+}
+
+// TestStorePoolLifetime checks the pool's bookkeeping: a returned
+// store is reused by the next checkout of its shape, concurrent
+// checkouts get distinct stores, other shapes get their own, and once
+// the last planned checkout is made the pool keeps nothing.
+func TestStorePoolLifetime(t *testing.T) {
+	small := storeShape{keys: 64, valueBytes: 46, poolItems: 64}
+	other := storeShape{keys: 64, valueBytes: 46, poolItems: 128}
+	pool := newStorePool(6)
+
+	a := pool.checkout(small)
+	pool.checkin(small, a)
+	if b := pool.checkout(small); b != a {
+		t.Fatal("sequential checkout preloaded a second store")
+	}
+	c := pool.checkout(small)
+	if c == a {
+		t.Fatal("concurrent checkouts share a store")
+	}
+	if d := pool.checkout(other); d == a || d == c {
+		t.Fatal("a different shape reused a store")
+	} else {
+		pool.checkin(other, d)
+	}
+	pool.checkin(small, a)
+	pool.checkin(small, c)
+	if n := len(pool.idle[small]); n != 2 {
+		t.Fatalf("%d idle stores after two checkins, want 2", n)
+	}
+	e := pool.checkout(small) // the fifth of six planned checkouts
+	f := pool.checkout(small) // the last
+	if e != c || f != a {
+		t.Fatal("checkouts did not reuse the idle stores")
+	}
+	if pool.idle != nil {
+		t.Fatal("pool kept stores after its last planned checkout")
+	}
+	pool.checkin(small, e)
+	pool.checkin(small, f)
+	if pool.idle != nil {
+		t.Fatal("checkin after the last checkout kept a store")
+	}
+}
+
+// TestStorePoolConcurrentCheckouts runs a spec's worth of points on
+// four workers: every checkout must see a fresh preload's state while
+// other workers write to and roll back their own stores, and no more
+// stores may exist than workers.
+func TestStorePoolConcurrentCheckouts(t *testing.T) {
+	const workers, points = 4, 40
+	sh := storeShape{keys: 256, valueBytes: 46, poolItems: 512}
+	want := storeDigest(preloadStore(sh))
+	pool := newStorePool(points)
+	var mu sync.Mutex
+	seen := map[*kvs.Store]bool{}
+	jobs := runner.Jobs("pool", points, func(i int) string { return fmt.Sprint(i) }, func(i int) {
+		st := pool.checkout(sh)
+		if storeDigest(st) != want {
+			t.Errorf("point %d: checked-out store differs from a fresh preload", i)
+		}
+		mu.Lock()
+		seen[st] = true
+		mu.Unlock()
+		var trace []kvs.Access
+		val := make([]byte, 46+i)
+		for k := 0; k < 300; k++ {
+			trace, _ = st.PutInto(trace[:0], appendKVSKey(nil, (k*7+i)%512), val)
+		}
+		pool.checkin(sh, st)
+	})
+	if err := runner.Run(workers, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) > workers {
+		t.Fatalf("%d stores preloaded for %d workers", len(seen), workers)
+	}
+	if pool.idle != nil {
+		t.Fatal("pool kept stores after its last point")
+	}
+}

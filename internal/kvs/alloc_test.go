@@ -63,3 +63,19 @@ func TestScratchOpsZeroAlloc(t *testing.T) {
 		t.Fatalf("scratch Get/Put: %.2f allocs/op in steady state, want 0", n)
 	}
 }
+
+// TestBenchCheckoutRollbackSteadyStateZeroAlloc guards the
+// KVSCheckoutRollback kernel's claim: a warmed checkpointed store
+// journals, reallocates and rolls back without allocating, so the
+// kernel's allocs/op stays 0 for any op count past the warm-up.
+func TestBenchCheckoutRollbackSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted under the race detector")
+	}
+	const ops = 4000
+	warm := testing.AllocsPerRun(1, func() { BenchCheckoutRollback(1) })
+	long := testing.AllocsPerRun(1, func() { BenchCheckoutRollback(ops) })
+	if long > warm {
+		t.Fatalf("%d ops allocate %.0f times, 1 op %.0f: rounds past warm-up allocate", ops, long, warm)
+	}
+}

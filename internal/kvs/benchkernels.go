@@ -2,7 +2,6 @@ package kvs
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"rambda/internal/memspace"
 )
@@ -28,15 +27,20 @@ func benchStore() *Store {
 	})
 }
 
-// benchKeyTable formats the kernel's keys ("user%014d", the
+// benchKeyTable formats keys first..first+n-1 ("user%014d", the
 // experiments' 18 B keys) into one flat buffer, so the kernels time the
-// store and not the formatter.
-func benchKeyTable() [][]byte {
+// store and not the formatter. It formats digit by digit: fmt would
+// allocate per key, and with few ops per run those set-up allocations
+// would show in a kernel's allocs/op.
+func benchKeyTable(first, n int) [][]byte {
 	const keyBytes = 18
-	flat := make([]byte, 0, benchKeys*keyBytes)
-	keys := make([][]byte, benchKeys)
+	flat := make([]byte, 0, n*keyBytes)
+	keys := make([][]byte, n)
 	for i := range keys {
-		flat = fmt.Appendf(flat, "user%014d", i)
+		flat = append(flat, "user00000000000000"...)
+		for p, v := len(flat)-1, first+i; v > 0; p, v = p-1, v/10 {
+			flat[p] = byte('0' + v%10)
+		}
 		keys[i] = flat[i*keyBytes : (i+1)*keyBytes]
 	}
 	return keys
@@ -60,7 +64,7 @@ func preloadBench(s *Store, keys [][]byte, val []byte, trace []Access) []Access 
 // optimized away. One op is one PutInto of an absent key plus its share
 // of the store allocation.
 func BenchPreload(n int) int64 {
-	keys := benchKeyTable()
+	keys := benchKeyTable(0, benchKeys)
 	val := make([]byte, benchValueBytes)
 	var trace []Access
 	var sum int64
@@ -76,7 +80,7 @@ func BenchPreload(n int) int64 {
 // and returns a checksum. One op is one GetInto: hash, bucket probe,
 // item read and value copy.
 func BenchGetHit(n int) int64 {
-	keys := benchKeyTable()
+	keys := benchKeyTable(0, benchKeys)
 	s := benchStore()
 	val := make([]byte, benchValueBytes)
 	trace := preloadBench(s, keys, val, nil)
@@ -88,6 +92,44 @@ func BenchGetHit(n int) int64 {
 			panic("kvs bench: preloaded key missing")
 		}
 		sum += int64(len(trace))
+	}
+	return sum
+}
+
+// benchRoundPuts is the number of PUTs one KVSCheckoutRollback op
+// applies between rollbacks.
+const benchRoundPuts = 64
+
+// BenchCheckoutRollback times the store side of a pooled experiment
+// point: a preloaded store is checkpointed once, then each op applies
+// 64 mixed PUTs — in-place updates, size-class reallocations and
+// fresh-key inserts, in a fixed rotation — and rolls them back. It
+// returns a checksum of the trace lengths. Once the journal and the
+// free lists reach their high-water mark it allocates nothing.
+func BenchCheckoutRollback(n int) int64 {
+	keys := benchKeyTable(0, benchKeys)
+	s := benchStore()
+	val := make([]byte, 4*benchValueBytes)
+	trace := preloadBench(s, keys, val[:benchValueBytes], nil)
+	s.Checkpoint()
+	fresh := benchKeyTable(benchKeys, benchRoundPuts/4)
+	var sum int64
+	for op := 0; op < n; op++ {
+		for i := 0; i < benchRoundPuts; i++ {
+			key, v := keys[(op*benchRoundPuts+i*7919)%benchKeys], val[:benchValueBytes]
+			switch i % 4 {
+			case 1:
+				v = val // a larger size class: the item moves
+			case 3:
+				key = fresh[i/4]
+			}
+			var err error
+			if trace, err = s.PutInto(trace[:0], key, v); err != nil {
+				panic(err)
+			}
+			sum += int64(len(trace))
+		}
+		s.Rollback()
 	}
 	return sum
 }

@@ -75,6 +75,15 @@ type Store struct {
 
 	mask uint64
 
+	opCounters
+
+	// undo is the journal of the active checkpoint; nil when none is
+	// active (see Checkpoint).
+	undo *undoLog
+}
+
+// opCounters are the store's activity counters (see Stats).
+type opCounters struct {
 	gets, puts, deletes, misses int64
 	chained                     int64 // overflow buckets allocated
 }
@@ -111,6 +120,17 @@ func (s *Store) at(addr memspace.Addr, n int) []byte {
 		return s.index.Slice(addr, n)
 	}
 	return s.pool.Slice(addr, n)
+}
+
+// writable is at for the three write sites (slot write, item write,
+// chained-bucket clear): under a checkpoint it journals the bytes the
+// caller is about to overwrite.
+func (s *Store) writable(addr memspace.Addr, n int) []byte {
+	b := s.at(addr, n)
+	if s.undo != nil {
+		s.undo.record(addr, b)
+	}
+	return b
 }
 
 const (
@@ -163,13 +183,13 @@ func slot(bkt []byte, i int) (uint16, memspace.Addr) {
 }
 
 func (s *Store) writeSlot(bkt memspace.Addr, i int, tag uint16, addr memspace.Addr) {
-	raw := s.at(bkt+memspace.Addr(i*slotBytes), slotBytes)
+	raw := s.writable(bkt+memspace.Addr(i*slotBytes), slotBytes)
 	binary.LittleEndian.PutUint64(raw, uint64(tag)|uint64(addr)<<16)
 }
 
 // writeItem serializes a key-value pair at addr.
 func (s *Store) writeItem(addr memspace.Addr, key, val []byte) {
-	buf := s.at(addr, itemHdrBytes+len(key)+len(val))
+	buf := s.writable(addr, itemHdrBytes+len(key)+len(val))
 	binary.LittleEndian.PutUint16(buf[0:2], uint16(len(key)))
 	binary.LittleEndian.PutUint32(buf[2:6], uint32(len(val)))
 	copy(buf[itemHdrBytes:], key)
@@ -290,7 +310,7 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 		if err != nil {
 			return trace, fmt.Errorf("kvs: chain allocation failed: %w", err)
 		}
-		clear(s.bucket(nb)) // the block may be a freed item's
+		clear(s.writable(nb, bucketBytes)) // the block may be a freed item's
 		s.writeSlot(lastBkt, slotsPerBkt, chainTag, nb)
 		trace = append(trace, Access{Addr: lastBkt, Bytes: slotBytes, Write: true})
 		s.chained++

@@ -82,3 +82,36 @@ func (s *slabAllocator) release(addr memspace.Addr, n int) {
 
 // liveBlocks reports allocations minus frees.
 func (s *slabAllocator) liveBlocks() int64 { return s.allocated - s.freed }
+
+// slabState is a copy of an allocator's mutable state. Its lists are
+// its own arrays, so saving into the same slabState again reuses their
+// capacity.
+type slabState struct {
+	next             memspace.Addr
+	free             map[int][]memspace.Addr
+	allocated, freed int64
+}
+
+// save copies the allocator's state into st.
+func (s *slabAllocator) save(st *slabState) {
+	st.next, st.allocated, st.freed = s.next, s.allocated, s.freed
+	if st.free == nil {
+		st.free = make(map[int][]memspace.Addr, len(s.free))
+	}
+	for c := range st.free {
+		st.free[c] = st.free[c][:0]
+	}
+	for c, list := range s.free {
+		st.free[c] = append(st.free[c], list...)
+	}
+}
+
+// restore returns the allocator to a state saved from it. A class whose
+// list was first created after the save keeps an empty list, which
+// allocates exactly as an absent one does.
+func (s *slabAllocator) restore(st *slabState) {
+	s.next, s.allocated, s.freed = st.next, st.allocated, st.freed
+	for c, list := range s.free {
+		s.free[c] = append(list[:0], st.free[c]...)
+	}
+}

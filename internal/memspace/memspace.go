@@ -148,6 +148,23 @@ func (s *Space) alloc(name string, size uint64, kind Kind, backed bool) *Region 
 	return r
 }
 
+// Adopt maps an existing region's backing bytes into s at the region's
+// own addresses, as kind, and returns the new mapping. Both mappings
+// share one backing array, so a write through either is visible
+// through the other. Adopt panics unless r starts at s's bump pointer:
+// the adopted region then sits exactly where an Alloc of its size
+// would have put it, and every later allocation lands where it would
+// have after that Alloc.
+func (s *Space) Adopt(r *Region, kind Kind) *Region {
+	if r.Base != s.next {
+		panic(fmt.Sprintf("memspace: adopt %q at %#x, bump pointer at %#x", r.Name, r.Base, s.next))
+	}
+	a := &Region{Name: r.Name, Kind: kind, Range: r.Range, data: r.data}
+	s.regions = append(s.regions, a)
+	s.next += Addr(r.Size)
+	return a
+}
+
 // Region finds the region containing addr, or nil.
 func (s *Space) Region(addr Addr) *Region {
 	i := sort.Search(len(s.regions), func(i int) bool {

@@ -168,3 +168,56 @@ func TestAllocPhantom(t *testing.T) {
 	}()
 	s.Slice(ph.Base, 8)
 }
+
+func TestAdoptSharesBytesAndKeepsLayout(t *testing.T) {
+	home := New()
+	idx := home.Alloc("idx", 100, KindDRAM)
+	pool := home.Alloc("pool", 4096, KindDRAM)
+
+	s := New()
+	ai := s.Adopt(idx, KindAccelLocal)
+	ap := s.Adopt(pool, KindAccelLocal)
+	if ai.Range != idx.Range || ap.Range != pool.Range || ai.Name != "idx" {
+		t.Fatalf("adopted ranges moved: %+v %+v", ai, ap)
+	}
+	if next := s.Alloc("next", 64, KindDRAM); next.Base != pool.End() {
+		t.Fatalf("allocation after adopt at %#x, want %#x", next.Base, pool.End())
+	}
+	if s.Region(pool.Base+7) != ap || s.Region(idx.End()-1) != ai {
+		t.Fatal("Region lookup missed an adopted region")
+	}
+	if s.KindOf(pool.Base) != KindAccelLocal || home.KindOf(pool.Base) != KindDRAM {
+		t.Fatal("adopt must set the kind of the new mapping only")
+	}
+	// One backing array: writes show through both mappings.
+	s.Write(pool.Base+8, []byte("shared"))
+	if got := home.Slice(pool.Base+8, 6); string(got) != "shared" {
+		t.Fatalf("home mapping reads %q", got)
+	}
+	home.Slice(idx.Base, 1)[0] = 'x'
+	if s.Slice(idx.Base, 1)[0] != 'x' {
+		t.Fatal("adopted mapping missed a write through the home mapping")
+	}
+	if s.TotalAllocated() != home.TotalAllocated()+64 {
+		t.Fatalf("TotalAllocated %d, want %d", s.TotalAllocated(), home.TotalAllocated()+64)
+	}
+}
+
+func TestAdoptAwayFromBumpPointerPanics(t *testing.T) {
+	home := New()
+	home.Alloc("first", 64, KindDRAM)
+	second := home.Alloc("second", 64, KindDRAM)
+	for name, s := range map[string]*Space{
+		"below": New(),
+		"above": func() *Space { s := New(); s.Alloc("big", 4096, KindDRAM); return s }(),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: adopt at %#x did not panic", name, second.Base)
+				}
+			}()
+			s.Adopt(second, KindDRAM)
+		}()
+	}
+}

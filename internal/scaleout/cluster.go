@@ -408,7 +408,8 @@ type Stats struct {
 	// more versions (the elastic-resharding staleness the single-flip
 	// model never produced); TimeoutRetries counts attempts that found
 	// no live replica; Failed counts requests that exhausted every
-	// attempt; Aborted counts migrations abandoned to a crashed chain;
+	// attempt; Aborted counts migrations abandoned to a crashed chain or
+	// a full destination;
 	// RangeMigrations/RangeKeys count elastic handoff chunks and the
 	// keys they moved; Resizes counts completed reshapes; LiveShards is
 	// the current non-retired shard count.
@@ -730,8 +731,9 @@ func (c *Cluster) afterRequest(now sim.Time) {
 // the snapshot read fails over to the next live replica, and the
 // catch-up log carries any writes that raced it, so the move resumes
 // rather than restarts. Only a chain with no live replica at all
-// (source unreadable, or destination unable to accept installs) aborts
-// the move; nothing flipped, so the source keeps serving and the abort
+// (source unreadable, or destination unable to accept installs), or a
+// destination with no free slot for a key, aborts the move; nothing
+// flipped, so the source keeps serving and the abort
 // is retried later (next detection window for hot-key moves, the
 // resize pump for elastic chunks). It returns the time the last
 // install completed (now when nothing advanced).
@@ -753,7 +755,7 @@ func (c *Cluster) stepMigration(now sim.Time) sim.Time {
 		}
 		dref, err := dst.ensureSlot(h, int(ref.n))
 		if err != nil {
-			panic(fmt.Sprintf("scaleout: migration to shard %d: %v", m.dst, err))
+			return c.abortMigration(now) // destination full
 		}
 		c.migWr[0] = chainrep.Tuple{Offset: dref.off, Data: vals[0]}
 		at, err = dst.chain.ApplyCommitted(at, c.migWr[:1])
@@ -794,7 +796,8 @@ func (c *Cluster) stepMigration(now sim.Time) sim.Time {
 }
 
 // abortMigration abandons the in-flight move after its source or
-// destination lost every replica. Nothing has flipped: the source (if
+// destination lost every replica, or its destination ran out of slots.
+// Nothing has flipped: the source (if
 // alive) still owns and serves every key, the destination's partial
 // copies are invisible and will be overwritten by the retry, and the
 // catch-up log is discarded with the move (its writes committed at the

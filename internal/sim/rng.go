@@ -1,6 +1,9 @@
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // RNG is a small, fast, deterministic random number generator
 // (splitmix64 seeding a xoshiro256** core). Every stochastic choice in
@@ -86,7 +89,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // YCSB-style skew. The implementation is the standard YCSB zipfian
 // generator (Gray et al., "Quickly Generating Billion-Record Synthetic
 // Databases"). Construction is O(n) to compute the harmonic
-// normalization constant; Next is O(1).
+// normalization constant, once per (n, theta) per process (see
+// zetaMemo); Next is O(1).
 type Zipf struct {
 	rng    *RNG
 	n      float64
@@ -108,11 +112,50 @@ func NewZipf(rng *RNG, n uint64, theta float64) *Zipf {
 	}
 	z := &Zipf{rng: rng, n: float64(n), theta: theta}
 	zeta2 := zeta(2, theta)
-	z.zetaN = zeta(n, theta)
+	z.zetaN = zetaMemoized(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/z.n, 1-theta)) / (1 - zeta2/z.zetaN)
 	z.thresh = 1 + math.Pow(0.5, theta)
 	return z
+}
+
+// zetaMemo holds zeta(n, theta) for the generators built so far.
+// Every sweep point over one key space builds a Zipf of the same
+// (n, theta), and the sum costs n Pow calls (2^18 per quick KVS point).
+// The memo stops growing at zetaMemoMax entries.
+var zetaMemo struct {
+	sync.Mutex
+	m map[zetaKey]float64
+}
+
+type zetaKey struct {
+	n     uint64
+	theta float64
+}
+
+const zetaMemoMax = 64
+
+// zetaMemoized returns zeta(n, theta), computing it only on the first
+// call for (n, theta). The sum is a pure function of its arguments, so
+// a memoized value is the bit-identical float.
+func zetaMemoized(n uint64, theta float64) float64 {
+	k := zetaKey{n, theta}
+	zetaMemo.Lock()
+	v, ok := zetaMemo.m[k]
+	zetaMemo.Unlock()
+	if ok {
+		return v
+	}
+	v = zeta(n, theta)
+	zetaMemo.Lock()
+	if zetaMemo.m == nil {
+		zetaMemo.m = make(map[zetaKey]float64)
+	}
+	if len(zetaMemo.m) < zetaMemoMax {
+		zetaMemo.m[k] = v
+	}
+	zetaMemo.Unlock()
+	return v
 }
 
 // zeta computes the generalized harmonic number sum_{i=1..n} i^-theta.

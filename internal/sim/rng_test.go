@@ -146,3 +146,36 @@ func TestZipfPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestZipfMemoizedZetaBitIdentical checks that a generator built from
+// the memoized normalization constant is the one a fresh sum builds:
+// same zetaN bits and the same draws, for a first (memo-filling) and a
+// second (memo-hit) construction of one (n, theta).
+func TestZipfMemoizedZetaBitIdentical(t *testing.T) {
+	const n, theta = 12345, 0.77
+	fresh := zeta(n, theta)
+	for round := 0; round < 2; round++ {
+		z := NewZipf(NewRNG(9), n, theta)
+		if math.Float64bits(z.zetaN) != math.Float64bits(fresh) {
+			t.Fatalf("round %d: zetaN %v, fresh sum %v", round, z.zetaN, fresh)
+		}
+		ref := &Zipf{rng: NewRNG(9), n: n, theta: theta, zetaN: fresh, alpha: z.alpha, eta: z.eta, thresh: z.thresh}
+		for i := 0; i < 1000; i++ {
+			if a, b := z.Next(), ref.Next(); a != b {
+				t.Fatalf("round %d draw %d: %d, want %d", round, i, a, b)
+			}
+		}
+	}
+}
+
+func TestZetaMemoBounded(t *testing.T) {
+	for i := 0; i < 2*zetaMemoMax; i++ {
+		zetaMemoized(uint64(i+1), 0.5)
+	}
+	zetaMemo.Lock()
+	n := len(zetaMemo.m)
+	zetaMemo.Unlock()
+	if n > zetaMemoMax {
+		t.Fatalf("memo holds %d entries, cap %d", n, zetaMemoMax)
+	}
+}
