@@ -112,6 +112,7 @@ var microKernels = []struct {
 	{"MigrationFailoverReplay", func(n int) { scaleout.BenchMigrationFailoverReplay(n) }},
 	{"LSMReadHotPath", func(n int) { lsm.BenchReadHotPath(n) }},
 	{"ScanMerge", func(n int) { lsm.BenchScanMerge(n) }},
+	{"LSMWriteCompact", func(n int) { lsm.BenchWriteCompact(n) }},
 	{"KVSPreload", func(n int) { kvs.BenchPreload(n) }},
 	{"KVSGetInto", func(n int) { kvs.BenchGetHit(n) }},
 	{"KVSCheckoutRollback", func(n int) { kvs.BenchCheckoutRollback(n) }},

@@ -282,11 +282,14 @@ func (s *Store) PutInto(trace []Access, key, val []byte) ([]Access, error) {
 				return trace, err
 			}
 			if oldClass != newClass {
-				s.slab.release(addr, itemBytes(k, v))
-				addr, err = s.slab.alloc(itemBytes(key, val))
+				// Allocate before releasing: a failed allocation must
+				// leave the slot on its live block.
+				newAddr, err := s.slab.alloc(itemBytes(key, val))
 				if err != nil {
 					return trace, err
 				}
+				s.slab.release(addr, itemBytes(k, v))
+				addr = newAddr
 				s.writeSlot(bkt, i, tag, addr)
 				trace = append(trace, Access{Addr: bkt, Bytes: slotBytes, Write: true})
 			}

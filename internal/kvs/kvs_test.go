@@ -62,6 +62,34 @@ func TestUpdateInPlace(t *testing.T) {
 	}
 }
 
+// TestFailedResizeKeepsKey fills a four-block pool, then grows one
+// item past its size class. The allocation fails, and the key must
+// stay on its old block: still live, still readable, and not handed to
+// the next insert.
+func TestFailedResizeKeepsKey(t *testing.T) {
+	s := newStore(64, 4*minClass)
+	for i := 0; i < 4; i++ {
+		if _, err := s.PutInto(nil, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.PutInto(nil, []byte("k0"), make([]byte, 100)); err == nil {
+		t.Fatal("resize into a full pool succeeded")
+	}
+	if live := s.Stats().LiveItems; live != 4 {
+		t.Fatalf("LiveItems = %d after the failed resize, want 4", live)
+	}
+	if _, err := s.PutInto(nil, []byte("k9"), []byte("w")); err == nil {
+		t.Fatal("insert into a full pool succeeded")
+	}
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if val, _, ok := s.GetInto(nil, nil, []byte(key)); !ok || string(val) != "v" {
+			t.Fatalf("GET %s = %q, %v; want \"v\"", key, val, ok)
+		}
+	}
+}
+
 func TestAccessTraceCounts(t *testing.T) {
 	// The paper's cost model: ~3 accesses per GET, ~4 per PUT (without
 	// collisions).

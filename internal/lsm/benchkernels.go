@@ -11,9 +11,10 @@ import (
 
 // This file holds the storage-engine micro kernels cmd/rambda-bench
 // times: the point-read hot path across the memtable and sstable tiers,
-// and the merged-iterator range scan. Both run on a prebuilt tree with
-// several flushed runs, so the measured work is the real multi-level
-// probe/merge, not memtable-only shortcuts.
+// the merged-iterator range scan, and the YCSB-A write path through
+// flush and compaction. All run on a prebuilt tree with flushed runs,
+// so the measured work is the real multi-level probe/merge, not
+// memtable-only shortcuts.
 
 // benchKeys is the key universe of the kernel tree; enough to force
 // multiple flushes and one compaction cascade under benchLSMConfig.
@@ -128,6 +129,102 @@ func (b *ScanBench) Step(i int) uint64 {
 // checksum so the work cannot be optimized away.
 func BenchScanMerge(n int) uint64 {
 	b := NewScanBench()
+	var sink uint64
+	for i := 0; i < n; i++ {
+		sink += b.Step(i)
+	}
+	return sink
+}
+
+// writeBenchKeys is the write kernel's key universe, the ycsb
+// experiment's at quick scale.
+const writeBenchKeys = 1 << 13
+
+// writeBenchConfig is the ycsb experiment's tree: the WAL is smaller
+// than the memtable, so sustained updates wrap it, and L0 holds two
+// runs, so every third flush compacts.
+func writeBenchConfig() Config {
+	return Config{
+		MemtableBytes: 64 << 10,
+		L0Runs:        2,
+		SSTableBytes:  2 << 20,
+		WALBytes:      48 << 10,
+		MaxLevels:     4,
+	}
+}
+
+// WriteBench is the reusable state of the LSMWriteCompact kernel. Step
+// is one YCSB-A operation on the ycsb experiment's tree, a Zipf(0.99)
+// key read or updated with equal odds, followed by Maintain: the
+// flushes, compactions and run frees the updates trigger are all part
+// of the measured work.
+type WriteBench struct {
+	db    *DB
+	rng   *sim.RNG
+	zipf  *sim.Zipf
+	now   sim.Time
+	key   []byte
+	val   []byte
+	dst   []byte
+	trace []kvs.Access
+}
+
+// NewWriteBench preloads writeBenchKeys 46 B values and drains the
+// preload's background work, as the ycsb experiment does.
+func NewWriteBench() *WriteBench {
+	space := memspace.New()
+	mem := &memdev.System{
+		Space: space,
+		DRAM:  memdev.NewDRAM("bench:dram", 6, 120e9, 90*sim.Nanosecond),
+		NVM:   memdev.NewNVM("bench:nvm", 6, 39e9, 300*sim.Nanosecond, 3),
+		LLC:   memdev.NewLLC("bench:llc", 300e9, 20*sim.Nanosecond),
+	}
+	rng := sim.NewRNG(7)
+	b := &WriteBench{
+		db:   Open(space, mem, writeBenchConfig()),
+		rng:  rng,
+		zipf: sim.NewZipf(rng, writeBenchKeys, 0.99),
+		val:  make([]byte, 46),
+	}
+	for i := 0; i < writeBenchKeys; i++ {
+		b.put(i, 0)
+	}
+	b.db.Maintain(0)
+	return b
+}
+
+func (b *WriteBench) put(k int, version uint64) {
+	b.key = appendBenchKey(b.key[:0], k)
+	binary.LittleEndian.PutUint64(b.val, uint64(k))
+	binary.LittleEndian.PutUint64(b.val[8:], version)
+	trace, err := b.db.PutInto(b.trace[:0], b.key, b.val)
+	if err != nil {
+		panic(err)
+	}
+	b.trace = trace
+}
+
+// Step runs one YCSB-A operation and the Maintain after it.
+func (b *WriteBench) Step(i int) uint64 {
+	k := int(b.zipf.Next())
+	if b.rng.Intn(2) == 0 {
+		b.key = appendBenchKey(b.key[:0], k)
+		dst, trace, ok := b.db.GetInto(b.dst[:0], b.trace[:0], b.key)
+		b.dst, b.trace = dst, trace
+		if !ok {
+			panic("lsm bench: preloaded key missing")
+		}
+	} else {
+		b.put(k, uint64(i)+1)
+	}
+	b.now, _ = b.db.Maintain(b.now)
+	return uint64(len(b.trace))
+}
+
+// BenchWriteCompact runs n YCSB-A operations with Maintain after each
+// and returns a checksum so the work cannot be optimized away.
+func BenchWriteCompact(n int) uint64 {
+	b := NewWriteBench()
 	var sink uint64
 	for i := 0; i < n; i++ {
 		sink += b.Step(i)

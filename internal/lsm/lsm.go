@@ -18,9 +18,17 @@
 // see exactly the versions at pin time: newer memtable versions are
 // filtered by sequence, a flush swaps in a fresh memtable map (the
 // snapshot keeps the old one), and compaction builds new sstables
-// while the pinned ones stay readable (simulation regions are never
-// freed). Snapshots therefore never block behind flush or compaction
-// and cost nothing to take.
+// while the pinned ones stay readable. Snapshots therefore never block
+// behind flush or compaction and cost nothing to take.
+//
+// Runs are reference counted: the current version holds one reference
+// to each run it lists, and every snapshot holds one more to each run
+// it pinned. Compaction drops the version's references to the runs it
+// supersedes, and [Snapshot.Release] drops a snapshot's. A run nobody
+// holds is unmapped from the address space ([memspace.Space.Free]) at
+// the end of the next [DB.Maintain], after the background write that
+// superseded it has been charged, so no charged access and no pending
+// write ever names an unmapped address.
 //
 // # Serving path
 //
@@ -42,6 +50,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"rambda/internal/kvs"
 	"rambda/internal/memdev"
@@ -59,8 +68,9 @@ type Config struct {
 	MemtableBytes int
 	// L0Runs triggers compaction of level 0 into level 1.
 	L0Runs int
-	// SSTableBytes caps one run region (flushes larger than this fail —
-	// size the memtable below it).
+	// SSTableBytes is the address space reserved for one flushed run;
+	// a compaction into level l reserves (l+1)× it. A run larger than
+	// its reservation grows it. Only the bytes a run holds are backed.
 	SSTableBytes uint64
 	// WALBytes sizes the write-ahead log ring.
 	WALBytes uint64
@@ -107,6 +117,10 @@ type DB struct {
 	// pendingStall marks a WAL-wrap flush whose charge is synchronous.
 	pending      []pendingIO
 	pendingStall bool
+
+	// dead lists the runs whose last reference is gone; Maintain
+	// unmaps them once their superseding writes are charged.
+	dead []*sstable
 
 	tr *obs.Trace // optional flush/compaction span collector
 
@@ -362,7 +376,7 @@ func (db *DB) flushState() {
 	for k, versions := range db.memtable {
 		flat[k] = versions[len(versions)-1]
 	}
-	run, bytes := buildSSTable(db.space, fmt.Sprintf("lsm-l0-%d", db.flushes), db.cfg.SSTableBytes, flat)
+	run, bytes := buildSSTable(db.space, "lsm-l0-"+strconv.FormatInt(db.flushes, 10), db.cfg.SSTableBytes, flat)
 	db.pending = append(db.pending, pendingIO{name: "lsm.flush", addr: uint64(run.region.Base), bytes: bytes})
 	db.levels[0] = append(db.levels[0], run)
 	db.memtable = make(map[string][]entry)
@@ -383,9 +397,9 @@ func (db *DB) Flush(now sim.Time) sim.Time {
 }
 
 // compactState merges every run of level li plus the run at li+1 into a
-// new single run at li+1, deferring the streaming write to pending.
-// Pinned snapshots keep reading the replaced runs: their regions stay
-// valid forever.
+// new single run at li+1, deferring the streaming write to pending. The
+// version drops its references to the replaced runs; pinned snapshots
+// keep reading them until they are released.
 func (db *DB) compactState(li int) {
 	if li+1 >= db.cfg.MaxLevels {
 		return // bottom level absorbs runs without further merging
@@ -408,12 +422,18 @@ func (db *DB) compactState(li int) {
 		}
 	}
 	db.compactions++
+	for _, run := range db.levels[li] {
+		db.unref(run)
+	}
+	for _, run := range db.levels[li+1] {
+		db.unref(run)
+	}
 	db.levels[li] = nil
 	if len(merged) == 0 {
 		db.levels[li+1] = nil
 		return
 	}
-	run, bytes := buildSSTable(db.space, fmt.Sprintf("lsm-l%d-%d", li+1, db.compactions),
+	run, bytes := buildSSTable(db.space, "lsm-l"+strconv.Itoa(li+1)+"-"+strconv.FormatInt(db.compactions, 10),
 		db.cfg.SSTableBytes*uint64(li+2), merged)
 	db.pending = append(db.pending, pendingIO{name: "lsm.compact", addr: uint64(run.region.Base), bytes: bytes})
 	db.levels[li+1] = []*sstable{run}
@@ -440,9 +460,23 @@ func (db *DB) Maintain(now sim.Time) (sim.Time, bool) {
 		at = end
 	}
 	db.pending = db.pending[:0]
+	for i, t := range db.dead {
+		db.space.Free(t.region)
+		db.dead[i] = nil
+	}
+	db.dead = db.dead[:0]
 	stalled := db.pendingStall
 	db.pendingStall = false
 	return at, stalled
+}
+
+// unref drops one reference to t; a run nobody holds waits in dead for
+// the end of the next Maintain.
+func (db *DB) unref(t *sstable) {
+	t.refs--
+	if t.refs == 0 {
+		db.dead = append(db.dead, t)
+	}
 }
 
 // --- kvs.Backend: the trace-emitting serving path ---
@@ -553,12 +587,14 @@ func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 // --- MVCC snapshots ---
 
 // Snapshot is a pinned read view: sequence high-water mark, memtable
-// map, and run list as of Snapshot(). It stays valid forever (regions
-// are never freed) and costs nothing to take or hold.
+// map, and run list as of Snapshot(). It holds a reference to each of
+// its runs, so they stay readable through any later flush or
+// compaction until Release.
 type Snapshot struct {
+	db   *DB
 	seq  uint64
 	mem  map[string][]entry
-	runs [][]*sstable
+	runs [][]*sstable // nil once released
 }
 
 // Snapshot pins the current view.
@@ -566,8 +602,31 @@ func (db *DB) Snapshot() *Snapshot {
 	runs := make([][]*sstable, len(db.levels))
 	for li, level := range db.levels {
 		runs[li] = append([]*sstable(nil), level...)
+		for _, t := range level {
+			t.refs++
+		}
 	}
-	return &Snapshot{seq: db.seq, mem: db.memtable, runs: runs}
+	return &Snapshot{db: db, seq: db.seq, mem: db.memtable, runs: runs}
+}
+
+// Release drops the snapshot's references to its runs. A run that no
+// version and no other snapshot holds is unmapped at the end of the
+// next Maintain. The snapshot must not be read after Release; a second
+// Release does nothing.
+func (s *Snapshot) Release() {
+	for _, level := range s.runs {
+		for _, t := range level {
+			s.db.unref(t)
+		}
+	}
+	s.mem, s.runs = nil, nil
+}
+
+// mustBeLive panics on a read of a released snapshot.
+func (s *Snapshot) mustBeLive() {
+	if s.runs == nil {
+		panic("lsm: read of a released snapshot")
+	}
 }
 
 // Seq reports the snapshot's pinned sequence number.
@@ -575,6 +634,7 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // Get reads a key as of the snapshot.
 func (s *Snapshot) Get(key string) ([]byte, bool) {
+	s.mustBeLive()
 	if e, ok := newestVisible(s.mem[key], s.seq); ok {
 		if e.tombstone {
 			return nil, false
@@ -608,6 +668,7 @@ func (s *Snapshot) Get(key string) ([]byte, bool) {
 // pairs have been visited (limit <= 0 is unbounded). It returns the
 // number of pairs visited.
 func (s *Snapshot) Scan(start string, limit int, reverse bool, fn func(key string, val []byte) bool) int {
+	s.mustBeLive()
 	it := newMergeIter(s.mem, s.runs, s.seq, start, reverse)
 	n := 0
 	for it.next() {
@@ -766,9 +827,15 @@ type sstable struct {
 	keys    []string
 	offsets []uint32
 	seqs    []uint64
+	// refs counts the version that lists the run (one) and the
+	// snapshots that pin it (one each). A new run starts with the
+	// version's reference.
+	refs int
 }
 
-// buildSSTable serializes entries (sorted) into a fresh NVM region.
+// buildSSTable serializes entries (sorted) into a fresh NVM region. The
+// region reserves capBytes of address space (more if the records need
+// it) but backs only the bytes it holds.
 func buildSSTable(space *memspace.Space, name string, capBytes uint64, entries map[string]entry) (*sstable, int) {
 	keys := make([]string, 0, len(entries))
 	total := 8 // [4B magic][4B count]
@@ -778,17 +845,17 @@ func buildSSTable(space *memspace.Space, name string, capBytes uint64, entries m
 	}
 	sort.Strings(keys)
 	if uint64(total) > capBytes {
-		capBytes = uint64(total) // grow: simulation regions are cheap
+		capBytes = uint64(total) // grow: address space is free
 	}
-	region := space.Alloc(name, capBytes, memspace.KindNVM)
+	region := space.AllocPrefix(name, capBytes, uint64(total), memspace.KindNVM)
 	buf := region.Bytes()
 	binary.LittleEndian.PutUint32(buf[0:4], sstMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(keys)))
-	t := &sstable{region: region, space: space}
+	t := &sstable{region: region, space: space, refs: 1, keys: keys,
+		offsets: make([]uint32, 0, len(keys)), seqs: make([]uint64, 0, len(keys))}
 	off := 8
 	for _, k := range keys {
 		e := entries[k]
-		t.keys = append(t.keys, k)
 		t.offsets = append(t.offsets, uint32(off))
 		t.seqs = append(t.seqs, e.seq)
 		putRecordHdr(buf[off:], len(k), len(e.val), e.seq, e.tombstone)
@@ -839,7 +906,7 @@ func openSSTable(space *memspace.Space, region *memspace.Region) (*sstable, erro
 		return nil, fmt.Errorf("lsm: region %q is not an sstable", region.Name)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	t := &sstable{region: region, space: space}
+	t := &sstable{region: region, space: space, refs: 1}
 	off := 8
 	for i := 0; i < count; i++ {
 		if off+recordHdr > len(buf) {
@@ -859,7 +926,8 @@ func openSSTable(space *memspace.Space, region *memspace.Region) (*sstable, erro
 
 // Recover rebuilds a DB after a crash from the persistent regions: the
 // sstable runs (oldest-to-newest per level, levels deep-to-shallow
-// handled by scan order) and the WAL records not yet flushed. walValid
+// handled by scan order) and the WAL records not yet flushed. Each
+// recovered run starts with the new version's reference. walValid
 // is the number of durable WAL bytes (a real system reads until the
 // checksum breaks; the simulation tracks it in the test). The MVCC
 // sequence counter resumes from the highest sequence seen anywhere.
@@ -931,5 +999,7 @@ func (db *DB) Runs() [][]*memspace.Region {
 // Range iterates the live keys in sorted order (merging all levels and
 // the memtable), calling fn until it returns false.
 func (db *DB) Range(fn func(key string, val []byte) bool) {
-	db.Snapshot().Scan("", 0, false, fn)
+	s := db.Snapshot()
+	defer s.Release()
+	s.Scan("", 0, false, fn)
 }

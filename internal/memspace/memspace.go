@@ -7,7 +7,9 @@
 // Regions carry real backing storage: the simulated RDMA verbs, ring
 // buffers, KVS, transaction log, and DLRM tables all move actual bytes
 // through this space, so functional correctness is testable
-// independently of the timing model.
+// independently of the timing model. A region backs only as many bytes
+// as it holds, and Free unmaps it; addresses are never reused, so
+// freeing changes no later address and no modeled number.
 package memspace
 
 import (
@@ -65,15 +67,18 @@ func (r Range) Overlaps(o Range) bool {
 // End returns the first address past the range.
 func (r Range) End() Addr { return r.Base + Addr(r.Size) }
 
-// Region is an allocated, backed interval of the address space.
+// Region is an allocated interval of the address space. Its Range is
+// the reserved address span every lookup sees; only a prefix of it may
+// be backed by real bytes (the whole span for Alloc, none for
+// AllocPhantom).
 type Region struct {
 	Name string
 	Kind Kind
 	Range
-	data []byte
+	data []byte // the backed prefix
 }
 
-// Bytes exposes the region's backing storage.
+// Bytes exposes the region's backed prefix.
 func (r *Region) Bytes() []byte { return r.data }
 
 // Phantom reports whether the region is timing-only (no backing
@@ -81,17 +86,37 @@ func (r *Region) Bytes() []byte { return r.data }
 func (r *Region) Phantom() bool { return r.data == nil }
 
 // Slice returns the backing bytes for [addr, addr+size) inside the
-// region.
+// region's backed prefix. A span outside the prefix, one that reaches
+// into the reserved but unbacked tail or into a phantom or freed
+// region included, panics.
 func (r *Region) Slice(addr Addr, size int) []byte {
-	off := addr - r.Base
-	if !r.Contains(addr) || uint64(off)+uint64(size) > r.Size {
-		panic(fmt.Sprintf("memspace: [%#x,+%d) outside region %q [%#x,+%d)",
-			addr, size, r.Name, r.Base, r.Size))
+	off, n := uint64(addr-r.Base), uint64(len(r.data))
+	if off > n || uint64(size) > n-off {
+		panic(&sliceError{r, addr, size})
+	}
+	return r.data[off : off+uint64(size)]
+}
+
+// sliceError is the panic value of an out-of-prefix Slice. It formats
+// its diagnosis only when printed, which keeps Slice small enough to
+// inline.
+type sliceError struct {
+	r    *Region
+	addr Addr
+	size int
+}
+
+func (e *sliceError) Error() string {
+	r := e.r
+	if !r.Contains(e.addr) || uint64(e.addr-r.Base)+uint64(e.size) > r.Size {
+		return fmt.Sprintf("memspace: [%#x,+%d) outside region %q [%#x,+%d)",
+			e.addr, e.size, r.Name, r.Base, r.Size)
 	}
 	if r.data == nil {
-		panic(fmt.Sprintf("memspace: byte access to phantom region %q", r.Name))
+		return fmt.Sprintf("memspace: byte access to unbacked (phantom or freed) region %q", r.Name)
 	}
-	return r.data[off : uint64(off)+uint64(size)]
+	return fmt.Sprintf("memspace: [%#x,+%d) past the %d backed bytes of region %q [%#x,+%d)",
+		e.addr, e.size, len(r.data), r.Name, r.Base, r.Size)
 }
 
 // Space is the machine's physical address space. The zero page
@@ -117,7 +142,7 @@ func New() *Space {
 // allocation failures here are programming errors, not runtime
 // conditions.
 func (s *Space) Alloc(name string, size uint64, kind Kind) *Region {
-	return s.alloc(name, size, kind, true)
+	return s.AllocPrefix(name, size, size, kind)
 }
 
 // AllocPhantom reserves a region with no backing storage: the address
@@ -127,21 +152,28 @@ func (s *Space) Alloc(name string, size uint64, kind Kind) *Region {
 // target whose steering depends only on the region kind (fig5's 1 GB
 // working set). Byte access through Slice/Read/Write panics.
 func (s *Space) AllocPhantom(name string, size uint64, kind Kind) *Region {
-	return s.alloc(name, size, kind, false)
+	return s.AllocPrefix(name, size, 0, kind)
 }
 
-func (s *Space) alloc(name string, size uint64, kind Kind, backed bool) *Region {
+// AllocPrefix reserves size bytes of address space and backs only the
+// first backed of them (both rounded up to cacheline alignment, backed
+// capped at size). The whole reservation takes part in lookups and
+// moves the bump pointer exactly as Alloc of size would; byte access
+// past the backed prefix panics. Alloc and AllocPhantom are its two
+// extremes.
+func (s *Space) AllocPrefix(name string, size, backed uint64, kind Kind) *Region {
 	if size == 0 {
 		panic("memspace: Alloc with zero size")
 	}
 	size = (size + alignment - 1) &^ uint64(alignment-1)
+	backed = min((backed+alignment-1)&^uint64(alignment-1), size)
 	r := &Region{
 		Name:  name,
 		Kind:  kind,
 		Range: Range{Base: s.next, Size: size},
 	}
-	if backed {
-		r.data = make([]byte, size)
+	if backed > 0 {
+		r.data = make([]byte, backed)
 	}
 	s.regions = append(s.regions, r)
 	s.next += Addr(size)
@@ -163,6 +195,22 @@ func (s *Space) Adopt(r *Region, kind Kind) *Region {
 	s.regions = append(s.regions, a)
 	s.next += Addr(r.Size)
 	return a
+}
+
+// Free unmaps r from s: r leaves the lookup slice, so its addresses
+// read as unmapped, and this mapping drops its reference to the backed
+// bytes, so byte access through r panics. The bump pointer never moves
+// back, so no address is ever handed out twice and every later
+// allocation lands where it would have without the free. Freeing a
+// mapping made by Adopt unmaps it in s alone: the adopted region's
+// home mapping keeps its bytes. Free panics unless r is mapped in s.
+func (s *Space) Free(r *Region) {
+	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].Base >= r.Base })
+	if i == len(s.regions) || s.regions[i] != r {
+		panic(fmt.Sprintf("memspace: free of %q [%#x,+%d), not mapped in this space", r.Name, r.Base, r.Size))
+	}
+	s.regions = append(s.regions[:i], s.regions[i+1:]...)
+	r.data = nil
 }
 
 // Region finds the region containing addr, or nil.
@@ -213,14 +261,18 @@ func (s *Space) mustSlice(addr Addr, size int) []byte {
 	return r.Slice(addr, size)
 }
 
-// Regions returns all allocated regions in address order.
+// Regions returns the mapped regions (allocated and not freed) in
+// address order.
 func (s *Space) Regions() []*Region {
 	out := make([]*Region, len(s.regions))
 	copy(out, s.regions)
 	return out
 }
 
-// TotalAllocated returns the number of allocated bytes.
+// TotalAllocated returns the reserved bytes of the mapped regions: a
+// freed region's range no longer counts, and a prefix-backed region
+// counts its whole reservation, backed or not (the backed bytes are
+// the sum of len(Bytes()) over Regions).
 func (s *Space) TotalAllocated() uint64 {
 	var total uint64
 	for _, r := range s.regions {

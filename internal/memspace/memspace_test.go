@@ -221,3 +221,94 @@ func TestAdoptAwayFromBumpPointerPanics(t *testing.T) {
 		}()
 	}
 }
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestAllocPrefixBacksOnlyThePrefix(t *testing.T) {
+	s := New()
+	r := s.AllocPrefix("run", 1<<20, 100, KindNVM)
+	post := s.Alloc("post", 64, KindDRAM)
+	if r.Size != 1<<20 || len(r.Bytes()) != 128 || r.Phantom() {
+		t.Fatalf("reserved %d, backed %d; want %d and 128", r.Size, len(r.Bytes()), 1<<20)
+	}
+	if post.Base != r.End() {
+		t.Fatalf("next region at %#x, want %#x: the whole reservation must move the bump pointer", post.Base, r.End())
+	}
+	// Lookups see the whole reservation.
+	if s.Region(r.End()-1) != r || s.KindOf(r.Base+4096) != KindNVM {
+		t.Fatal("lookup missed the unbacked tail of the reservation")
+	}
+	s.Write(r.Base+120, []byte("tail"))
+	if got := r.Slice(r.Base+120, 4); string(got) != "tail" {
+		t.Fatalf("prefix reads %q", got)
+	}
+	mustPanic(t, "Slice across the prefix end", func() { s.Slice(r.Base+126, 4) })
+	mustPanic(t, "Slice in the unbacked tail", func() { s.Slice(r.Base+4096, 8) })
+	mustPanic(t, "Region.Slice below the base", func() { r.Slice(r.Base-1, 2) })
+	if got := s.AllocPrefix("big", 64, 1<<10, KindDRAM); len(got.Bytes()) != 64 {
+		t.Fatalf("backed %d bytes of a 64 B region", len(got.Bytes()))
+	}
+}
+
+func TestFreeUnmapsWithoutReusingAddresses(t *testing.T) {
+	// ref allocates the same sequence without the free: every later
+	// address must match it.
+	ref, s := New(), New()
+	for _, sp := range []*Space{ref, s} {
+		sp.Alloc("a", 64, KindDRAM)
+	}
+	ref.Alloc("b", 4096, KindNVM)
+	b := s.AllocPrefix("b", 4096, 64, KindNVM)
+	ref.Alloc("c", 64, KindDRAM)
+	c := s.Alloc("c", 64, KindDRAM)
+
+	s.Free(b)
+	if s.Region(b.Base) != nil || s.Region(b.End()-1) != nil {
+		t.Fatal("freed region still found")
+	}
+	if len(s.Regions()) != 2 || s.TotalAllocated() != 128 {
+		t.Fatalf("after free: %d regions, %d B reserved; want 2 and 128", len(s.Regions()), s.TotalAllocated())
+	}
+	if b.Bytes() != nil {
+		t.Fatal("freed mapping kept its bytes")
+	}
+	mustPanic(t, "KindOf a freed address", func() { s.KindOf(b.Base) })
+	mustPanic(t, "Slice of a freed address", func() { s.Slice(b.Base, 8) })
+	mustPanic(t, "Region.Slice of a freed region", func() { b.Slice(b.Base, 8) })
+	mustPanic(t, "double Free", func() { s.Free(b) })
+	if s.Region(c.Base) != c {
+		t.Fatal("a neighbour of the freed region was lost")
+	}
+	if got, want := s.Alloc("d", 64, KindDRAM).Base, ref.Alloc("d", 64, KindDRAM).Base; got != want {
+		t.Fatalf("allocation after free at %#x, want %#x", got, want)
+	}
+}
+
+func TestFreeAdoptedMappingKeepsHomeBytes(t *testing.T) {
+	home := New()
+	pool := home.Alloc("pool", 4096, KindDRAM)
+	home.Write(pool.Base, []byte("pooled"))
+
+	s := New()
+	ap := s.Adopt(pool, KindAccelLocal)
+	s.Free(ap)
+	if s.Region(pool.Base) != nil {
+		t.Fatal("freed adopted mapping still found")
+	}
+	if got := home.Slice(pool.Base, 6); string(got) != "pooled" {
+		t.Fatalf("home mapping reads %q after the adopted mapping was freed", got)
+	}
+	if len(pool.Bytes()) != 4096 || home.Region(pool.Base) != pool {
+		t.Fatal("freeing an adopted mapping touched the home mapping")
+	}
+	mustPanic(t, "Free of a region mapped elsewhere", func() { s.Free(pool) })
+}
