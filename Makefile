@@ -33,9 +33,9 @@ figures-quick:
 
 # Determinism gate (CI's determinism job): every -quick table and every
 # observability export must be a pure function of the seed. One binary
-# runs at -parallel 1, at -parallel 4 and on the partitioned engine
-# (-parallel 4 -sim-parallel 4); the stdouts and the -obs-dir trees must
-# diff clean, and each tree must hold exactly the five expected files.
+# runs at -parallel 1 and at -parallel 4; the stdouts and the -obs-dir
+# trees must diff clean, and each tree must hold exactly the five
+# expected files.
 DET_DIR ?= determinism
 DET_FILES := breakdown.metrics.json breakdown.trace.json chaos-scaleout.metrics.json scaleout.metrics.json ycsb.metrics.json
 determinism:
@@ -43,12 +43,9 @@ determinism:
 	$(GO) build -o $(DET_DIR)/rambda-figures ./cmd/rambda-figures
 	$(DET_DIR)/rambda-figures -quick -parallel 1 -obs-dir $(DET_DIR)/obs-p1 > $(DET_DIR)/figures-p1.txt
 	$(DET_DIR)/rambda-figures -quick -parallel 4 -obs-dir $(DET_DIR)/obs-p4 > $(DET_DIR)/figures-p4.txt
-	$(DET_DIR)/rambda-figures -quick -parallel 4 -sim-parallel 4 -obs-dir $(DET_DIR)/obs-sp4 > $(DET_DIR)/figures-sp4.txt
 	diff $(DET_DIR)/figures-p1.txt $(DET_DIR)/figures-p4.txt
-	diff $(DET_DIR)/figures-p1.txt $(DET_DIR)/figures-sp4.txt
 	diff -r $(DET_DIR)/obs-p1 $(DET_DIR)/obs-p4
-	diff -r $(DET_DIR)/obs-p1 $(DET_DIR)/obs-sp4
-	for d in obs-p1 obs-p4 obs-sp4; do \
+	for d in obs-p1 obs-p4; do \
 		test "$$(LC_ALL=C ls $(DET_DIR)/$$d | tr '\n' ' ')" = "$(DET_FILES) " || \
 			{ echo "$(DET_DIR)/$$d: want exactly $(DET_FILES)"; exit 1; }; \
 	done
@@ -62,10 +59,9 @@ BENCH_NEXT := $(shell expr $(BENCH_LAST) + 1)
 # microbenchmark kernels and writes BENCH_$(BENCH_NEXT).json (schema
 # documented in cmd/rambda-bench and EXPERIMENTS.md), gated against the
 # newest committed BENCH file. Every BENCH file from BENCH_11 on is
-# recorded in one canonical configuration, one worker and one goroutine
-# per simulation (-parallel 1 -sim-parallel 1, as simbench runs), so the
-# figure walls form a trajectory across PRs.
-BENCH_FLAGS := -quick -parallel 1 -sim-parallel 1
+# recorded in one canonical configuration, one worker (-parallel 1, as
+# simbench runs), so the figure walls form a trajectory across PRs.
+BENCH_FLAGS := -quick -parallel 1
 bench:
 	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 

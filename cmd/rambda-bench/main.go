@@ -6,10 +6,9 @@
 // Usage:
 //
 //	go run ./cmd/rambda-bench -quick                 # figures + micro, write the next BENCH_<n>.json
-//	go run ./cmd/rambda-bench -quick -parallel 1 -sim-parallel 1  # the configuration BENCH files are recorded in (make bench)
+//	go run ./cmd/rambda-bench -quick -parallel 1     # the configuration BENCH files are recorded in (make bench)
 //	go run ./cmd/rambda-bench -skip-figures          # microbenchmarks only
 //	go run ./cmd/rambda-bench -quick -baseline BENCH_<n>.json
-//	go run ./cmd/rambda-bench -quick -sim-parallel 4 # partitioned engine, 4 goroutines per sim
 //
 // With -baseline, the run fails (exit 1) when anything regresses:
 //   - a microbenchmark's machine-normalized score (ns/op divided by the
@@ -21,6 +20,9 @@
 //   - a figure's heap allocation count grows by more than -max-regress
 //     (figures are deterministic, so alloc counts are too; only checked
 //     when both runs used the same -quick scale).
+//
+// A baseline kernel that the current run no longer has is retired: it
+// is named on stderr and not gated.
 //
 // JSON schema (BENCH_*.json):
 //
@@ -44,10 +46,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,7 +86,6 @@ type report struct {
 	Schema        string                  `json:"schema"`
 	Quick         bool                    `json:"quick"`
 	Parallel      int                     `json:"parallel"`
-	SimParallel   int                     `json:"sim_parallel,omitempty"`
 	Go            string                  `json:"go"`
 	CalibrationNs float64                 `json:"calibration_ns_per_op"`
 	Figures       map[string]figureResult `json:"figures"`
@@ -104,7 +107,6 @@ var microKernels = []struct {
 	{"HistogramRecord", func(n int) { sim.BenchHistogramRecord(n) }},
 	{"HistogramPercentile", func(n int) { sim.BenchHistogramPercentile(n) }},
 	{"ZipfNext", func(n int) { sim.BenchZipf(n) }},
-	{"ParallelEpochBarrier", func(n int) { sim.BenchParallelEpochBarrier(n) }},
 	{"RCWriteHotPath", func(n int) { rnic.BenchWriteHotPath(n) }},
 	{"RCRetransmitStorm", func(n int) { rnic.BenchRetransmitStorm(n) }},
 	{"ChainFailoverReplay", func(n int) { chainrep.BenchFailoverReplay(n) }},
@@ -123,7 +125,6 @@ var microKernels = []struct {
 func main() {
 	quick := flag.Bool("quick", false, "run figures at quick scale (mirrors rambda-figures -quick)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for figure sweep points")
-	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams")
 	out := flag.String("out", nextBenchPath(), "output JSON path (the next BENCH_<n>.json in the working directory by default)")
 	only := flag.String("only", "", "comma-separated figure ids to time (e.g. fig7,fig8)")
 	skipFigures := flag.Bool("skip-figures", false, "skip figure timings, run only the sim microbenchmarks")
@@ -132,20 +133,18 @@ func main() {
 	flag.Parse()
 
 	runner.SetDefault(*parallel)
-	sim.SetParallel(*simParallel)
 	specs, err := experiments.SelectSpecs(*quick, *only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	rep := report{
-		Schema:      "rambda-bench/1",
-		Quick:       *quick,
-		Parallel:    *parallel,
-		SimParallel: *simParallel,
-		Go:          runtime.Version(),
-		Figures:     map[string]figureResult{},
-		Micro:       map[string]microResult{},
+		Schema:   "rambda-bench/1",
+		Quick:    *quick,
+		Parallel: *parallel,
+		Go:       runtime.Version(),
+		Figures:  map[string]figureResult{},
+		Micro:    map[string]microResult{},
 	}
 
 	// Calibration first, on a quiet process.
@@ -215,7 +214,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
 	if *baselinePath != "" {
-		if failed := compareBaseline(&rep, *baselinePath, *maxRegress); failed {
+		if failed := compareBaseline(os.Stderr, &rep, *baselinePath, *maxRegress); failed {
 			os.Exit(1)
 		}
 	}
@@ -231,28 +230,35 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 }
 
 // compareBaseline checks every microbenchmark present in both runs
-// (normalized time and allocs/op) plus per-figure alloc counts, and
-// reports regressions beyond maxRegress.
-func compareBaseline(rep *report, path string, maxRegress float64) (failed bool) {
+// (normalized time and allocs/op) plus per-figure alloc counts, writes
+// one line per comparison to w, and reports regressions beyond
+// maxRegress. Baseline kernels missing from rep are named as retired
+// and not gated.
+func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) (failed bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
+		fmt.Fprintf(w, "baseline: %v\n", err)
 		return true
 	}
 	var base report
 	if err := json.Unmarshal(raw, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "baseline %s: %v\n", path, err)
+		fmt.Fprintf(w, "baseline %s: %v\n", path, err)
 		return true
 	}
 	if base.CalibrationNs <= 0 {
-		fmt.Fprintf(os.Stderr, "baseline %s has no calibration; skipping regression check\n", path)
+		fmt.Fprintf(w, "baseline %s has no calibration; skipping regression check\n", path)
 		return false
 	}
-	// Kernels whose wall time is dominated by goroutine wakeups rather
-	// than single-threaded compute: the RNGUint64 calibration does not
-	// normalize scheduler latency across machines, so their times are
-	// recorded but not gated. Alloc counts are still checked.
-	schedulerBound := map[string]bool{"ParallelEpochBarrier": true}
+	var retired []string
+	for name := range base.Micro {
+		if _, ok := rep.Micro[name]; !ok {
+			retired = append(retired, name)
+		}
+	}
+	sort.Strings(retired)
+	for _, name := range retired {
+		fmt.Fprintf(w, "compare %-28s retired, not gated\n", name)
+	}
 	for name, cur := range rep.Micro {
 		b, ok := base.Micro[name]
 		if !ok || b.Normalized <= 0 || name == "RNGUint64" {
@@ -261,12 +267,8 @@ func compareBaseline(rep *report, path string, maxRegress float64) (failed bool)
 		ratio := cur.Normalized / b.Normalized
 		status := "ok"
 		if ratio > 1+maxRegress {
-			if schedulerBound[name] {
-				status = "slower (not gated: scheduler-bound)"
-			} else {
-				status = "REGRESSION"
-				failed = true
-			}
+			status = "REGRESSION"
+			failed = true
 		}
 		// Alloc counts are deterministic per op; one alloc of slack
 		// absorbs testing.Benchmark's occasional warmup remainder.
@@ -274,7 +276,7 @@ func compareBaseline(rep *report, path string, maxRegress float64) (failed bool)
 			status = "ALLOC REGRESSION"
 			failed = true
 		}
-		fmt.Fprintf(os.Stderr, "compare %-28s baseline %8.2f (%d allocs)  now %8.2f (%d allocs)  ratio %.2fx  %s\n",
+		fmt.Fprintf(w, "compare %-28s baseline %8.2f (%d allocs)  now %8.2f (%d allocs)  ratio %.2fx  %s\n",
 			name, b.Normalized, b.AllocsPerOp, cur.Normalized, cur.AllocsPerOp, ratio, status)
 	}
 	// Figure alloc counts are only comparable at the same sweep scale.
@@ -295,12 +297,12 @@ func compareBaseline(rep *report, path string, maxRegress float64) (failed bool)
 				status = "ALLOC REGRESSION"
 				failed = true
 			}
-			fmt.Fprintf(os.Stderr, "compare %-28s baseline %12d allocs  now %12d allocs  ratio %.2fx  %s\n",
+			fmt.Fprintf(w, "compare %-28s baseline %12d allocs  now %12d allocs  ratio %.2fx  %s\n",
 				id, b.Allocs, cur.Allocs, ratio, status)
 		}
 	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "FAIL: regression beyond %.0f%% vs %s\n", maxRegress*100, path)
+		fmt.Fprintf(w, "FAIL: regression beyond %.0f%% vs %s\n", maxRegress*100, path)
 	}
 	return failed
 }

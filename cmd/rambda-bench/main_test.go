@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -26,5 +28,43 @@ func TestCommittedBenchFilesDecode(t *testing.T) {
 		if rep.CalibrationNs <= 0 || len(rep.Micro) == 0 {
 			t.Fatalf("%s: decoded without calibration or kernels", p)
 		}
+	}
+}
+
+func TestCompareBaseline(t *testing.T) {
+	base := report{
+		CalibrationNs: 2,
+		Micro: map[string]microResult{
+			"Kept":    {Normalized: 10, AllocsPerOp: 1},
+			"Retired": {Normalized: 10, AllocsPerOp: 0},
+		},
+	}
+	raw, err := json.Marshal(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_base.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		kept microResult
+		fail bool
+	}{
+		{"retired kernel passes", microResult{Normalized: 10, AllocsPerOp: 1}, false},
+		{"1.3x normalized time fails", microResult{Normalized: 13, AllocsPerOp: 1}, true},
+		{"+2 allocs/op fails", microResult{Normalized: 10, AllocsPerOp: 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := report{CalibrationNs: 2, Micro: map[string]microResult{"Kept": tc.kept}}
+			var out bytes.Buffer
+			if got := compareBaseline(&out, &rep, path, 0.25); got != tc.fail {
+				t.Fatalf("failed = %v, want %v\n%s", got, tc.fail, out.String())
+			}
+			if !strings.Contains(out.String(), "Retired") || !strings.Contains(out.String(), "retired, not gated") {
+				t.Fatalf("retired kernel not named:\n%s", out.String())
+			}
+		})
 	}
 }

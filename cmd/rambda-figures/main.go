@@ -8,7 +8,6 @@
 //	go run ./cmd/rambda-figures -only fig8,fig9,fig10,tab3  # several, in print order
 //	go run ./cmd/rambda-figures -quick       # smaller workloads
 //	go run ./cmd/rambda-figures -parallel 1  # sequential (pre-harness behaviour)
-//	go run ./cmd/rambda-figures -sim-parallel 4  # partitioned engine, 4 goroutines per sim
 //	go run ./cmd/rambda-figures -obs-dir obs     # also export spans/metrics to obs/<id>.{trace,metrics}.json
 //
 // Every figure enumerates its sweep as independent runner jobs; the
@@ -28,14 +27,18 @@ import (
 
 	"rambda/internal/experiments"
 	"rambda/internal/runner"
-	"rambda/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command. It returns the exit status instead of
+// calling os.Exit, so the deferred profile and trace writers still
+// flush when a job panics or an export fails: the failed run is the
+// one most worth profiling.
+func run() int {
 	only := flag.String("only", "", "comma-separated experiments to run: fig1, fig5, fig7, fig8, fig9, fig10, fig12, fig13, tab3, scalability, chaos, breakdown, scaleout, chaos-scaleout, ycsb")
 	quick := flag.Bool("quick", false, "scale workloads down for a fast pass")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for sweep points (1 = sequential)")
-	simParallel := flag.Int("sim-parallel", 1, "goroutines per simulation for the partitioned engine and its pipelined streams (1 = sequential; output is byte-identical for every value)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after all figures) to this file")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -47,7 +50,7 @@ func main() {
 	if *obsDir != "" {
 		if err := os.MkdirAll(*obsDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -55,11 +58,11 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -67,11 +70,11 @@ func main() {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		if err := trace.Start(f); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer trace.Stop()
 	}
@@ -92,12 +95,11 @@ func main() {
 	}()
 
 	runner.SetDefault(*parallel)
-	sim.SetParallel(*simParallel)
 
 	selected, err := experiments.SelectSpecs(*quick, *only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
 	// One flat pool across every selected figure: points of different
@@ -108,7 +110,7 @@ func main() {
 	}
 	if err := runner.Run(*parallel, jobs); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	for _, s := range selected {
 		fmt.Println(s.Table())
@@ -117,8 +119,9 @@ func main() {
 		for _, s := range selected {
 			if err := experiments.WriteObs(*obsDir, s); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
+	return 0
 }

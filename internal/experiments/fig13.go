@@ -64,12 +64,10 @@ const (
 	cpuDLRMDRAMFactor = 3.2
 )
 
-// fig13Work is one precomputed request of the DLRM stream: the query,
-// its wire sizes, and the inference trace/stats. The stream is
-// timing-independent — query k is consumed by the k-th request in walk
-// order regardless of simulated time — so the pipeline produces it
-// ahead of the timing walk; sequence position is the lookahead
-// (DESIGN.md §12, index-domain mode).
+// fig13Work is one request of the DLRM stream: the query, its wire
+// sizes, and the inference trace/stats. One value per point is refilled
+// in place for every request, so the trace is valid until the next
+// fill and the steady state is allocation free.
 type fig13Work struct {
 	q     dlrm.Query
 	sc    dlrm.InferScratch
@@ -78,15 +76,12 @@ type fig13Work struct {
 	respB int
 }
 
-// fig13Stream precomputes n requests through the zero-alloc gather
-// path; the scratch per ring slot keeps the steady state allocation
-// free at any worker count.
-func fig13Stream(ds *dlrm.Dataset, model *dlrm.Model, n int) *sim.Pipeline[fig13Work] {
-	return sim.NewPipeline(n, 64, 16, func(_ int, w *fig13Work) {
-		ds.NextQueryInto(&w.q)
-		w.reqB, w.respB = dlrmWire(w.q, ds.Cat.BundleSize)
-		_, _, w.st = model.InferInto(w.q, dlrm.AggSum, &w.sc)
-	})
+// next draws the stream's next query and runs its inference through
+// the zero-alloc gather path.
+func (w *fig13Work) next(ds *dlrm.Dataset, model *dlrm.Model) {
+	ds.NextQueryInto(&w.q)
+	w.reqB, w.respB = dlrmWire(w.q, ds.Cat.BundleSize)
+	_, _, w.st = model.InferInto(w.q, dlrm.AggSum, &w.sc)
 }
 
 // fig13CPU measures MERCI reduction on k cores behind the RDMA network
@@ -101,12 +96,11 @@ func fig13CPU(cat dlrm.Category, cfg Fig13Config, cores int) float64 {
 	if perClient < 1 {
 		perClient = 1
 	}
-	stream := fig13Stream(ds, model, clients*perClient)
-	defer stream.Close()
+	var w fig13Work
 	res := sim.ClosedLoop{Clients: clients, PerClient: perClient, Warmup: 1,
 		Stagger: 60 * sim.Nanosecond, Jitter: 300 * sim.Nanosecond, JitterSeed: cfg.Seed}.Run(
 		func(_ int, issue sim.Time) sim.Time {
-			w := stream.Next()
+			w.next(ds, model)
 			t := net.AtoB.Send(issue, w.reqB)
 			t = m.CPU.Process(t, hostcpu.Work{
 				Cycles:      cpuDLRMBaseCycles + cpuDLRMPerRowCycles*w.st.ReducedVectors,
@@ -145,13 +139,12 @@ func fig13Rambda(cat dlrm.Category, cfg Fig13Config, variant core.AccelVariant) 
 	if perClient < 1 {
 		perClient = 1
 	}
-	stream := fig13Stream(ds, model, clients*perClient)
-	defer stream.Close()
+	var w fig13Work
 	addrs := make([]memspace.Addr, 0, 64)
 	res := sim.ClosedLoop{Clients: clients, PerClient: perClient, Warmup: 1,
 		Stagger: 60 * sim.Nanosecond, Jitter: 300 * sim.Nanosecond, JitterSeed: cfg.Seed}.Run(
 		func(_ int, issue sim.Time) sim.Time {
-			w := stream.Next()
+			w.next(ds, model)
 			t := net.AtoB.Send(issue, w.reqB)
 			// Preprocessing runs on one CPU core (the paper observes
 			// ~60% of a core keeps up); request and model-ready input

@@ -29,12 +29,9 @@ func Fig5() []Fig5Row {
 }
 
 // fig5Point streams the DMA writes against one DDIO/TPH configuration
-// on a private memory system: a two-partition engine cut along the
-// PCIe link, with the FPGA packet generator on one side and the host
-// memory system on the other. The link lookahead is one packet's
-// serialization quantum at the stream rate — the generator cannot land
-// a packet earlier than one interval after issuing it — and the window
-// batches ~256 packets of run-ahead per epoch barrier.
+// on a private memory system: the FPGA issues one random 256 B packet
+// per serialization interval at the stream rate, and each lands in
+// host memory one interval after it is issued.
 //
 // The 1 GB DMA target is a phantom region: steering reads only the
 // region kind, never the bytes, so the buffer carries no backing
@@ -61,30 +58,12 @@ func fig5Point(ddio, tph bool) Fig5Row {
 	sys.LLC.DDIOEnabled = ddio
 	rng := sim.NewRNG(0xF165)
 
-	eng := sim.NewEngine(0xF165)
-	eng.SetWindow(256 * interval)
-	var wire *sim.Link
-	issued := 0
 	clock := sim.Time(0)
-	gen := eng.AddPartition("fpga-dma", 0, func(p *sim.Partition, horizon sim.Time) {
-		for ; clock < horizon && issued < packets; issued++ {
-			off := memspace.Addr(rng.Uint64n(uint64(buf.Size/pkt))) * pkt
-			p.Post(wire, sim.Msg{At: clock + interval, Payload: uint64(buf.Base + off)})
-			clock += interval
-		}
-		if issued == packets {
-			p.SetNext(sim.MaxTime)
-		} else {
-			p.SetNext(clock)
-		}
-	})
-	host := eng.AddPartition("host-mem", sim.MaxTime, func(p *sim.Partition, _ sim.Time) {
-		for _, m := range p.Recv() {
-			sys.DMAWrite(m.At, memspace.Addr(m.Payload), pkt, tph)
-		}
-	})
-	wire = eng.Connect(gen, host, interval)
-	eng.Run()
+	for i := 0; i < packets; i++ {
+		off := memspace.Addr(rng.Uint64n(uint64(buf.Size/pkt))) * pkt
+		sys.DMAWrite(clock+interval, buf.Base+off, pkt, tph)
+		clock += interval
+	}
 
 	secs := (sim.Time(packets) * interval).Seconds()
 	bypass := float64(sys.LLC.MemoryBypassBytes())

@@ -8,14 +8,18 @@ import (
 	"rambda/internal/runner"
 )
 
-// TestQuickFigureGoldenOutput pins the rendered -quick fig7, fig8,
-// fig9, fig10, tab3 and ycsb tables byte-for-byte. fig7 and fig8 were
+// TestQuickFigureGoldenOutput pins the rendered -quick fig5, fig7,
+// fig8, fig9, fig10, tab3, fig13, scaleout and ycsb tables
+// byte-for-byte. fig7 and fig8 were
 // captured before the sim hot-path optimization (indexed gap
 // placement, typed heaps, cached percentiles); fig9, fig10 and tab3
 // were captured from fresh per-point store preloads, before points
 // shared a pooled store rolled back between them; ycsb, the only spec
 // that runs the LSM, was captured while every sstable was backed to its
-// full reservation and no run was ever freed. The contract of these
+// full reservation and no run was ever freed; fig5, fig13 and scaleout
+// were captured while fig5 ran as a two-partition engine cut, fig13
+// streamed its queries through a producer ring and scaleout built its
+// shards as engine partitions. The contract of these
 // changes is that every figure is unchanged; any diff here means the
 // engine's virtual-time behaviour or a point's store drifted, not just
 // a formatting nit. If a change alters the *model* deliberately,
@@ -31,7 +35,7 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick figure sweeps take minutes; skipped with -short")
 	}
-	specs, err := SelectSpecs(true, "fig7,fig8,fig9,fig10,tab3,ycsb")
+	specs, err := SelectSpecs(true, "fig5,fig7,fig8,fig9,fig10,tab3,fig13,scaleout,ycsb")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,9 +214,10 @@ type kvsCaller interface {
 	callOn(id int, now sim.Time, req kvs.Request) (kvs.Response, sim.Time)
 }
 
-// kvsWork is one pipelined request slot. Generators write their
-// key/value into the slot's own buffers, so a slot stays valid for the
-// one request that consumes it.
+// kvsWork is one generated request. Generators write its key/value
+// into its own buffers and rewrite every field the op reads, so one
+// value per point serves every request, each valid until the next
+// generator call.
 type kvsWork struct {
 	op  kvs.Op
 	key []byte
@@ -239,22 +240,19 @@ func (wk *kvsWork) request() kvs.Request {
 
 // measureKVS drives sys closed loop: clients outstanding requests
 // (connections × per-connection window), requests in total, gen filling
-// each request in issue order. The stream is timing-independent (the
-// k-th request in walk order consumes slot k), so gen runs ahead of the
-// timing walk through a sim.Pipeline and output is byte-identical at
-// any -sim-parallel.
+// each request in issue order.
 func measureKVS(sys kvsCaller, clients, requests int, seed uint64, gen func(*kvsWork)) *sim.Result {
 	perClient := requests / clients
 	if perClient < 1 {
 		perClient = 1
 	}
-	stream := sim.NewPipeline(clients*perClient, 64, 16, func(_ int, wk *kvsWork) { gen(wk) })
-	defer stream.Close()
+	var wk kvsWork
 	return sim.ClosedLoop{
 		Clients: clients, PerClient: perClient, Warmup: 2,
 		Stagger: 40 * sim.Nanosecond, Jitter: 400 * sim.Nanosecond, JitterSeed: seed,
 	}.Run(func(id int, issue sim.Time) sim.Time {
-		resp, done := sys.callOn(id, issue, stream.Next().request())
+		gen(&wk)
+		resp, done := sys.callOn(id, issue, wk.request())
 		if resp.Status == kvs.StatusError {
 			panic("kvs experiment: server error")
 		}

@@ -68,15 +68,6 @@ func (p *PCIe) MMIOWrite(now sim.Time) sim.Time {
 // Resource exposes the underlying link queue.
 func (p *PCIe) Resource() *sim.Resource { return p.res }
 
-// MinLatency returns the minimum time any transfer spends on the link:
-// propagation plus the serialization of the smallest frame (one bare
-// TLP header). This is the conservative lookahead a partitioned engine
-// may rely on across this link — queueing and payload only push
-// arrivals later.
-func (p *PCIe) MinLatency() sim.Duration {
-	return p.res.Propagation() + p.res.ServiceTime(p.TLPHeader)
-}
-
 // TLP is a single PCIe packet as seen by the adaptive-DDIO logic: the
 // only field the mechanism reads is the TPH bit (paper Sec. III-D: "the
 // 16th bit in the PCIe header").
@@ -112,13 +103,6 @@ func (l *CCLink) Transfer(now sim.Time, bytes int) sim.Time {
 
 // Resource exposes the underlying link queue.
 func (l *CCLink) Resource() *sim.Resource { return l.res }
-
-// MinLatency returns the minimum time any transfer spends on the link:
-// the coherence hop plus one cacheline's serialization — the
-// conservative lookahead across a cc-link partition boundary.
-func (l *CCLink) MinLatency() sim.Duration {
-	return l.res.Propagation() + l.res.ServiceTime(64)
-}
 
 // NetLink models one direction of the datacenter network path between
 // two machines: an Ethernet/RoCEv2 link with per-packet header
@@ -286,16 +270,6 @@ func (n *NetLink) Send(now sim.Time, bytes int) sim.Time {
 // Resource exposes the underlying link queue.
 func (n *NetLink) Resource() *sim.Resource { return n.res }
 
-// MinLatency returns the minimum time any message spends on the wire:
-// one-way propagation plus the serialization of the smallest packet
-// (just the per-packet header). Every Transmit/Send arrival satisfies
-// arrive >= now + MinLatency — queueing, payload bytes, fault-plan
-// delays, and redelivery only push it later — so this is the
-// conservative lookahead for a partition cut along this direction.
-func (n *NetLink) MinLatency() sim.Duration {
-	return n.res.Propagation() + n.res.ServiceTime(n.HeaderBytes)
-}
-
 // Duplex couples the two directions of a point-to-point network path.
 type Duplex struct {
 	AtoB *NetLink
@@ -314,14 +288,4 @@ func NewDuplex(name string, bytesPerSec float64, oneWay sim.Duration) *Duplex {
 func (d *Duplex) AttachFaults(inj *fault.Injector) {
 	d.AtoB.AttachFaults(inj)
 	d.BtoA.AttachFaults(inj)
-}
-
-// Lookahead returns the conservative cross-partition lookahead of the
-// path: the smaller of the two directions' minimum wire latencies.
-func (d *Duplex) Lookahead() sim.Duration {
-	a, b := d.AtoB.MinLatency(), d.BtoA.MinLatency()
-	if b < a {
-		return b
-	}
-	return a
 }

@@ -258,26 +258,6 @@ func TestSendPanicsWhenPlanStarvesRedelivery(t *testing.T) {
 	n.Send(0, 64)
 }
 
-func TestDuplexLookaheadIsMinOfDirections(t *testing.T) {
-	fast := NewNetLink("fast", 1e9, sim.Microsecond)
-	slow := NewNetLink("slow", 1e9, 2*sim.Microsecond)
-	want := fast.MinLatency()
-	if want >= slow.MinLatency() {
-		t.Fatalf("fixture: fast %v not below slow %v", want, slow.MinLatency())
-	}
-	for _, d := range []*Duplex{{AtoB: fast, BtoA: slow}, {AtoB: slow, BtoA: fast}} {
-		if got := d.Lookahead(); got != want {
-			t.Fatalf("Lookahead = %v, want the faster direction's %v", got, want)
-		}
-	}
-	// The bound is what the wire enforces: an empty send arrives no
-	// earlier than it.
-	d := NewDuplex("sym", 3.125e9, 1500*sim.Nanosecond)
-	if arrive := d.AtoB.Send(0, 0); arrive < d.Lookahead() {
-		t.Fatalf("Send(0) arrived at %v, before the lookahead %v", arrive, d.Lookahead())
-	}
-}
-
 func TestAttachFaultsNoRuleKeepsNilFastPath(t *testing.T) {
 	n := NewNetLink("unlisted", 1e9, 0)
 	n.AttachFaults(fault.New(fault.Plan{Seed: 1, Links: []fault.LinkRule{

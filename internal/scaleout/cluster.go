@@ -326,21 +326,10 @@ func New(cfg Config) *Cluster {
 		panic("scaleout: need Shards >= 1 and Replicas >= 1")
 	}
 	c := &Cluster{cfg: cfg, firstImbalance: 1, lastImbalance: 1}
-	// Shard chains are fully independent machines (private memspace,
-	// memory devices, replica chains; no RNG), so build them as
-	// unlinked partitions of the parallel engine: one barrier-free
-	// epoch, slot-indexed results, concurrent under -sim-parallel and
-	// byte-identical to the sequential loop.
 	c.shards = make([]*Shard, cfg.Shards)
-	eng := sim.NewEngine(cfg.Seed)
-	for i := 0; i < cfg.Shards; i++ {
-		i := i
-		eng.AddPartition(fmt.Sprintf("shard%d", i), 0, func(p *sim.Partition, _ sim.Time) {
-			c.shards[i] = newShard(i, cfg)
-			p.SetNext(sim.MaxTime)
-		})
+	for i := range c.shards {
+		c.shards[i] = newShard(i, cfg)
 	}
-	eng.Run()
 	c.cur = NewShardMap(NewRing(cfg.Shards, cfg.VNodes, cfg.Seed))
 	return c
 }

@@ -189,66 +189,6 @@ func BenchRNG(n int) uint64 {
 	return acc
 }
 
-// BenchParallelEpochBarrier measures the fixed cost of one epoch of the
-// partitioned engine — horizon computation, worker dispatch, and the
-// ordered mailbox merge — by circulating n messages around a 4-stop
-// ring, one ring injection per epoch (every link shares one lookahead,
-// so the horizon advances exactly one message spacing per barrier).
-// This bounds how fine-grained a partition cut can afford to be: a cut
-// only pays off when the work inside an epoch exceeds this overhead.
-// The kernel pins the worker count to 2 for the duration so the number
-// it reports is comparable across -sim-parallel settings and machines
-// with different core counts.
-func BenchParallelEpochBarrier(n int) uint64 {
-	prev := Parallel()
-	SetParallel(2)
-	defer SetParallel(prev)
-
-	const parts = 4
-	const la = Microsecond
-	eng := NewEngine(0xE90C)
-	eng.SetWindow(la) // one message spacing per barrier: n epochs for n messages
-	ps := make([]*Partition, parts)
-	rings := make([]*Link, parts)
-	var acc [parts]uint64
-	sent := 0
-	clock := Time(0)
-	ps[0] = eng.AddPartition("ring0", 0, func(p *Partition, horizon Time) {
-		for _, m := range p.Recv() {
-			acc[0] = acc[0]*1099511628211 ^ m.Payload
-		}
-		for ; clock < horizon && sent < n; sent++ {
-			p.Post(rings[0], Msg{At: clock + la, Payload: p.RNG().Uint64(), Aux: 1})
-			clock += la
-		}
-		if sent == n {
-			p.SetNext(MaxTime)
-		} else {
-			p.SetNext(clock)
-		}
-	})
-	for i := 1; i < parts; i++ {
-		i := i
-		ps[i] = eng.AddPartition("ring", MaxTime, func(p *Partition, _ Time) {
-			for _, m := range p.Recv() {
-				acc[i] = acc[i]*1099511628211 ^ m.Payload
-				if m.Aux < parts {
-					p.Post(rings[i], Msg{At: m.At + la, Payload: m.Payload, Aux: m.Aux + 1})
-				}
-			}
-		})
-	}
-	for i := 0; i < parts; i++ {
-		rings[i] = eng.Connect(ps[i], ps[(i+1)%parts], la)
-	}
-	eng.Run()
-	out := uint64(eng.Epochs())
-	for _, a := range acc {
-		out = out*1099511628211 ^ a
-	}
-	return out
-}
-
 // BenchZipf draws n values from the paper's YCSB-style skewed key
 // distribution.
 func BenchZipf(n int) uint64 {

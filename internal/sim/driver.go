@@ -222,3 +222,9 @@ func (o OpenLoop) Run(fn RequestFunc) *Result {
 	res.Throughput = throughput(res.Requests, res.Start, res.End)
 	return res
 }
+
+// SetParallel is a no-op, kept so existing callers of the retired
+// intra-simulation worker bound still build. Every simulation runs
+// sequentially on the goroutine that calls it; parallelism is across
+// sweep points only (runner.SetDefault).
+func SetParallel(int) {}

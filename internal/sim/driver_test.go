@@ -62,6 +62,31 @@ func TestClosedLoopWarmupExcluded(t *testing.T) {
 	}
 }
 
+// TestClosedLoopCallsEachClientPerClientTimes pins the request count
+// the figures size their generators by: with the figure path's warmup,
+// stagger and jitter, fn runs exactly PerClient times per client,
+// warmup requests included, and Clients × PerClient times in all.
+func TestClosedLoopCallsEachClientPerClientTimes(t *testing.T) {
+	const clients, perClient = 7, 13
+	calls := make([]int, clients)
+	total := 0
+	res := ClosedLoop{Clients: clients, PerClient: perClient, Warmup: 2,
+		Stagger: 40 * Nanosecond, Jitter: 400 * Nanosecond, JitterSeed: 8}.Run(
+		func(id int, issue Time) Time {
+			calls[id]++
+			total++
+			return issue + Microsecond
+		})
+	for id, n := range calls {
+		if n != perClient {
+			t.Fatalf("client %d: fn called %d times, want %d", id, n, perClient)
+		}
+	}
+	if total != clients*perClient || res.Requests != int64(total) {
+		t.Fatalf("fn called %d times, Requests=%d, want %d", total, res.Requests, clients*perClient)
+	}
+}
+
 func TestClosedLoopDeterminism(t *testing.T) {
 	run := func() (float64, Time) {
 		r := NewResource("x", 2, 3*Microsecond, 0, 0)

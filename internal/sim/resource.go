@@ -68,12 +68,6 @@ func (r *Resource) Name() string { return r.name }
 // Capacity returns the number of parallel servers.
 func (r *Resource) Capacity() int { return r.capacity }
 
-// Propagation returns the fixed completion delay added to every
-// operation. Together with ServiceTime of the smallest frame it bounds
-// how early anything sent through the resource can complete — the
-// lookahead the parallel engine derives at partition boundaries.
-func (r *Resource) Propagation() Duration { return r.propagation }
-
 // ServiceTime returns the server occupancy for an operation moving the
 // given number of bytes, excluding queueing and propagation.
 func (r *Resource) ServiceTime(bytes int) Duration {
