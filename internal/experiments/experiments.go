@@ -111,14 +111,8 @@ func StandardSpecs(quick bool) []Spec {
 	// The chaos spec stays after the paper figures: figure goldens pin
 	// their print order, and non-paper experiments (chaos, breakdown,
 	// scaleout) append after them.
-	return []Spec{
-		Fig1Spec(fig1Requests, 1),
-		Fig5Spec(),
-		Fig7Spec(f7),
-		Fig8Spec(kvs),
-		Fig9Spec(kvs),
-		Fig10Spec(kvs),
-		Tab3Spec(kvs),
+	specs := []Spec{Fig1Spec(fig1Requests, 1), Fig5Spec(), Fig7Spec(f7)}
+	return append(append(specs, KVSSpecs(kvs)...),
 		Fig12Spec(f12),
 		Fig13Spec(f13),
 		ScalabilitySpec(DefaultScalabilityConfig()),
@@ -127,7 +121,7 @@ func StandardSpecs(quick bool) []Spec {
 		ScaleoutSpec(sc),
 		ChaosScaleoutSpec(cso),
 		YCSBSpec(yc),
-	}
+	)
 }
 
 // SelectSpecs picks the StandardSpecs named by only, a comma-separated

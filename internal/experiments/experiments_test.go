@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -213,6 +214,25 @@ func TestFig10BatchSweep(t *testing.T) {
 	if last["RAMBDA"].Avg >= 16*first["RAMBDA"].Avg {
 		t.Fatal("RAMBDA latency must grow sub-linearly with batch")
 	}
+	// RAMBDA saturates by batch 4: from there to batch 32 its throughput
+	// and latency stay flat, within 1% (EXPERIMENTS.md, Fig. 10).
+	var at4 Fig10Row
+	for _, r := range rows {
+		if r.System == "RAMBDA" && r.Batch == 4 {
+			at4 = r
+		}
+	}
+	for _, r := range rows {
+		if r.System != "RAMBDA" || r.Batch < 4 {
+			continue
+		}
+		dt := r.Throughput/at4.Throughput - 1
+		da := float64(r.Avg)/float64(at4.Avg) - 1
+		if math.Abs(dt) > 0.01 || math.Abs(da) > 0.01 {
+			t.Fatalf("RAMBDA batch %d: throughput %+.2f%%, latency %+.2f%% off batch 4, want within 1%%",
+				r.Batch, dt*100, da*100)
+		}
+	}
 }
 
 func TestTab3PowerEfficiency(t *testing.T) {
@@ -370,8 +390,8 @@ func TestParallelMatchesSequentialFig8(t *testing.T) {
 	}
 	cfg := testKVSConfig()
 	cfg.Requests = 5000
-	seq := RunSpec(1, Fig8Spec(cfg)).String()
-	par := RunSpec(8, Fig8Spec(cfg)).String()
+	seq := RunSpec(1, KVSSpecs(cfg)[0]).String()
+	par := RunSpec(8, KVSSpecs(cfg)[0]).String()
 	if seq != par {
 		t.Fatalf("fig8 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -384,13 +404,12 @@ func TestParallelMatchesSequentialFig8(t *testing.T) {
 func TestSpecJobsCoverAllSlots(t *testing.T) {
 	kcfg := testKVSConfig()
 	kcfg.Requests = 500
-	specs := []Spec{
+	specs := append([]Spec{
 		Fig1Spec(300, 1),
 		Fig5Spec(),
-		Tab3Spec(kcfg),
 		Fig12Spec(Fig12Config{Pairs: 500, Transactions: 200, Seed: 12}),
 		ScalabilitySpec(ScalabilityConfig{Sweep: []int{4, 8}, RingEntries: 8, EntryBytes: 64, Requests: 400, Seed: 31}),
-	}
+	}, KVSSpecs(kcfg)...)
 	for _, s := range specs {
 		if len(s.Jobs) == 0 {
 			t.Fatalf("%s: no jobs", s.ID)

@@ -68,12 +68,6 @@ func kvsGen(cfg KVSConfig, skewed, writes bool) func(*kvsWork) {
 	}
 }
 
-// measure runs the workload against sys with window requests in flight
-// per connection.
-func (cfg KVSConfig) measure(sys kvsCaller, skewed, writes bool, window int) *sim.Result {
-	return measureKVS(sys, cfg.Connections*window, cfg.Requests, cfg.Seed, kvsGen(cfg, skewed, writes))
-}
-
 // storeShape is what a preloaded hash store's bytes depend on: the keys
 // preloaded, their value size and the pool's item capacity. Stores of
 // one shape preload byte-identical, whatever machine they serve.
@@ -100,23 +94,22 @@ func preloadStore(sh storeShape) *kvs.Store {
 // checkpointed right after its preload; checkin rolls it back to that
 // state and keeps it for the next point of its shape. Every point
 // therefore sees exactly the store a fresh preload would build, at any
-// worker count. A store is kept only while some planned checkout has
-// yet to be made, so at most one store per running point exists, and
-// once the spec's last point has started its pool holds nothing that
-// later specs would carry.
+// worker count. A store is kept only while some ask, memo hits
+// included, has yet to be made, so at most one store per running point
+// exists, and after the spec's last ask its pool holds nothing.
 type storePool struct {
 	mu   sync.Mutex
-	left int // planned checkouts not yet made
+	left int // planned asks not yet made
 	idle map[storeShape][]*kvs.Store
 }
 
-// newStorePool plans a pool for checkouts points.
-func newStorePool(checkouts int) *storePool {
-	return &storePool{left: checkouts, idle: map[storeShape][]*kvs.Store{}}
+// newStorePool plans a pool for asks points.
+func newStorePool(asks int) *storePool {
+	return &storePool{left: asks, idle: map[storeShape][]*kvs.Store{}}
 }
 
-// checkout returns an idle store of shape sh, or preloads a new one
-// (outside the lock, so workers preload in parallel).
+// checkout counts an ask and returns an idle store of shape sh, or
+// preloads a new one (outside the lock, so workers preload in parallel).
 func (p *storePool) checkout(sh storeShape) *kvs.Store {
 	p.mu.Lock()
 	p.left--
@@ -136,8 +129,17 @@ func (p *storePool) checkout(sh storeShape) *kvs.Store {
 	return st
 }
 
+// skip counts an ask the memo answered without a checkout.
+func (p *storePool) skip() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.left--; p.left <= 0 {
+		p.idle = nil
+	}
+}
+
 // checkin rolls st back to its preloaded state and keeps it for a later
-// checkout; with none left to make, it lets st go.
+// checkout; with no ask left to make, it lets st go.
 func (p *storePool) checkin(sh storeShape, st *kvs.Store) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -145,17 +147,6 @@ func (p *storePool) checkin(sh storeShape, st *kvs.Store) {
 		st.Rollback()
 		p.idle[sh] = append(p.idle[sh], st)
 	}
-}
-
-// measurePooled measures one point on a store checked out of pool: mk
-// builds the system around the store, and the store goes back to the
-// pool once the point is measured.
-func (cfg KVSConfig) measurePooled(pool *storePool, mk func(*kvs.Store) kvsCaller, skewed, writes bool, window int) *sim.Result {
-	sh := cfg.storeShape()
-	st := pool.checkout(sh)
-	res := cfg.measure(mk(st), skewed, writes, window)
-	pool.checkin(sh, st)
-	return res
 }
 
 // newRambdaKVS builds the RAMBDA KVS (Sec. IV-A) for Figs. 8-10 over a
@@ -231,7 +222,6 @@ func newCPUKVS(cfg KVSConfig, store *kvs.Store, batch int, jitter bool) *cpuKVS 
 // snicKVS serves requests on the SmartNIC's ARM cores with a 512 MB
 // (scaled) on-board cache; misses fetch from host memory over PCIe.
 type snicKVS struct {
-	cfg   KVSConfig
 	snic  *smartnic.SmartNIC
 	cache *smartnic.LRUCache
 	store *kvs.Store
@@ -256,7 +246,6 @@ func newSNICKVS(cfg KVSConfig, store *kvs.Store) *snicKVS {
 	// Cache : data ratio follows the paper (512MB : 7GB ~= 1:14).
 	dataBytes := int64(cfg.Keys) * 160
 	s := &snicKVS{
-		cfg:   cfg,
 		snic:  nic,
 		cache: smartnic.NewLRUCache(dataBytes / 14),
 		store: store,
@@ -332,6 +321,163 @@ func (s *snicKVS) callOn(_ int, now sim.Time, req kvs.Request) (kvs.Response, si
 	return resp, end + s.net
 }
 
+// kvsPoint is one Figs. 8-10 and Tab. III simulation. It carries only
+// what its build reads (a SmartNIC point has no batch, and only a CPU
+// point sets jitter), so equal simulations compare equal.
+type kvsPoint struct {
+	sys            string
+	batch, window  int
+	skewed, writes bool
+	jitter         bool
+}
+
+// kvsAt is sys's point at batch with window requests in flight per
+// connection. The SmartNIC ignores batch, so its point drops it.
+func kvsAt(sys string, batch, window int, skewed, writes bool) kvsPoint {
+	if sys == "SmartNIC" {
+		batch = 0
+	}
+	return kvsPoint{sys: sys, batch: batch, window: window, skewed: skewed, writes: writes}
+}
+
+// fig8Point is the Fig. 8 operating point: batch 32, with a full batch
+// in flight per connection. Tab. III measures at its uniform GET.
+func fig8Point(cfg KVSConfig, sys string, skewed, writes bool) kvsPoint {
+	return kvsAt(sys, cfg.Batch, cfg.Batch, skewed, writes)
+}
+
+// build makes a fresh, isolated system (machines, cache) around a
+// checked-out store, so no point observes another's state.
+func (p kvsPoint) build(cfg KVSConfig, st *kvs.Store) kvsCaller {
+	switch p.sys {
+	case "CPU":
+		return newCPUKVS(cfg, st, p.batch, p.jitter)
+	case "SmartNIC":
+		return newSNICKVS(cfg, st)
+	case "RAMBDA":
+		return newRambdaKVS(cfg, st, core.AccelBase, p.batch)
+	case "RAMBDA-LD":
+		return newRambdaKVS(cfg, st, core.AccelLD, p.batch)
+	case "RAMBDA-LH":
+		return newRambdaKVS(cfg, st, core.AccelLH, p.batch)
+	}
+	panic("experiments: unknown KVS system " + p.sys)
+}
+
+// kvsResult is what the rows read of a point's simulation.
+type kvsResult struct {
+	throughput float64
+	avg, p99   sim.Time
+}
+
+// simulate runs the point's workload on a system built around st.
+func (p kvsPoint) simulate(cfg KVSConfig, st *kvs.Store) kvsResult {
+	res := measureKVS(p.build(cfg, st), cfg.Connections*p.window, cfg.Requests, cfg.Seed, kvsGen(cfg, p.skewed, p.writes))
+	return kvsResult{res.Throughput, res.Latency.Mean(), res.Latency.P99()}
+}
+
+// kvsMemo simulates each distinct point once for the specs sharing it.
+// It keeps what rows read, not the *sim.Result and its histogram.
+type kvsMemo struct {
+	mu   sync.Mutex
+	runs map[kvsPoint]func() kvsResult
+}
+
+func newKVSMemo() *kvsMemo { return &kvsMemo{runs: map[kvsPoint]func() kvsResult{}} }
+
+// ask answers one of pool's asks for p. The first ask plans p's run on
+// its pool; a repeat only counts against its own. One ask runs it and
+// the others wait; a run asks for no other point, so no wait deadlocks.
+// If it panics, every ask for p panics naming p, so no row reads a zero.
+func (m *kvsMemo) ask(cfg KVSConfig, pool *storePool, p kvsPoint) kvsResult {
+	m.mu.Lock()
+	run, repeat := m.runs[p]
+	if !repeat {
+		run = sync.OnceValue(func() kvsResult {
+			defer func() {
+				if v := recover(); v != nil {
+					panic(fmt.Sprintf("experiments: KVS point %+v: %v", p, v))
+				}
+			}()
+			sh := cfg.storeShape()
+			st := pool.checkout(sh)
+			res := p.simulate(cfg, st)
+			pool.checkin(sh, st)
+			return res
+		})
+		m.runs[p] = run
+	}
+	m.mu.Unlock()
+	if repeat {
+		pool.skip()
+	}
+	return run()
+}
+
+// kvsPlan is one KVS spec: its table's header, the point each row
+// simulates, the row's job label, fill (a result into its row) and
+// cells (a filled row's text).
+type kvsPlan struct {
+	table  Table
+	cfg    KVSConfig
+	points []kvsPoint
+	label  func(i int) string
+	fill   func(i int, r kvsResult)
+	cells  func(i int) []string
+}
+
+// spec turns the plan into jobs that ask memo for their points, with a
+// store pool of its own (-only selects whole specs). Nothing is built or
+// preloaded until a job runs.
+func (pl kvsPlan) spec(memo *kvsMemo) Spec {
+	pool := newStorePool(len(pl.points))
+	jobs := runner.Jobs(pl.table.ID, len(pl.points), pl.label, func(i int) {
+		pl.fill(i, memo.ask(pl.cfg, pool, pl.points[i]))
+	})
+	return Spec{ID: pl.table.ID, Jobs: jobs, Table: func() *Table {
+		t := pl.table
+		for i := range pl.points {
+			t.AddRow(pl.cells(i)...)
+		}
+		return &t
+	}}
+}
+
+// runAlone runs a plan with a memo of its own and returns its rows.
+func runAlone[R any](rows []R, pl kvsPlan) []R {
+	runner.MustRun(0, pl.spec(newKVSMemo()).Jobs)
+	return rows
+}
+
+// kvsPlans lists the KVS specs in print order.
+func kvsPlans(cfg KVSConfig) []kvsPlan {
+	_, f8 := fig8Plan(cfg)
+	_, f9 := fig9Plan(cfg)
+	_, f10 := fig10Plan(cfg)
+	_, t3 := tab3Plan(cfg)
+	return []kvsPlan{f8, f9, f10, t3}
+}
+
+// KVSSpecs returns the fig8, fig9, fig10 and tab3 specs in print order.
+// They share one memo, so a point two of them name is simulated once;
+// run alone, each simulates all its points.
+func KVSSpecs(cfg KVSConfig) []Spec {
+	memo := newKVSMemo()
+	var specs []Spec
+	for _, pl := range kvsPlans(cfg) {
+		specs = append(specs, pl.spec(memo))
+	}
+	return specs
+}
+
+// kvsSystems is the Figs. 8-9 system matrix in table order.
+var kvsSystems = []string{"CPU", "SmartNIC", "RAMBDA", "RAMBDA-LD", "RAMBDA-LH"}
+
+var kvsDists = []struct {
+	name   string
+	skewed bool
+}{{"uniform", false}, {"zipf", true}}
+
 // Fig8Row is one bar of Fig. 8.
 type Fig8Row struct {
 	System     string
@@ -340,95 +486,40 @@ type Fig8Row struct {
 	Throughput float64
 }
 
-// kvsSystem is one design of the Fig. 8-10 matrix.
-type kvsSystem struct {
-	name string
-	mk   func(*kvs.Store) kvsCaller
-}
-
-// kvsSystems enumerates the Fig. 8-10 system matrix in table order.
-// Each factory builds a fresh, fully isolated system (machines, cache)
-// around a checked-out store, which the pool rolls back after the
-// point, so one sweep point never observes another's state.
-func kvsSystems(cfg KVSConfig) []kvsSystem {
-	return []kvsSystem{
-		{"CPU", func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }},
-		{"SmartNIC", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
-		{"RAMBDA", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }},
-	}
-}
-
-var kvsDists = []struct {
-	name   string
-	skewed bool
-}{{"uniform", false}, {"zipf", true}}
-
-// fig8Plan enumerates (system x dist x workload) as runner jobs.
-func fig8Plan(cfg KVSConfig) ([]Fig8Row, []runner.Job) {
-	systems := kvsSystems(cfg)
+// fig8Plan enumerates (system x dist x workload) at the Fig. 8 point.
+func fig8Plan(cfg KVSConfig) ([]Fig8Row, kvsPlan) {
 	workloads := []struct {
 		name   string
 		writes bool
 	}{{"get", false}, {"mixed", true}}
-
-	type point struct {
-		system string
-		mk     func(*kvs.Store) kvsCaller
-		dist   string
-		skewed bool
-		wl     string
-		writes bool
-	}
-	var points []point
-	for _, s := range systems {
-		for _, dist := range kvsDists {
-			for _, wl := range workloads {
-				points = append(points, point{s.name, s.mk, dist.name, dist.skewed, wl.name, wl.writes})
-			}
-		}
-	}
-	rows := make([]Fig8Row, len(points))
-	pool := newStorePool(len(points))
-	jobs := runner.Jobs("fig8", len(points),
-		func(i int) string { return points[i].system + "/" + points[i].dist + "/" + points[i].wl },
-		func(i int) {
-			p := points[i]
-			res := cfg.measurePooled(pool, p.mk, p.skewed, p.writes, cfg.Batch)
-			rows[i] = Fig8Row{System: p.system, Dist: p.dist, Workload: p.wl, Throughput: res.Throughput}
-		})
-	return rows, jobs
-}
-
-// Fig8 measures peak throughput (batch 32) for every design under both
-// distributions and workload mixes.
-func Fig8(cfg KVSConfig) []Fig8Row {
-	rows, jobs := fig8Plan(cfg)
-	runner.MustRun(0, jobs)
-	return rows
-}
-
-func fig8Render(rows []Fig8Row) *Table {
-	t := &Table{
+	var rows []Fig8Row
+	pl := kvsPlan{cfg: cfg, table: Table{
 		ID:      "fig8",
 		Title:   "KVS peak throughput, batch 32",
 		Columns: []string{"system", "dist", "workload", "throughput"},
 		Notes: []string{
 			"paper: CPU ~= RAMBDA (network-bound; RAMBDA +2.3-8.3%); SmartNIC uniform ~= 27-29% of its zipf",
 		},
+	}}
+	for _, sys := range kvsSystems {
+		for _, dist := range kvsDists {
+			for _, wl := range workloads {
+				rows = append(rows, Fig8Row{System: sys, Dist: dist.name, Workload: wl.name})
+				pl.points = append(pl.points, fig8Point(cfg, sys, dist.skewed, wl.writes))
+			}
+		}
 	}
-	for _, r := range rows {
-		t.AddRow(r.System, r.Dist, r.Workload, mops(r.Throughput))
+	pl.label = func(i int) string { return rows[i].System + "/" + rows[i].Dist + "/" + rows[i].Workload }
+	pl.fill = func(i int, r kvsResult) { rows[i].Throughput = r.throughput }
+	pl.cells = func(i int) []string {
+		return []string{rows[i].System, rows[i].Dist, rows[i].Workload, mops(rows[i].Throughput)}
 	}
-	return t
+	return rows, pl
 }
 
-// Fig8Spec exposes the sweep for a shared pool.
-func Fig8Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig8Plan(cfg)
-	return Spec{ID: "fig8", Jobs: jobs, Table: func() *Table { return fig8Render(rows) }}
-}
+// Fig8 measures peak throughput (batch 32) for every design under both
+// distributions and workload mixes.
+func Fig8(cfg KVSConfig) []Fig8Row { return runAlone(fig8Plan(cfg)) }
 
 // Fig9Row is one latency bar of Fig. 9 (100% GET).
 type Fig9Row struct {
@@ -438,62 +529,14 @@ type Fig9Row struct {
 	P99    sim.Time // zero when inapplicable (LD/LH emulation)
 }
 
-// fig9Plan enumerates (system x dist) latency points as runner jobs.
-// Latency is measured at moderate load so path latency and jitter, not
+// fig9Plan enumerates (system x dist) latency points. Latency is
+// measured at moderate load (window 8) so path latency and jitter, not
 // closed-loop equilibrium, dominate. The SmartNIC saturates far below
 // the others; its latency is measured at a sustainable load (window 1),
 // like the paper's per-system latency runs.
-func fig9Plan(cfg KVSConfig) ([]Fig9Row, []runner.Job) {
-	systems := []struct {
-		name        string
-		tailApplies bool
-		window      int
-		mk          func(*kvs.Store) kvsCaller
-	}{
-		{"CPU", true, 8, func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, true) }},
-		{"SmartNIC", true, 1, func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
-		{"RAMBDA", true, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
-		{"RAMBDA-LD", false, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLD, cfg.Batch) }},
-		{"RAMBDA-LH", false, 8, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }},
-	}
-	type point struct {
-		sys    int
-		dist   string
-		skewed bool
-	}
-	var points []point
-	for si := range systems {
-		for _, dist := range kvsDists {
-			points = append(points, point{si, dist.name, dist.skewed})
-		}
-	}
-	rows := make([]Fig9Row, len(points))
-	pool := newStorePool(len(points))
-	jobs := runner.Jobs("fig9", len(points),
-		func(i int) string { return systems[points[i].sys].name + "/" + points[i].dist },
-		func(i int) {
-			p := points[i]
-			s := systems[p.sys]
-			res := cfg.measurePooled(pool, s.mk, p.skewed, false, s.window)
-			row := Fig9Row{System: s.name, Dist: p.dist, Avg: res.Latency.Mean()}
-			if s.tailApplies {
-				row.P99 = res.Latency.P99()
-			}
-			rows[i] = row
-		})
-	return rows, jobs
-}
-
-// Fig9 measures average and tail latency under moderate load (100%
-// GET, batch 32).
-func Fig9(cfg KVSConfig) []Fig9Row {
-	rows, jobs := fig9Plan(cfg)
-	runner.MustRun(0, jobs)
-	return rows
-}
-
-func fig9Render(rows []Fig9Row) *Table {
-	t := &Table{
+func fig9Plan(cfg KVSConfig) ([]Fig9Row, kvsPlan) {
+	var rows []Fig9Row
+	pl := kvsPlan{cfg: cfg, table: Table{
 		ID:      "fig9",
 		Title:   "KVS latency, 100% GET, batch 32",
 		Columns: []string{"system", "dist", "avg", "p99"},
@@ -501,22 +544,39 @@ func fig9Render(rows []Fig9Row) *Table {
 			"paper: RAMBDA avg slightly above CPU (UPI hop); LD below; p99: RAMBDA 30.1% under CPU, 52.0% under SmartNIC",
 			"LD/LH tail marked n/a exactly as in the paper (average-only emulation)",
 		},
-	}
-	for _, r := range rows {
-		p99 := "n/a"
-		if r.P99 != 0 {
-			p99 = r.P99.String()
+	}}
+	for _, sys := range kvsSystems {
+		window := 8
+		if sys == "SmartNIC" {
+			window = 1
 		}
-		t.AddRow(r.System, r.Dist, r.Avg.String(), p99)
+		for _, dist := range kvsDists {
+			p := kvsAt(sys, cfg.Batch, window, dist.skewed, false)
+			p.jitter = sys == "CPU"
+			rows = append(rows, Fig9Row{System: sys, Dist: dist.name})
+			pl.points = append(pl.points, p)
+		}
 	}
-	return t
+	pl.label = func(i int) string { return rows[i].System + "/" + rows[i].Dist }
+	pl.fill = func(i int, r kvsResult) {
+		rows[i].Avg = r.avg
+		if sys := rows[i].System; sys != "RAMBDA-LD" && sys != "RAMBDA-LH" { // LD/LH report no tail
+			rows[i].P99 = r.p99
+		}
+	}
+	pl.cells = func(i int) []string {
+		p99 := "n/a"
+		if rows[i].P99 != 0 {
+			p99 = rows[i].P99.String()
+		}
+		return []string{rows[i].System, rows[i].Dist, rows[i].Avg.String(), p99}
+	}
+	return rows, pl
 }
 
-// Fig9Spec exposes the sweep for a shared pool.
-func Fig9Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig9Plan(cfg)
-	return Spec{ID: "fig9", Jobs: jobs, Table: func() *Table { return fig9Render(rows) }}
-}
+// Fig9 measures average and tail latency under moderate load (100%
+// GET, batch 32).
+func Fig9(cfg KVSConfig) []Fig9Row { return runAlone(fig9Plan(cfg)) }
 
 // Fig10Row is one point of the batch sweep.
 type Fig10Row struct {
@@ -526,74 +586,42 @@ type Fig10Row struct {
 	Avg        sim.Time
 }
 
-// fig10Plan enumerates the batch sweep as runner jobs. CPU and SmartNIC
-// clients pipeline `batch` requests per connection (the batch is their
-// window); RAMBDA needs no request batching — its batch knob only
-// amortizes response doorbells, and the client window stays at the ring
-// depth (paper Sec. VI-B).
-func fig10Plan(cfg KVSConfig) ([]Fig10Row, []runner.Job) {
-	batches := []int{1, 2, 4, 8, 16, 32}
-	systems := []struct {
-		name string
-		mk   func(st *kvs.Store, batch int) kvsCaller
-		win  func(batch int) int
-	}{
-		{"CPU", func(st *kvs.Store, b int) kvsCaller { return newCPUKVS(cfg, st, b, false) }, func(b int) int { return b }},
-		{"SmartNIC", func(st *kvs.Store, _ int) kvsCaller { return newSNICKVS(cfg, st) }, func(b int) int { return b }},
-		{"RAMBDA", func(st *kvs.Store, b int) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, b) }, func(int) int { return cfg.Batch }},
-	}
-	type point struct {
-		sys   int
-		batch int
-	}
-	var points []point
-	for si := range systems {
-		for _, b := range batches {
-			points = append(points, point{si, b})
-		}
-	}
-	rows := make([]Fig10Row, len(points))
-	pool := newStorePool(len(points))
-	jobs := runner.Jobs("fig10", len(points),
-		func(i int) string { return fmt.Sprintf("%s/batch=%d", systems[points[i].sys].name, points[i].batch) },
-		func(i int) {
-			p := points[i]
-			s := systems[p.sys]
-			mk := func(st *kvs.Store) kvsCaller { return s.mk(st, p.batch) }
-			res := cfg.measurePooled(pool, mk, true, false, s.win(p.batch))
-			rows[i] = Fig10Row{System: s.name, Batch: p.batch, Throughput: res.Throughput, Avg: res.Latency.Mean()}
-		})
-	return rows, jobs
-}
-
-// Fig10 sweeps the batch size on the Zipf GET workload. The client
-// window equals the batch size (HERD clients post batches of B).
-func Fig10(cfg KVSConfig) []Fig10Row {
-	rows, jobs := fig10Plan(cfg)
-	runner.MustRun(0, jobs)
-	return rows
-}
-
-func fig10Render(rows []Fig10Row) *Table {
-	t := &Table{
+// fig10Plan enumerates the batch sweep. CPU and SmartNIC clients
+// pipeline `batch` requests per connection (the batch is their window);
+// RAMBDA needs no request batching — its batch knob only amortizes
+// response doorbells, and the client window stays at the ring depth
+// (paper Sec. VI-B).
+func fig10Plan(cfg KVSConfig) ([]Fig10Row, kvsPlan) {
+	var rows []Fig10Row
+	pl := kvsPlan{cfg: cfg, table: Table{
 		ID:      "fig10",
 		Title:   "Batch size impact (100% GET, Zipf)",
 		Columns: []string{"system", "batch", "throughput", "avg latency"},
 		Notes: []string{
 			"paper: batching lifts CPU/SmartNIC ~12x and RAMBDA ~2x; RAMBDA latency grows sub-linearly",
 		},
+	}}
+	for _, sys := range []string{"CPU", "SmartNIC", "RAMBDA"} {
+		for _, b := range []int{1, 2, 4, 8, 16, 32} {
+			window := b
+			if sys == "RAMBDA" {
+				window = cfg.Batch
+			}
+			rows = append(rows, Fig10Row{System: sys, Batch: b})
+			pl.points = append(pl.points, kvsAt(sys, b, window, true, false))
+		}
 	}
-	for _, r := range rows {
-		t.AddRow(r.System, fmt.Sprintf("%d", r.Batch), mops(r.Throughput), r.Avg.String())
+	pl.label = func(i int) string { return fmt.Sprintf("%s/batch=%d", rows[i].System, rows[i].Batch) }
+	pl.fill = func(i int, r kvsResult) { rows[i].Throughput, rows[i].Avg = r.throughput, r.avg }
+	pl.cells = func(i int) []string {
+		return []string{rows[i].System, fmt.Sprint(rows[i].Batch), mops(rows[i].Throughput), rows[i].Avg.String()}
 	}
-	return t
+	return rows, pl
 }
 
-// Fig10Spec exposes the sweep for a shared pool.
-func Fig10Spec(cfg KVSConfig) Spec {
-	rows, jobs := fig10Plan(cfg)
-	return Spec{ID: "fig10", Jobs: jobs, Table: func() *Table { return fig10Render(rows) }}
-}
+// Fig10 sweeps the batch size on the Zipf GET workload. The client
+// window equals the batch size (HERD clients post batches of B).
+func Fig10(cfg KVSConfig) []Fig10Row { return runAlone(fig10Plan(cfg)) }
 
 // Tab3Row is one column of Tab. III.
 type Tab3Row struct {
@@ -604,38 +632,13 @@ type Tab3Row struct {
 
 // tab3Plan enumerates the three power-efficiency measurements at the
 // Fig. 8 uniform-GET operating point.
-func tab3Plan(cfg KVSConfig) ([]Tab3Row, []runner.Job) {
-	systems := []struct {
-		name  string
-		watts float64
-		mk    func(*kvs.Store) kvsCaller
-	}{
-		{"CPU", power.CPUFullLoad, func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }},
-		{"SmartNIC", power.SmartNICARMs, func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }},
-		{"RAMBDA", power.RambdaFPGA, func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }},
+func tab3Plan(cfg KVSConfig) ([]Tab3Row, kvsPlan) {
+	rows := []Tab3Row{
+		{System: "CPU", Watts: power.CPUFullLoad},
+		{System: "SmartNIC", Watts: power.SmartNICARMs},
+		{System: "RAMBDA", Watts: power.RambdaFPGA},
 	}
-	rows := make([]Tab3Row, len(systems))
-	pool := newStorePool(len(systems))
-	jobs := runner.Jobs("tab3", len(systems),
-		func(i int) string { return systems[i].name },
-		func(i int) {
-			s := systems[i]
-			tput := cfg.measurePooled(pool, s.mk, false, false, cfg.Batch).Throughput
-			rows[i] = Tab3Row{System: s.name, Watts: s.watts, KopPerW: power.KopsPerWatt(tput, s.watts)}
-		})
-	return rows, jobs
-}
-
-// Tab3 computes power efficiency at the Fig. 8 uniform-GET operating
-// point using the paper's measured component wattages.
-func Tab3(cfg KVSConfig) []Tab3Row {
-	rows, jobs := tab3Plan(cfg)
-	runner.MustRun(0, jobs)
-	return rows
-}
-
-func tab3Render(rows []Tab3Row) *Table {
-	t := &Table{
+	pl := kvsPlan{cfg: cfg, table: Table{
 		ID:      "tab3",
 		Title:   "Power efficiency, GET/uniform (Kop/W)",
 		Columns: []string{"system", "watts", "Kop/W"},
@@ -643,15 +646,16 @@ func tab3Render(rows []Tab3Row) *Table {
 			"paper: CPU 130.4, SmartNIC 25.2, RAMBDA 188.7 Kop/W; box-level power -38% with RAMBDA",
 			fmt.Sprintf("whole-box reduction (IPMI constants): %.0f%%", power.BoxReduction()*100),
 		},
-	}
+	}}
 	for _, r := range rows {
-		t.AddRow(r.System, f1(r.Watts), f1(r.KopPerW))
+		pl.points = append(pl.points, fig8Point(cfg, r.System, false, false))
 	}
-	return t
+	pl.label = func(i int) string { return rows[i].System }
+	pl.fill = func(i int, r kvsResult) { rows[i].KopPerW = power.KopsPerWatt(r.throughput, rows[i].Watts) }
+	pl.cells = func(i int) []string { return []string{rows[i].System, f1(rows[i].Watts), f1(rows[i].KopPerW)} }
+	return rows, pl
 }
 
-// Tab3Spec exposes the sweep for a shared pool.
-func Tab3Spec(cfg KVSConfig) Spec {
-	rows, jobs := tab3Plan(cfg)
-	return Spec{ID: "tab3", Jobs: jobs, Table: func() *Table { return tab3Render(rows) }}
-}
+// Tab3 computes power efficiency at the Fig. 8 uniform-GET operating
+// point using the paper's measured component wattages.
+func Tab3(cfg KVSConfig) []Tab3Row { return runAlone(tab3Plan(cfg)) }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"rambda/internal/core"
 	"rambda/internal/kvs"
 	"rambda/internal/runner"
 )
@@ -32,32 +31,29 @@ func TestPooledStoreMatchesFreshPreload(t *testing.T) {
 	sh := cfg.storeShape()
 	want := storeDigest(preloadStore(sh))
 
-	points := []struct {
-		name   string
-		mk     func(*kvs.Store) kvsCaller
-		writes bool
-	}{
-		{"SmartNIC/get", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }, false},
-		{"CPU/mixed", func(st *kvs.Store) kvsCaller { return newCPUKVS(cfg, st, cfg.Batch, false) }, true},
-		{"RAMBDA/get", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelBase, cfg.Batch) }, false},
-		{"SmartNIC/mixed", func(st *kvs.Store) kvsCaller { return newSNICKVS(cfg, st) }, true},
-		{"RAMBDA-LH/mixed", func(st *kvs.Store) kvsCaller { return newRambdaKVS(cfg, st, core.AccelLH, cfg.Batch) }, true},
+	points := []kvsPoint{
+		kvsAt("SmartNIC", cfg.Batch, cfg.Batch, true, false),
+		kvsAt("CPU", cfg.Batch, cfg.Batch, true, true),
+		kvsAt("RAMBDA", cfg.Batch, cfg.Batch, true, false),
+		kvsAt("SmartNIC", cfg.Batch, cfg.Batch, true, true),
+		kvsAt("RAMBDA-LH", cfg.Batch, cfg.Batch, true, true),
 	}
 	pool := newStorePool(len(points))
 	var first *kvs.Store
 	for _, p := range points {
+		name := fmt.Sprintf("%+v", p)
 		st := pool.checkout(sh)
 		if first == nil {
 			first = st
 		} else if st != first {
-			t.Fatalf("%s: one worker's points preloaded a second store", p.name)
+			t.Fatalf("%s: one worker's points preloaded a second store", name)
 		}
 		if storeDigest(st) != want {
-			t.Fatalf("%s: checked-out store differs from a fresh preload", p.name)
+			t.Fatalf("%s: checked-out store differs from a fresh preload", name)
 		}
-		cfg.measure(p.mk(st), true, p.writes, cfg.Batch)
+		p.simulate(cfg, st)
 		if n := st.JournalLen(); (n == 0) == p.writes {
-			t.Fatalf("%s: %d journaled writes", p.name, n)
+			t.Fatalf("%s: %d journaled writes", name, n)
 		}
 		pool.checkin(sh, st)
 	}
@@ -72,7 +68,7 @@ func TestPooledStoreMatchesFreshPreload(t *testing.T) {
 // TestStorePoolLifetime checks the pool's bookkeeping: a returned
 // store is reused by the next checkout of its shape, concurrent
 // checkouts get distinct stores, other shapes get their own, and once
-// the last planned checkout is made the pool keeps nothing.
+// the last planned ask is made the pool keeps nothing.
 func TestStorePoolLifetime(t *testing.T) {
 	small := storeShape{keys: 64, valueBytes: 46, poolItems: 64}
 	other := storeShape{keys: 64, valueBytes: 46, poolItems: 128}
@@ -97,18 +93,49 @@ func TestStorePoolLifetime(t *testing.T) {
 	if n := len(pool.idle[small]); n != 2 {
 		t.Fatalf("%d idle stores after two checkins, want 2", n)
 	}
-	e := pool.checkout(small) // the fifth of six planned checkouts
+	e := pool.checkout(small) // the fifth of six planned asks
 	f := pool.checkout(small) // the last
 	if e != c || f != a {
 		t.Fatal("checkouts did not reuse the idle stores")
 	}
 	if pool.idle != nil {
-		t.Fatal("pool kept stores after its last planned checkout")
+		t.Fatal("pool kept stores after its last planned ask")
 	}
 	pool.checkin(small, e)
 	pool.checkin(small, f)
 	if pool.idle != nil {
 		t.Fatal("checkin after the last checkout kept a store")
+	}
+}
+
+// TestStorePoolCountsMemoHits checks that a memo hit counts as one of
+// its spec's asks: a spec whose last ask hits the memo lets the store
+// its earlier point left idle go, and a spec whose every ask hits never
+// preloads and keeps nothing.
+func TestStorePoolCountsMemoHits(t *testing.T) {
+	cfg := testKVSConfig()
+	cfg.Keys = 1 << 12
+	cfg.Requests = 400
+	memo := newKVSMemo()
+	a := fig8Point(cfg, "RAMBDA", false, false)
+	b := fig8Point(cfg, "RAMBDA", true, false)
+
+	first := newStorePool(3)
+	memo.ask(cfg, first, a)
+	memo.ask(cfg, first, b)
+	if n := len(first.idle[cfg.storeShape()]); n != 1 {
+		t.Fatalf("%d idle stores with an ask left, want 1", n)
+	}
+	memo.ask(cfg, first, a) // the last ask, a memo hit
+	if first.idle != nil {
+		t.Fatal("pool kept its store after its last ask hit the memo")
+	}
+
+	hits := newStorePool(2)
+	memo.ask(cfg, hits, b)
+	memo.ask(cfg, hits, a)
+	if hits.idle != nil {
+		t.Fatal("pool whose every ask hit the memo keeps an idle map")
 	}
 }
 
