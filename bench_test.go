@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"rambda"
-	"rambda/internal/core"
 	"rambda/internal/cpoll"
 	"rambda/internal/dlrm"
 	"rambda/internal/experiments"
@@ -157,11 +156,15 @@ func BenchmarkFig12ChainTxLatency(b *testing.B) {
 
 func BenchmarkFig13DLRMThroughput(b *testing.B) {
 	cfg := experiments.Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13}
-	cat := dlrm.AmazonCategories[0]
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(experiments.Fig13CPUOne(cat, cfg, 8)/1e6, "Mqps-CPU-8")
-		b.ReportMetric(experiments.Fig13RambdaOne(cat, cfg, core.AccelBase)/1e6, "Mqps-RAMBDA")
-		b.ReportMetric(experiments.Fig13RambdaOne(cat, cfg, core.AccelLH)/1e6, "Mqps-RAMBDA-LH")
+		for _, r := range experiments.Fig13(cfg) {
+			if r.Dataset == dlrm.AmazonCategories[0].Name {
+				switch r.System {
+				case "CPU-8", "RAMBDA", "RAMBDA-LH":
+					b.ReportMetric(r.Throughput/1e6, "Mqps-"+r.System)
+				}
+			}
+		}
 	}
 }
 

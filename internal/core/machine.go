@@ -21,8 +21,10 @@ type MachineConfig struct {
 	// DDIOEnabled is the global DDIO knob. Adaptive DDIO (the RAMBDA
 	// default) turns it off and uses per-MR TPH instead.
 	DDIOEnabled bool
-	// AccelLocalBytes sizes the accelerator-local data region for
-	// LD/LH variants (application data is mapped there).
+	// AccelLocalBytes reserves an accelerator-local data region of this
+	// size for LD/LH variants, as the machine's first allocation. Fig. 7
+	// no longer uses it: it maps its list in as accelerator-local
+	// memory instead.
 	AccelLocalBytes uint64
 	// Cores overrides the CPU core count (0 = testbed default); the
 	// microbenchmark and DLRM experiments sweep it.

@@ -75,13 +75,15 @@ func NewDataset(cat Category, seed uint64) *Dataset {
 		panic(fmt.Sprintf("dlrm: bad category %q: %d rows make %d bundles, %d wanted per query",
 			cat.Name, cat.Rows, nBundles, cat.BundlesPerQuery))
 	}
+	// Bundle b is items [b*BundleSize, (b+1)*BundleSize): one backing
+	// array holds them all, each bundle capped at its own length.
+	items := make([]int, nBundles*cat.BundleSize)
+	for i := range items {
+		items[i] = i
+	}
 	bundles := make([][]int, nBundles)
 	for b := range bundles {
-		items := make([]int, cat.BundleSize)
-		for i := range items {
-			items[i] = b*cat.BundleSize + i
-		}
-		bundles[b] = items
+		bundles[b] = items[b*cat.BundleSize : (b+1)*cat.BundleSize : (b+1)*cat.BundleSize]
 	}
 	rng := sim.NewRNG(seed)
 	return &Dataset{

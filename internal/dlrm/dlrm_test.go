@@ -122,6 +122,34 @@ func TestMemoizedEqualsNative(t *testing.T) {
 	}
 }
 
+// TestAdoptIntoMapsModel adopts a model built in a space of its own
+// into a second space as accelerator-local memory: its table and memo
+// keep their addresses, read as the adopted kind there, and sit exactly
+// where allocations of their sizes would have, so the next allocation
+// lands where it would have after them.
+func TestAdoptIntoMapsModel(t *testing.T) {
+	m, ds := buildModel(t, true)
+	space, ref := memspace.New(), memspace.New()
+	m.AdoptInto(space, memspace.KindAccelLocal)
+	for _, r := range []memspace.Range{m.Table.Range(), m.Memo.Table().Range()} {
+		if got := ref.Alloc("ref", r.Size, memspace.KindDRAM).Base; got != r.Base {
+			t.Fatalf("region at %#x, an allocation of its size lands at %#x", r.Base, got)
+		}
+		if k := space.KindOf(r.Base); k != memspace.KindAccelLocal {
+			t.Fatalf("adopted region at %#x reads as %v", r.Base, k)
+		}
+	}
+	if a, b := space.Alloc("next", 64, memspace.KindDRAM).Base, ref.Alloc("next", 64, memspace.KindDRAM).Base; a != b {
+		t.Fatalf("allocation after adoption at %#x, want %#x", a, b)
+	}
+	_, _, st := m.Infer(ds.NextQuery(), AggSum)
+	for _, a := range st.Trace {
+		if space.Region(a.Addr) == nil {
+			t.Fatalf("trace address %#x not mapped in the adopting space", a.Addr)
+		}
+	}
+}
+
 func TestMemoBudgetLimitsHits(t *testing.T) {
 	space := memspace.New()
 	rng := sim.NewRNG(3)

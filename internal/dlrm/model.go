@@ -3,6 +3,7 @@ package dlrm
 import (
 	"math"
 
+	"rambda/internal/memspace"
 	"rambda/internal/sim"
 )
 
@@ -110,6 +111,19 @@ type Model struct {
 // NewModel assembles a model over a dataset's table and bundles.
 func NewModel(table *Table, memo *Memo, mlp *MLP, bundles [][]int) *Model {
 	return &Model{Table: table, Memo: memo, MLP: mlp, bundles: bundles}
+}
+
+// AdoptInto maps the model's embedding table and memo into space as
+// kind, at the addresses the model already uses (memspace.Space.Adopt).
+// The regions must start at space's bump pointer, as they do when the
+// model was the first allocation of a space of its own and is adopted
+// first. Inference only reads the model, so one model can serve many
+// spaces at once.
+func (m *Model) AdoptInto(space *memspace.Space, kind memspace.Kind) {
+	space.Adopt(m.Table.region, kind)
+	if m.Memo != nil {
+		space.Adopt(m.Memo.table.region, kind)
+	}
 }
 
 // InferStats describes one inference for the timing models.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"rambda/internal/core"
@@ -33,31 +32,21 @@ const breakdownMetricsInterval = 50 * sim.Microsecond
 // breakdownMicrobench drives the fig7 RAMBDA-cpoll configuration (the
 // intra-machine list walk) serially with the collector attached.
 func breakdownMicrobench(cfg BreakdownConfig, tr *obs.Trace, reg *obs.Registry) {
-	m := core.NewMachine(core.MachineConfig{Name: "srv", Variant: core.AccelBase})
-	rng := sim.NewRNG(cfg.Seed)
 	const nodes = 1 << 18
-	list := buildLinkedList(m.Space, memspace.KindDRAM, nodes, rng)
-
+	list := buildLinkedList(nodes, sim.NewRNG(cfg.Seed))
+	m := core.NewMachine(core.MachineConfig{Name: "srv", Variant: core.AccelBase})
+	m.Space.Adopt(list.region, memspace.KindDRAM)
 	opts := core.DefaultServerOptions()
-	opts.Connections = 16
 	opts.RingEntries = 32
-	opts.EntryBytes = 64
 	opts.Trace = tr
 	opts.Metrics = reg
-	s := core.NewServer(m, walkerApp(list), opts)
-	clients := make([]*core.LocalClient, opts.Connections)
-	for i := range clients {
-		clients[i] = core.ConnectLocalClient(s, i)
-	}
+	walk := walkServer(m, list, opts)
 	reg.SetInterval(breakdownMetricsInterval)
 
 	wrng := sim.NewRNG(cfg.Seed + 2)
-	req := make([]byte, 8)
 	now := sim.Time(0)
 	for i := 0; i < cfg.Requests; i++ {
-		binary.LittleEndian.PutUint64(req, uint64(wrng.Intn(nodes)))
-		_, done := clients[i%opts.Connections].Call(now, req)
-		now = done
+		now = walk(i, now, wrng.Intn(nodes))
 	}
 	reg.SnapshotNow(now)
 }

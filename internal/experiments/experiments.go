@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 
 	"rambda/internal/core"
 	"rambda/internal/memdev"
@@ -72,6 +73,88 @@ func namedMetrics(label func(int) string, regs []*obs.Registry) []obs.MetricsJSO
 		mj[i] = obs.MetricsJSON{Name: label(i), Registry: reg}
 	}
 	return mj
+}
+
+// sweep is one spec's table of independent points: its header, the
+// point each row measures and how to measure one, the row's job label,
+// fill (a measurement into its row) and cells (a filled row's text).
+// P is the spec's point type and R what measuring a point yields.
+type sweep[P, R any] struct {
+	table   Table
+	points  []P
+	measure func(P) R
+	label   func(i int) string
+	fill    func(i int, r R)
+	cells   func(i int) []string
+}
+
+// spec turns the sweep into one job per row and one render loop.
+// Nothing is built until a job runs.
+func (sw sweep[P, R]) spec() Spec {
+	jobs := runner.Jobs(sw.table.ID, len(sw.points), sw.label, func(i int) {
+		sw.fill(i, sw.measure(sw.points[i]))
+	})
+	return Spec{ID: sw.table.ID, Jobs: jobs, Table: func() *Table {
+		t := sw.table
+		for i := range sw.points {
+			t.AddRow(sw.cells(i)...)
+		}
+		return &t
+	}}
+}
+
+// runAlone runs a sweep's spec and returns its rows.
+func runAlone[Row, P, R any](rows []Row, sw sweep[P, R]) []Row {
+	runner.MustRun(0, sw.spec().Jobs)
+	return rows
+}
+
+// sharedInputs builds each read-only input a spec's points share, such
+// as Fig. 7's linked list or a Fig. 13 category's model, once: on the
+// first ask for its key, in an address space of its own. A point maps
+// the input into its machine as that space's first allocation
+// (memspace.Space.Adopt) and never writes it, so one build serves every
+// ask at any worker count. An input is kept only while one of its key's
+// planned asks has yet to be made, so after a spec's last ask it holds
+// nothing. If a build panics, every ask for its key panics naming it.
+type sharedInputs[K comparable, V any] struct {
+	name  string
+	build func(K) V
+
+	mu    sync.Mutex
+	left  map[K]int // planned asks not yet made
+	built map[K]func() V
+}
+
+func newSharedInputs[K comparable, V any](name string, build func(K) V) *sharedInputs[K, V] {
+	return &sharedInputs[K, V]{name: name, build: build, left: map[K]int{}, built: map[K]func() V{}}
+}
+
+// plan counts one ask that a point will make for k.
+func (s *sharedInputs[K, V]) plan(k K) { s.left[k]++ }
+
+// ask counts one of k's planned asks and returns k's input, building it
+// if this is the first ask. One ask builds and any others wait.
+func (s *sharedInputs[K, V]) ask(k K) V {
+	s.mu.Lock()
+	get, ok := s.built[k]
+	if !ok {
+		get = sync.OnceValue(func() V {
+			defer func() {
+				if v := recover(); v != nil {
+					panic(fmt.Sprintf("experiments: %s %v: %v", s.name, k, v))
+				}
+			}()
+			return s.build(k)
+		})
+		s.built[k] = get
+	}
+	if s.left[k]--; s.left[k] <= 0 {
+		delete(s.left, k) // no later ask will want it
+		delete(s.built, k)
+	}
+	s.mu.Unlock()
+	return get()
 }
 
 // StandardSpecs enumerates every paper figure in print order, at full

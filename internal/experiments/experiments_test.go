@@ -285,21 +285,25 @@ func TestFig13Shapes(t *testing.T) {
 	}
 	cfg := Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13}
 	cat := dlrm.AmazonCategories[0]
+	model := buildDLRM(cat, cfg)
+	run := func(cores int, v core.AccelVariant) float64 {
+		return fig13Point{cat: cat, cores: cores, variant: v}.simulate(cfg, model)
+	}
 
-	cpu1 := fig13CPU(cat, cfg, 1)
-	cpu8 := fig13CPU(cat, cfg, 8)
+	cpu1 := run(1, core.NoAccel)
+	cpu8 := run(8, core.NoAccel)
 	if cpu8 < 3*cpu1 {
 		t.Fatalf("CPU-8 (%v) must scale well past CPU-1 (%v)", cpu8, cpu1)
 	}
-	base := fig13Rambda(cat, cfg, core.AccelBase)
+	base := run(0, core.AccelBase)
 	if base >= 0.5*cpu1 {
 		t.Fatalf("base RAMBDA (%v) must fall far below CPU-1 (%v) — paper 19.7-31.3%%", base, cpu1)
 	}
 	if base < 0.1*cpu1 {
 		t.Fatalf("base RAMBDA (%v) implausibly slow vs CPU-1 (%v)", base, cpu1)
 	}
-	ld := fig13Rambda(cat, cfg, core.AccelLD)
-	lh := fig13Rambda(cat, cfg, core.AccelLH)
+	ld := run(0, core.AccelLD)
+	lh := run(0, core.AccelLH)
 	if !(lh > ld && ld > base) {
 		t.Fatalf("want LH (%v) > LD (%v) > base (%v)", lh, ld, base)
 	}
@@ -368,17 +372,28 @@ func TestSelectSpecs(t *testing.T) {
 
 // TestParallelMatchesSequentialFig7 asserts the harness's core
 // guarantee: the same seeds produce byte-identical rendered tables
-// whether the sweep runs on one worker or eight.
+// whether the sweep runs on one worker or eight. fig7's points share one
+// list and fig13's one model per category, read by several workers at
+// once.
 func TestParallelMatchesSequentialFig7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	cfg := testFig7Config()
-	cfg.Requests = 6000
-	seq := RunSpec(1, Fig7Spec(cfg)).String()
-	par := RunSpec(8, Fig7Spec(cfg)).String()
-	if seq != par {
-		t.Fatalf("fig7 output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+	f7 := testFig7Config()
+	f7.Requests = 6000
+	f13 := Fig13Config{Queries: 2000, Dim: 64, RowScale: 0.05, Seed: 13}
+	for _, tc := range []struct {
+		id   string
+		spec func() Spec
+	}{
+		{"fig7", func() Spec { return Fig7Spec(f7) }},
+		{"fig13", func() Spec { return Fig13Spec(f13) }},
+	} {
+		seq := RunSpec(1, tc.spec()).String()
+		par := RunSpec(8, tc.spec()).String()
+		if seq != par {
+			t.Errorf("%s output differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", tc.id, seq, par)
+		}
 	}
 }
 

@@ -6,18 +6,16 @@ import (
 	"rambda/internal/core"
 	"rambda/internal/hostcpu"
 	"rambda/internal/memspace"
-	"rambda/internal/runner"
 	"rambda/internal/sim"
 )
 
 // Fig7Row is one bar of Fig. 7: microbenchmark throughput of one
-// configuration, normalized within its memory type (DRAM results to
-// 1-core CPU, NVM results to RAMBDA-DDIO, as in the paper).
+// configuration. The table also normalizes it within its memory type
+// (fig7Normalized).
 type Fig7Row struct {
 	Mem        string // "dram" | "nvm"
 	Config     string
 	Throughput float64 // requests/sec
-	Normalized float64
 }
 
 // Fig7Config scales the experiment (the paper uses a 10M-node list and
@@ -39,21 +37,24 @@ func DefaultFig7Config() Fig7Config {
 // 64 B nodes ([8B next index][8B value][48B padding]).
 type linkedList struct {
 	region *memspace.Region
-	space  *memspace.Space
 	nodes  int
 }
 
 const nodeBytes = 64
 
-func buildLinkedList(space *memspace.Space, kind memspace.Kind, nodes int, rng *sim.RNG) *linkedList {
-	region := space.Alloc("microbench-list", uint64(nodes*nodeBytes), kind)
+// buildLinkedList builds a list in an address space of its own. A point
+// maps it into its machine (memspace.Space.Adopt) as the machine's first
+// allocation, where a list built in the machine's space would have been
+// placed.
+func buildLinkedList(nodes int, rng *sim.RNG) *linkedList {
+	region := memspace.New().Alloc("microbench-list", uint64(nodes*nodeBytes), memspace.KindDRAM)
 	perm := rng.Perm(nodes)
 	buf := region.Bytes()
 	for i := 0; i < nodes; i++ {
 		binary.LittleEndian.PutUint64(buf[i*nodeBytes:], uint64(perm[i]))
 		binary.LittleEndian.PutUint64(buf[i*nodeBytes+8:], uint64(i)*3+1)
 	}
-	return &linkedList{region: region, space: space, nodes: nodes}
+	return &linkedList{region: region, nodes: nodes}
 }
 
 func (l *linkedList) addr(i int) memspace.Addr {
@@ -61,22 +62,11 @@ func (l *linkedList) addr(i int) memspace.Addr {
 }
 
 func (l *linkedList) next(i int) int {
-	return int(binary.LittleEndian.Uint64(l.space.Slice(l.addr(i), 8)))
+	return int(binary.LittleEndian.Uint64(l.region.Slice(l.addr(i), 8)))
 }
 
 func (l *linkedList) value(i int) uint64 {
-	return binary.LittleEndian.Uint64(l.space.Slice(l.addr(i)+8, 8))
-}
-
-// traverse walks three nodes starting at idx and returns the final
-// node's value plus the visited node indices (paper: "randomly pick a
-// node ... traverse the two succeeding nodes, and return the value in
-// the second node").
-func (l *linkedList) traverse(idx int) (uint64, [3]int) {
-	a := idx % l.nodes
-	b := l.next(a)
-	c := l.next(b)
-	return l.value(c), [3]int{a, b, c}
+	return binary.LittleEndian.Uint64(l.region.Slice(l.addr(i)+8, 8))
 }
 
 // cpuMicrobenchCycles is the per-request instruction path of the CPU
@@ -85,41 +75,10 @@ func (l *linkedList) traverse(idx int) (uint64, [3]int) {
 // single-core baseline.
 const cpuMicrobenchCycles = 600
 
-// fig7CPU measures k CPU cores fed from the other NUMA node via shared
-// memory, batch size 16 (the paper's throughput-optimal setting).
-func fig7CPU(cfg Fig7Config, cores int, nvm bool) float64 {
-	m := core.NewMachine(core.MachineConfig{Name: "srv", Cores: cores, WithNVM: nvm})
-	kind := memspace.KindDRAM
-	if nvm {
-		kind = memspace.KindNVM
-	}
-	rng := sim.NewRNG(cfg.Seed)
-	list := buildLinkedList(m.Space, kind, cfg.Nodes, rng)
-
-	const batch = 16
-	clients := cores * batch
-	perClient := cfg.Requests / clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	wrng := sim.NewRNG(cfg.Seed + 1)
-	res := sim.ClosedLoop{Clients: clients, PerClient: perClient, Warmup: 2}.Run(
-		func(_ int, issue sim.Time) sim.Time {
-			start := wrng.Intn(cfg.Nodes)
-			_, visited := list.traverse(start)
-			return m.CPU.Process(issue, hostcpu.Work{
-				Cycles:      cpuMicrobenchCycles,
-				Accesses:    3,
-				AccessBytes: nodeBytes,
-				Addr:        list.addr(visited[0]),
-				Batch:       batch,
-			})
-		})
-	return res.Throughput
-}
-
 // walkerApp is the RAMBDA APU for the microbenchmark: three dependent
-// coherent reads plus a little ALU work.
+// coherent reads plus a little ALU work (paper: "randomly pick a node
+// ... traverse the two succeeding nodes, and return the value in the
+// second node").
 func walkerApp(list *linkedList) core.App {
 	return core.AppFunc(func(ctx *core.AppCtx, now sim.Time, req []byte) ([]byte, sim.Time) {
 		idx := int(binary.LittleEndian.Uint64(req))
@@ -138,162 +97,147 @@ func walkerApp(list *linkedList) core.App {
 	})
 }
 
-// fig7Rambda measures the prototype accelerator (optionally with
-// spin-polling instead of cpoll), fed intra-machine like the paper's
-// microbenchmark.
-func fig7Rambda(cfg Fig7Config, notify core.NotifyMode) float64 {
-	m := core.NewMachine(core.MachineConfig{Name: "srv", Variant: core.AccelBase})
-	rng := sim.NewRNG(cfg.Seed)
-	list := buildLinkedList(m.Space, memspace.KindDRAM, cfg.Nodes, rng)
+// walkFunc serves one list walk starting at node for closed-loop client
+// id, issued at issue, and returns its completion time.
+type walkFunc func(id int, issue sim.Time, node int) sim.Time
 
-	opts := core.DefaultServerOptions()
+// walkServer serves list walks on m with the prototype accelerator, fed
+// intra-machine like the paper's microbenchmark: 16 connections of 64 B
+// entries, each with a local client, and opts for the rest.
+func walkServer(m *core.Machine, list *linkedList, opts core.ServerOptions) walkFunc {
 	opts.Connections = 16
-	opts.RingEntries = cfg.Window * 2
 	opts.EntryBytes = 64
-	opts.Notify = notify
 	s := core.NewServer(m, walkerApp(list), opts)
 	clients := make([]*core.LocalClient, opts.Connections)
 	for i := range clients {
 		clients[i] = core.ConnectLocalClient(s, i)
 	}
-
-	total := opts.Connections * cfg.Window
-	perClient := cfg.Requests / total
-	if perClient < 1 {
-		perClient = 1
-	}
-	wrng := sim.NewRNG(cfg.Seed + 2)
 	req := make([]byte, 8)
-	res := sim.ClosedLoop{Clients: total, PerClient: perClient, Warmup: 2}.Run(
-		func(id int, issue sim.Time) sim.Time {
-			binary.LittleEndian.PutUint64(req, uint64(wrng.Intn(cfg.Nodes)))
-			_, done := clients[id%opts.Connections].Call(issue, req)
-			return done
-		})
-	return res.Throughput
+	return func(id int, issue sim.Time, node int) sim.Time {
+		binary.LittleEndian.PutUint64(req, uint64(node))
+		_, done := clients[id%len(clients)].Call(issue, req)
+		return done
+	}
 }
 
-// fig7LocalMem measures the RAMBDA-LD/LH projection: application data
-// in accelerator-local memory and requests generated inside the FPGA
-// (the paper's U280 emulation methodology, Sec. V).
-func fig7LocalMem(cfg Fig7Config, variant core.AccelVariant) float64 {
+// fig7Point is one Fig. 7 configuration: CPU cores (variant NoAccel)
+// or a RAMBDA variant with its notification mode, and whether the list
+// (and a served point's rings) lives in NVM.
+type fig7Point struct {
+	cores   int
+	variant core.AccelVariant
+	notify  core.NotifyMode
+	nvm     bool
+	ddio    bool // DDIO always on instead of adaptive
+}
+
+// build maps list into a fresh machine and returns how many closed-loop
+// clients drive it, the seed offset of their request stream and how one
+// walk is served.
+func (p fig7Point) build(cfg Fig7Config, list *linkedList) (clients int, seed uint64, walk walkFunc) {
 	m := core.NewMachine(core.MachineConfig{
-		Name: "srv", Variant: variant,
-		AccelLocalBytes: uint64(cfg.Nodes * nodeBytes),
+		Name: "srv", Cores: p.cores, Variant: p.variant, WithNVM: p.nvm, DDIOEnabled: p.ddio,
 	})
-	rng := sim.NewRNG(cfg.Seed)
-	list := buildLinkedList(m.Space, memspace.KindAccelLocal, cfg.Nodes, rng)
+	kind := m.DataKind()
+	if p.nvm {
+		kind = memspace.KindNVM
+	}
+	m.Space.Adopt(list.region, kind)
+	switch p.variant {
+	case core.NoAccel:
+		// k cores fed from the other NUMA node via shared memory, batch
+		// size 16 (the paper's throughput-optimal setting).
+		const batch = 16
+		return p.cores * batch, 1, func(_ int, issue sim.Time, node int) sim.Time {
+			return m.CPU.Process(issue, hostcpu.Work{
+				Cycles:      cpuMicrobenchCycles,
+				Accesses:    3,
+				AccessBytes: nodeBytes,
+				Addr:        list.addr(node),
+				Batch:       batch,
+			})
+		}
+	case core.AccelBase:
+		// The prototype behind request rings. On NVM the rings double
+		// as the persistence log, as in RAMBDA-TX, and pipeline deeper
+		// so NVM, not latency, binds.
+		opts := core.DefaultServerOptions()
+		opts.Notify = p.notify
+		window, seed := cfg.Window, uint64(2)
+		if p.nvm {
+			window, seed, opts.RingKind = cfg.Window*4, 4, memspace.KindNVM
+		}
+		opts.RingEntries = window * 2
+		return 16 * window, seed, walkServer(m, list, opts)
+	}
+	// RAMBDA-LD/LH: the list in accelerator-local memory and requests
+	// generated inside the FPGA (the paper's U280 emulation
+	// methodology, Sec. V).
 	app := walkerApp(list)
 	ctx := &core.AppCtx{M: m, A: m.Accel}
-
-	total := 16 * cfg.Window
-	perClient := cfg.Requests / total
-	if perClient < 1 {
-		perClient = 1
-	}
-	wrng := sim.NewRNG(cfg.Seed + 3)
 	req := make([]byte, 8)
-	res := sim.ClosedLoop{Clients: total, PerClient: perClient, Warmup: 2}.Run(
-		func(_ int, issue sim.Time) sim.Time {
-			binary.LittleEndian.PutUint64(req, uint64(wrng.Intn(cfg.Nodes)))
-			// In-FPGA request generation: a couple of fabric cycles.
-			t := m.Accel.Compute(issue, 2)
-			_, done := app.Handle(ctx, t, req)
-			return done
-		})
+	return 16 * cfg.Window, 3, func(_ int, issue sim.Time, node int) sim.Time {
+		binary.LittleEndian.PutUint64(req, uint64(node))
+		// In-FPGA request generation: a couple of fabric cycles.
+		t := m.Accel.Compute(issue, 2)
+		_, done := app.Handle(ctx, t, req)
+		return done
+	}
+}
+
+// simulate drives the point's closed loop over list and returns its
+// throughput.
+func (p fig7Point) simulate(cfg Fig7Config, list *linkedList) float64 {
+	clients, seed, walk := p.build(cfg, list)
+	perClient := max(cfg.Requests/clients, 1)
+	wrng := sim.NewRNG(cfg.Seed + seed)
+	res := sim.ClosedLoop{Clients: clients, PerClient: perClient, Warmup: 2}.Run(
+		func(id int, issue sim.Time) sim.Time { return walk(id, issue, wrng.Intn(cfg.Nodes)) })
 	return res.Throughput
 }
 
-// fig7NVM measures the NVM side: list and request rings in NVM (the
-// rings double as the persistence log, as in RAMBDA-TX), fed
-// intra-machine with RDMA-emulating writes per the paper's methodology,
-// comparing adaptive DDIO (the RAMBDA default) against DDIO always-on
-// ("RAMBDA-DDIO").
-func fig7NVM(cfg Fig7Config, alwaysDDIO bool) float64 {
-	m := core.NewMachine(core.MachineConfig{
-		Name: "srv", Variant: core.AccelBase, WithNVM: true, DDIOEnabled: alwaysDDIO,
-	})
-	rng := sim.NewRNG(cfg.Seed)
-	list := buildLinkedList(m.Space, memspace.KindNVM, cfg.Nodes, rng)
+// fig7Bases names the configuration each memory type normalizes to, as
+// in the paper: DRAM results to 1-core CPU, NVM results to RAMBDA-DDIO.
+var fig7Bases = map[string]string{"dram": "CPU-1", "nvm": "RAMBDA-DDIO"}
 
-	window := cfg.Window * 4 // deep pipelining so NVM, not latency, binds
-	opts := core.DefaultServerOptions()
-	opts.Connections = 16
-	opts.RingEntries = window * 2
-	opts.EntryBytes = 64
-	opts.RingKind = memspace.KindNVM
-	s := core.NewServer(m, walkerApp(list), opts)
-	clients := make([]*core.LocalClient, opts.Connections)
-	for i := range clients {
-		clients[i] = core.ConnectLocalClient(s, i)
+// fig7Normalized is row i's throughput relative to its memory type's
+// base row.
+func fig7Normalized(rows []Fig7Row, i int) float64 {
+	var base float64
+	for _, r := range rows {
+		if r.Mem == rows[i].Mem && r.Config == fig7Bases[r.Mem] {
+			base = r.Throughput
+		}
 	}
-
-	total := opts.Connections * window
-	perClient := cfg.Requests / total
-	if perClient < 1 {
-		perClient = 1
-	}
-	wrng := sim.NewRNG(cfg.Seed + 4)
-	req := make([]byte, 8)
-	res := sim.ClosedLoop{Clients: total, PerClient: perClient, Warmup: 2}.Run(
-		func(id int, issue sim.Time) sim.Time {
-			binary.LittleEndian.PutUint64(req, uint64(wrng.Intn(cfg.Nodes)))
-			_, done := clients[id%opts.Connections].Call(issue, req)
-			return done
-		})
-	return res.Throughput
+	return rows[i].Throughput / base
 }
 
-// fig7Plan enumerates the sweep: eleven independent configurations,
-// each building its own machine and RNGs. Normalization bases (DRAM
-// results to CPU-1, NVM results to RAMBDA-DDIO) are applied by rows()
-// after every point has run, so the points stay order-independent.
-func fig7Plan(cfg Fig7Config) (func() []Fig7Row, []runner.Job) {
-	points := []struct {
+// fig7Plan enumerates the sweep: eleven configurations sharing one
+// list. Normalization reads the filled rows, so the points stay
+// order-independent.
+func fig7Plan(cfg Fig7Config) ([]Fig7Row, sweep[fig7Point, float64]) {
+	base, ld, lh := core.AccelBase, core.AccelLD, core.AccelLH
+	configs := []struct {
 		mem, name string
-		fn        func() float64
+		p         fig7Point
 	}{
-		{"dram", "CPU-1", func() float64 { return fig7CPU(cfg, 1, false) }},
-		{"dram", "CPU-8", func() float64 { return fig7CPU(cfg, 8, false) }},
-		{"dram", "CPU-16", func() float64 { return fig7CPU(cfg, 16, false) }},
-		{"dram", "RAMBDA-polling", func() float64 { return fig7Rambda(cfg, core.NotifyPolling) }},
-		{"dram", "RAMBDA", func() float64 { return fig7Rambda(cfg, core.NotifyCpoll) }},
-		{"dram", "RAMBDA-LD", func() float64 { return fig7LocalMem(cfg, core.AccelLD) }},
-		{"dram", "RAMBDA-LH", func() float64 { return fig7LocalMem(cfg, core.AccelLH) }},
-		{"nvm", "CPU-1", func() float64 { return fig7CPU(cfg, 1, true) }},
-		{"nvm", "CPU-8", func() float64 { return fig7CPU(cfg, 8, true) }},
-		{"nvm", "RAMBDA-DDIO", func() float64 { return fig7NVM(cfg, true) }},
-		{"nvm", "RAMBDA", func() float64 { return fig7NVM(cfg, false) }},
+		{"dram", "CPU-1", fig7Point{cores: 1}},
+		{"dram", "CPU-8", fig7Point{cores: 8}},
+		{"dram", "CPU-16", fig7Point{cores: 16}},
+		{"dram", "RAMBDA-polling", fig7Point{variant: base, notify: core.NotifyPolling}},
+		{"dram", "RAMBDA", fig7Point{variant: base}},
+		{"dram", "RAMBDA-LD", fig7Point{variant: ld}},
+		{"dram", "RAMBDA-LH", fig7Point{variant: lh}},
+		{"nvm", "CPU-1", fig7Point{cores: 1, nvm: true}},
+		{"nvm", "CPU-8", fig7Point{cores: 8, nvm: true}},
+		{"nvm", "RAMBDA-DDIO", fig7Point{variant: base, nvm: true, ddio: true}},
+		{"nvm", "RAMBDA", fig7Point{variant: base, nvm: true}},
 	}
-	tputs := make([]float64, len(points))
-	jobs := runner.Jobs("fig7", len(points),
-		func(i int) string { return points[i].mem + "/" + points[i].name },
-		func(i int) { tputs[i] = points[i].fn() })
-	rows := func() []Fig7Row {
-		base := map[string]float64{}
-		for i, p := range points {
-			if (p.mem == "dram" && p.name == "CPU-1") || (p.mem == "nvm" && p.name == "RAMBDA-DDIO") {
-				base[p.mem] = tputs[i]
-			}
-		}
-		out := make([]Fig7Row, len(points))
-		for i, p := range points {
-			out[i] = Fig7Row{Mem: p.mem, Config: p.name, Throughput: tputs[i], Normalized: tputs[i] / base[p.mem]}
-		}
-		return out
-	}
-	return rows, jobs
-}
-
-// Fig7 runs the whole microbenchmark sweep.
-func Fig7(cfg Fig7Config) []Fig7Row {
-	rows, jobs := fig7Plan(cfg)
-	runner.MustRun(0, jobs)
-	return rows()
-}
-
-func fig7Render(rows []Fig7Row) *Table {
-	t := &Table{
+	lists := newSharedInputs("linked list", func(nodes int) *linkedList {
+		return buildLinkedList(nodes, sim.NewRNG(cfg.Seed))
+	})
+	rows := make([]Fig7Row, len(configs))
+	sw := sweep[fig7Point, float64]{table: Table{
 		ID:      "fig7",
 		Title:   "Microbenchmark throughput (10M-node list walk, scaled)",
 		Columns: []string{"mem", "config", "throughput", "normalized"},
@@ -301,15 +245,26 @@ func fig7Render(rows []Fig7Row) *Table {
 			"paper: CPU scales ~linearly; RAMBDA-polling ~= 8 cores; cpoll +~21.6%;",
 			"LD/LH +114%~166% over cpoll; NVM: adaptive DDIO ~+20% over DDIO-on",
 		},
+	}}
+	for i, c := range configs {
+		rows[i] = Fig7Row{Mem: c.mem, Config: c.name}
+		sw.points = append(sw.points, c.p)
+		lists.plan(cfg.Nodes)
 	}
-	for _, r := range rows {
-		t.AddRow(r.Mem, r.Config, mops(r.Throughput), f2(r.Normalized))
+	sw.measure = func(p fig7Point) float64 { return p.simulate(cfg, lists.ask(cfg.Nodes)) }
+	sw.label = func(i int) string { return rows[i].Mem + "/" + rows[i].Config }
+	sw.fill = func(i int, tput float64) { rows[i].Throughput = tput }
+	sw.cells = func(i int) []string {
+		return []string{rows[i].Mem, rows[i].Config, mops(rows[i].Throughput), f2(fig7Normalized(rows, i))}
 	}
-	return t
+	return rows, sw
 }
+
+// Fig7 runs the whole microbenchmark sweep.
+func Fig7(cfg Fig7Config) []Fig7Row { return runAlone(fig7Plan(cfg)) }
 
 // Fig7Spec exposes the sweep for a shared pool.
 func Fig7Spec(cfg Fig7Config) Spec {
-	rows, jobs := fig7Plan(cfg)
-	return Spec{ID: "fig7", Jobs: jobs, Table: func() *Table { return fig7Render(rows()) }}
+	_, sw := fig7Plan(cfg)
+	return sw.spec()
 }

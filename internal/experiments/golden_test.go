@@ -8,10 +8,9 @@ import (
 	"rambda/internal/runner"
 )
 
-// TestQuickFigureGoldenOutput pins the rendered -quick fig5, fig7,
-// fig8, fig9, fig10, tab3, fig13, scaleout and ycsb tables
-// byte-for-byte, and tab3 once more when it runs alone. fig7 and fig8 were
-// captured before the sim hot-path optimization (indexed gap
+// TestQuickFigureGoldenOutput pins every spec's rendered -quick table
+// byte-for-byte, and tab3 once more when it runs alone. fig7 and fig8
+// were captured before the sim hot-path optimization (indexed gap
 // placement, typed heaps, cached percentiles); fig9, fig10 and tab3
 // were captured from fresh per-point store preloads, before points
 // shared a pooled store rolled back between them; ycsb, the only spec
@@ -19,15 +18,18 @@ import (
 // full reservation and no run was ever freed; fig5, fig13 and scaleout
 // were captured while fig5 ran as a two-partition engine cut, fig13
 // streamed its queries through a producer ring and scaleout built its
-// shards as engine partitions. The contract of these
-// changes is that every figure is unchanged; any diff here means the
-// engine's virtual-time behaviour or a point's store drifted, not just
-// a formatting nit. If a change alters the *model* deliberately,
-// regenerate with:
+// shards as engine partitions; fig1, fig12, scalability, chaos,
+// breakdown and chaos-scaleout were captured while every fig7 and
+// fig13 point built its own list or model in its own machine. The
+// contract of these changes is that every figure is unchanged; any
+// diff here means the engine's virtual-time behaviour or a point's
+// store drifted, not just a formatting nit. If a change alters the
+// *model* deliberately, regenerate with:
 //
 //	go run ./cmd/rambda-figures -quick -only fig7   (resp. fig8, ...)
 //
-// and update testdata/.
+// and update testdata/ (the golden is the output without its final
+// blank line).
 func TestQuickFigureGoldenOutput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quick figure sweeps are too slow under -race; determinism is covered unraced")
@@ -35,7 +37,7 @@ func TestQuickFigureGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick figure sweeps take minutes; skipped with -short")
 	}
-	specs, err := SelectSpecs(true, "fig5,fig7,fig8,fig9,fig10,tab3,fig13,scaleout,ycsb")
+	specs, err := SelectSpecs(true, "fig1,fig5,fig7,fig8,fig9,fig10,tab3,fig12,fig13,scalability,chaos,breakdown,scaleout,chaos-scaleout,ycsb")
 	if err != nil {
 		t.Fatal(err)
 	}

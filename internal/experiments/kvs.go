@@ -10,7 +10,6 @@ import (
 	"rambda/internal/kvs"
 	"rambda/internal/memspace"
 	"rambda/internal/power"
-	"rambda/internal/runner"
 	"rambda/internal/sim"
 	"rambda/internal/smartnic"
 )
@@ -414,58 +413,33 @@ func (m *kvsMemo) ask(cfg KVSConfig, pool *storePool, p kvsPoint) kvsResult {
 	return run()
 }
 
-// kvsPlan is one KVS spec: its table's header, the point each row
-// simulates, the row's job label, fill (a result into its row) and
-// cells (a filled row's text).
-type kvsPlan struct {
-	table  Table
-	cfg    KVSConfig
-	points []kvsPoint
-	label  func(i int) string
-	fill   func(i int, r kvsResult)
-	cells  func(i int) []string
+// measure answers a KVS spec's asks from m, with a store pool of the
+// spec's own (-only selects whole specs) planned for asks asks.
+func (m *kvsMemo) measure(cfg KVSConfig, asks int) func(kvsPoint) kvsResult {
+	pool := newStorePool(asks)
+	return func(p kvsPoint) kvsResult { return m.ask(cfg, pool, p) }
 }
 
-// spec turns the plan into jobs that ask memo for their points, with a
-// store pool of its own (-only selects whole specs). Nothing is built or
-// preloaded until a job runs.
-func (pl kvsPlan) spec(memo *kvsMemo) Spec {
-	pool := newStorePool(len(pl.points))
-	jobs := runner.Jobs(pl.table.ID, len(pl.points), pl.label, func(i int) {
-		pl.fill(i, memo.ask(pl.cfg, pool, pl.points[i]))
-	})
-	return Spec{ID: pl.table.ID, Jobs: jobs, Table: func() *Table {
-		t := pl.table
-		for i := range pl.points {
-			t.AddRow(pl.cells(i)...)
-		}
-		return &t
-	}}
-}
+// kvsPlan is one KVS spec's sweep.
+type kvsPlan = sweep[kvsPoint, kvsResult]
 
-// runAlone runs a plan with a memo of its own and returns its rows.
-func runAlone[R any](rows []R, pl kvsPlan) []R {
-	runner.MustRun(0, pl.spec(newKVSMemo()).Jobs)
-	return rows
-}
-
-// kvsPlans lists the KVS specs in print order.
+// kvsPlans lists the KVS specs in print order. They share one memo, so
+// a point two of them name is simulated once.
 func kvsPlans(cfg KVSConfig) []kvsPlan {
-	_, f8 := fig8Plan(cfg)
-	_, f9 := fig9Plan(cfg)
-	_, f10 := fig10Plan(cfg)
-	_, t3 := tab3Plan(cfg)
+	memo := newKVSMemo()
+	_, f8 := fig8Plan(cfg, memo)
+	_, f9 := fig9Plan(cfg, memo)
+	_, f10 := fig10Plan(cfg, memo)
+	_, t3 := tab3Plan(cfg, memo)
 	return []kvsPlan{f8, f9, f10, t3}
 }
 
-// KVSSpecs returns the fig8, fig9, fig10 and tab3 specs in print order.
-// They share one memo, so a point two of them name is simulated once;
-// run alone, each simulates all its points.
+// KVSSpecs returns the fig8, fig9, fig10 and tab3 specs in print order,
+// sharing one memo; run alone, each simulates all its points.
 func KVSSpecs(cfg KVSConfig) []Spec {
-	memo := newKVSMemo()
 	var specs []Spec
 	for _, pl := range kvsPlans(cfg) {
-		specs = append(specs, pl.spec(memo))
+		specs = append(specs, pl.spec())
 	}
 	return specs
 }
@@ -487,13 +461,13 @@ type Fig8Row struct {
 }
 
 // fig8Plan enumerates (system x dist x workload) at the Fig. 8 point.
-func fig8Plan(cfg KVSConfig) ([]Fig8Row, kvsPlan) {
+func fig8Plan(cfg KVSConfig, memo *kvsMemo) ([]Fig8Row, kvsPlan) {
 	workloads := []struct {
 		name   string
 		writes bool
 	}{{"get", false}, {"mixed", true}}
 	var rows []Fig8Row
-	pl := kvsPlan{cfg: cfg, table: Table{
+	pl := kvsPlan{table: Table{
 		ID:      "fig8",
 		Title:   "KVS peak throughput, batch 32",
 		Columns: []string{"system", "dist", "workload", "throughput"},
@@ -509,6 +483,7 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, kvsPlan) {
 			}
 		}
 	}
+	pl.measure = memo.measure(cfg, len(pl.points))
 	pl.label = func(i int) string { return rows[i].System + "/" + rows[i].Dist + "/" + rows[i].Workload }
 	pl.fill = func(i int, r kvsResult) { rows[i].Throughput = r.throughput }
 	pl.cells = func(i int) []string {
@@ -519,7 +494,7 @@ func fig8Plan(cfg KVSConfig) ([]Fig8Row, kvsPlan) {
 
 // Fig8 measures peak throughput (batch 32) for every design under both
 // distributions and workload mixes.
-func Fig8(cfg KVSConfig) []Fig8Row { return runAlone(fig8Plan(cfg)) }
+func Fig8(cfg KVSConfig) []Fig8Row { return runAlone(fig8Plan(cfg, newKVSMemo())) }
 
 // Fig9Row is one latency bar of Fig. 9 (100% GET).
 type Fig9Row struct {
@@ -534,9 +509,9 @@ type Fig9Row struct {
 // closed-loop equilibrium, dominate. The SmartNIC saturates far below
 // the others; its latency is measured at a sustainable load (window 1),
 // like the paper's per-system latency runs.
-func fig9Plan(cfg KVSConfig) ([]Fig9Row, kvsPlan) {
+func fig9Plan(cfg KVSConfig, memo *kvsMemo) ([]Fig9Row, kvsPlan) {
 	var rows []Fig9Row
-	pl := kvsPlan{cfg: cfg, table: Table{
+	pl := kvsPlan{table: Table{
 		ID:      "fig9",
 		Title:   "KVS latency, 100% GET, batch 32",
 		Columns: []string{"system", "dist", "avg", "p99"},
@@ -557,6 +532,7 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, kvsPlan) {
 			pl.points = append(pl.points, p)
 		}
 	}
+	pl.measure = memo.measure(cfg, len(pl.points))
 	pl.label = func(i int) string { return rows[i].System + "/" + rows[i].Dist }
 	pl.fill = func(i int, r kvsResult) {
 		rows[i].Avg = r.avg
@@ -576,7 +552,7 @@ func fig9Plan(cfg KVSConfig) ([]Fig9Row, kvsPlan) {
 
 // Fig9 measures average and tail latency under moderate load (100%
 // GET, batch 32).
-func Fig9(cfg KVSConfig) []Fig9Row { return runAlone(fig9Plan(cfg)) }
+func Fig9(cfg KVSConfig) []Fig9Row { return runAlone(fig9Plan(cfg, newKVSMemo())) }
 
 // Fig10Row is one point of the batch sweep.
 type Fig10Row struct {
@@ -591,9 +567,9 @@ type Fig10Row struct {
 // RAMBDA needs no request batching — its batch knob only amortizes
 // response doorbells, and the client window stays at the ring depth
 // (paper Sec. VI-B).
-func fig10Plan(cfg KVSConfig) ([]Fig10Row, kvsPlan) {
+func fig10Plan(cfg KVSConfig, memo *kvsMemo) ([]Fig10Row, kvsPlan) {
 	var rows []Fig10Row
-	pl := kvsPlan{cfg: cfg, table: Table{
+	pl := kvsPlan{table: Table{
 		ID:      "fig10",
 		Title:   "Batch size impact (100% GET, Zipf)",
 		Columns: []string{"system", "batch", "throughput", "avg latency"},
@@ -611,6 +587,7 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, kvsPlan) {
 			pl.points = append(pl.points, kvsAt(sys, b, window, true, false))
 		}
 	}
+	pl.measure = memo.measure(cfg, len(pl.points))
 	pl.label = func(i int) string { return fmt.Sprintf("%s/batch=%d", rows[i].System, rows[i].Batch) }
 	pl.fill = func(i int, r kvsResult) { rows[i].Throughput, rows[i].Avg = r.throughput, r.avg }
 	pl.cells = func(i int) []string {
@@ -621,7 +598,7 @@ func fig10Plan(cfg KVSConfig) ([]Fig10Row, kvsPlan) {
 
 // Fig10 sweeps the batch size on the Zipf GET workload. The client
 // window equals the batch size (HERD clients post batches of B).
-func Fig10(cfg KVSConfig) []Fig10Row { return runAlone(fig10Plan(cfg)) }
+func Fig10(cfg KVSConfig) []Fig10Row { return runAlone(fig10Plan(cfg, newKVSMemo())) }
 
 // Tab3Row is one column of Tab. III.
 type Tab3Row struct {
@@ -632,13 +609,13 @@ type Tab3Row struct {
 
 // tab3Plan enumerates the three power-efficiency measurements at the
 // Fig. 8 uniform-GET operating point.
-func tab3Plan(cfg KVSConfig) ([]Tab3Row, kvsPlan) {
+func tab3Plan(cfg KVSConfig, memo *kvsMemo) ([]Tab3Row, kvsPlan) {
 	rows := []Tab3Row{
 		{System: "CPU", Watts: power.CPUFullLoad},
 		{System: "SmartNIC", Watts: power.SmartNICARMs},
 		{System: "RAMBDA", Watts: power.RambdaFPGA},
 	}
-	pl := kvsPlan{cfg: cfg, table: Table{
+	pl := kvsPlan{table: Table{
 		ID:      "tab3",
 		Title:   "Power efficiency, GET/uniform (Kop/W)",
 		Columns: []string{"system", "watts", "Kop/W"},
@@ -650,6 +627,7 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, kvsPlan) {
 	for _, r := range rows {
 		pl.points = append(pl.points, fig8Point(cfg, r.System, false, false))
 	}
+	pl.measure = memo.measure(cfg, len(pl.points))
 	pl.label = func(i int) string { return rows[i].System }
 	pl.fill = func(i int, r kvsResult) { rows[i].KopPerW = power.KopsPerWatt(r.throughput, rows[i].Watts) }
 	pl.cells = func(i int) []string { return []string{rows[i].System, f1(rows[i].Watts), f1(rows[i].KopPerW)} }
@@ -658,4 +636,4 @@ func tab3Plan(cfg KVSConfig) ([]Tab3Row, kvsPlan) {
 
 // Tab3 computes power efficiency at the Fig. 8 uniform-GET operating
 // point using the paper's measured component wattages.
-func Tab3(cfg KVSConfig) []Tab3Row { return runAlone(tab3Plan(cfg)) }
+func Tab3(cfg KVSConfig) []Tab3Row { return runAlone(tab3Plan(cfg, newKVSMemo())) }
