@@ -57,20 +57,22 @@ BENCH_NEXT := $(shell expr $(BENCH_LAST) + 1)
 
 # Performance-regression harness: times every figure plus the sim
 # microbenchmark kernels and writes BENCH_$(BENCH_NEXT).json (schema
-# documented in cmd/rambda-bench and EXPERIMENTS.md), gated against the
-# newest committed BENCH file. Every BENCH file from BENCH_11 on is
-# recorded in one canonical configuration, one worker (-parallel 1, as
-# simbench runs), so the figure walls form a trajectory across PRs.
+# documented in cmd/rambda-bench and EXPERIMENTS.md), its allocation
+# counts gated against the newest committed BENCH file. Every BENCH
+# file from BENCH_11 on is recorded in one canonical configuration, one
+# worker (-parallel 1, as simbench runs), so the figure walls form a
+# trajectory across PRs.
 BENCH_FLAGS := -quick -parallel 1
 bench:
 	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out BENCH_$(BENCH_NEXT).json -baseline BENCH_$(BENCH_LAST).json
 
-# Figures + microbenchmarks compared against the committed baseline;
-# fails on a >25% machine-normalized time regression or on alloc-count
-# regressions (micro allocs/op and per-figure totals). This is what
-# CI's bench-smoke job runs.
+# Figures + microbenchmarks: allocation counts (micro allocs/op and
+# per-figure totals) against the committed baseline, and time as a
+# paired A/B against the parent commit's build (5 alternating rounds;
+# fails on a >=25% slowdown in the median and in 4 of 5 rounds). CI's
+# bench-smoke job runs the same against the merge base.
 bench-check:
-	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out /tmp/BENCH_ci.json -baseline BENCH_$(BENCH_LAST).json
+	$(GO) run ./cmd/rambda-bench $(BENCH_FLAGS) -out /tmp/BENCH_ci.json -baseline BENCH_$(BENCH_LAST).json -ab HEAD^
 
 # CPU-profile one figure end to end, then open pprof. Usage:
 #   make profile FIG=fig8

@@ -9,37 +9,52 @@
 //	go run ./cmd/rambda-bench -quick -parallel 1     # the configuration BENCH files are recorded in (make bench)
 //	go run ./cmd/rambda-bench -skip-figures          # microbenchmarks only
 //	go run ./cmd/rambda-bench -quick -baseline BENCH_<n>.json
+//	go run ./cmd/rambda-bench -quick -parallel 1 -ab HEAD^
 //
-// With -baseline, the run fails (exit 1) when anything regresses:
-//   - a microbenchmark's machine-normalized score (ns/op divided by the
-//     RNGUint64 calibration kernel's ns/op, so a baseline committed from
-//     one machine remains meaningful on CI hardware of a different
-//     speed) grows by more than -max-regress (default 25%);
+// Each figure runs in a child process (the same binary, invoked as
+// `rambda-bench [-quick] [-parallel N] figure <id>`), which reports its
+// wall time and heap allocations; its peak RSS is the child's
+// getrusage ru_maxrss.
+//
+// With -baseline, the run fails (exit 1) when an allocation count
+// regresses; allocation counts are deterministic, so one stored reading
+// is a fair baseline:
 //   - a microbenchmark allocates more per op than the baseline (with a
 //     one-alloc slack) — steady-state-zero kernels must stay at zero;
 //   - a figure's heap allocation count grows by more than -max-regress
-//     (figures are deterministic, so alloc counts are too; only checked
-//     when both runs used the same -quick scale).
+//     (only checked when both runs used the same -quick scale).
 //
 // A baseline kernel that the current run no longer has is retired: it
 // is named on stderr and not gated.
+//
+// Time is gated by -ab <rev>: the harness checks <rev> out in a local
+// shared clone, builds its rambda-bench and rambda-figures next to the
+// working tree's, and runs the two builds alternately for abRounds
+// rounds — every kernel (one -skip-figures run per build and round) and
+// every figure (rambda-figures -only <id>, timed by the child's CPU
+// time). A kernel or figure fails when its paired current/base time
+// ratio is at least 1 + -max-regress in the median and in at least
+// abRounds-1 of the rounds. The noise of a shared host is per kernel
+// and per run, so only a slowdown that repeats in paired runs counts.
 //
 // JSON schema (BENCH_*.json):
 //
 //	{
 //	  "schema": "rambda-bench/1",
 //	  "quick": bool, "parallel": int, "go": string,
-//	  "calibration_ns_per_op": float,        // RNGUint64 ns/op
+//	  "calibration_ns_per_op": float,        // RNGUint64 ns/op, a recorded host fact
 //	  "figures": {"<id>": {
 //	      "wall_ns":        int,   // figure jobs + table render
 //	      "allocs":         int,   // heap allocations during the figure
-//	      "peak_rss_bytes": int    // per-figure VmHWM (high-water mark reset before each figure; cumulative where /proc is unavailable)
+//	      "peak_rss_bytes": int    // the figure's child process ru_maxrss
 //	  }},
 //	  "micro": {"<kernel>": {
-//	      "ns_per_op": float, "allocs_per_op": int, "bytes_per_op": int,
-//	      "normalized": float      // ns_per_op / calibration_ns_per_op
+//	      "ns_per_op": float, "allocs_per_op": int, "bytes_per_op": int
 //	  }}
 //	}
+//
+// BENCH_2 to BENCH_15 also carry a per-kernel "normalized"
+// score (ns_per_op / calibration_ns_per_op); readers ignore it.
 package main
 
 import (
@@ -48,12 +63,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -79,7 +95,6 @@ type microResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	Normalized  float64 `json:"normalized"`
 }
 
 type report struct {
@@ -93,7 +108,7 @@ type report struct {
 }
 
 // microKernels names each sim kernel timed by the harness. RNGUint64 is
-// also the calibration reference and is timed first, separately.
+// timed first, separately, and recorded as the host's calibration.
 var microKernels = []struct {
 	name string
 	fn   func(n int)
@@ -128,11 +143,23 @@ func main() {
 	out := flag.String("out", nextBenchPath(), "output JSON path (the next BENCH_<n>.json in the working directory by default)")
 	only := flag.String("only", "", "comma-separated figure ids to time (e.g. fig7,fig8)")
 	skipFigures := flag.Bool("skip-figures", false, "skip figure timings, run only the sim microbenchmarks")
-	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to compare microbenchmarks against")
-	maxRegress := flag.Float64("max-regress", 0.25, "fail when a microbenchmark's normalized score regresses by more than this fraction")
+	baselinePath := flag.String("baseline", "", "baseline BENCH_*.json to gate allocation counts against")
+	maxRegress := flag.Float64("max-regress", 0.25, "fail on a regression beyond this fraction (figure allocations; paired A/B time)")
+	abRev := flag.String("ab", "", "git revision to A/B every kernel's and figure's time against (e.g. HEAD^)")
 	flag.Parse()
 
-	runner.SetDefault(*parallel)
+	if flag.NArg() == 2 && flag.Arg(0) == "figure" {
+		if err := figureChild(*quick, *parallel, flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		return
+	}
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "unexpected arguments %q\n", flag.Args())
+		os.Exit(2)
+	}
+
 	specs, err := experiments.SelectSpecs(*quick, *only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -147,7 +174,23 @@ func main() {
 		Micro:    map[string]microResult{},
 	}
 
-	// Calibration first, on a quiet process.
+	// Figures first: on Linux a child's ru_maxrss starts from its
+	// parent's peak when it execs, so the children must start while
+	// this process is still small (before any kernel has run).
+	if !*skipFigures {
+		for _, s := range specs {
+			r, err := runFigure(*quick, *parallel, s.ID)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(2)
+			}
+			rep.Figures[s.ID] = r
+			fmt.Fprintf(os.Stderr, "figure %-12s %10s  %12d allocs  peak-rss %d MiB\n",
+				s.ID, time.Duration(r.WallNS).Round(time.Millisecond), r.Allocs, r.PeakRSSBytes>>20)
+		}
+	}
+
+	// Calibration before the other kernels, on a quiet process.
 	calib := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		sim.BenchRNG(b.N)
@@ -158,11 +201,9 @@ func main() {
 		NsPerOp:     nsPerOp(calib),
 		AllocsPerOp: calib.AllocsPerOp(),
 		BytesPerOp:  calib.AllocedBytesPerOp(),
-		Normalized:  1,
 	}
 
 	for _, k := range microKernels {
-		k := k
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			k.fn(b.N)
@@ -172,33 +213,9 @@ func main() {
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
-		m.Normalized = m.NsPerOp / rep.CalibrationNs
 		rep.Micro[k.name] = m
 		fmt.Fprintf(os.Stderr, "micro %-28s %12.2f ns/op  %6d B/op  %4d allocs/op\n",
 			k.name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
-	}
-
-	if !*skipFigures {
-		for _, s := range specs {
-			resetPeakRSS()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			if err := runner.Run(*parallel, s.Jobs); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			_ = s.Table().String()
-			wall := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			rep.Figures[s.ID] = figureResult{
-				WallNS:       wall.Nanoseconds(),
-				Allocs:       int64(ms1.Mallocs - ms0.Mallocs),
-				PeakRSSBytes: peakRSSBytes(),
-			}
-			fmt.Fprintf(os.Stderr, "figure %-12s %10s  %12d allocs  peak-rss %d MiB\n",
-				s.ID, wall.Round(time.Millisecond), ms1.Mallocs-ms0.Mallocs, peakRSSBytes()>>20)
-		}
 	}
 
 	data, err := json.MarshalIndent(&rep, "", "  ")
@@ -213,11 +230,78 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 
+	failed := false
 	if *baselinePath != "" {
-		if failed := compareBaseline(os.Stderr, &rep, *baselinePath, *maxRegress); failed {
-			os.Exit(1)
-		}
+		failed = compareBaseline(os.Stderr, &rep, *baselinePath, *maxRegress)
 	}
+	if *abRev != "" {
+		abFailed, err := runAB(os.Stderr, *abRev, *quick, *parallel, specs, *maxRegress)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ab:", err)
+			os.Exit(2)
+		}
+		failed = failed || abFailed
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// figureChild runs one figure in this process and writes its wall time
+// and heap allocation count to stdout as a figureResult.
+func figureChild(quick bool, parallel int, id string) error {
+	runner.SetDefault(parallel)
+	specs, err := experiments.SelectSpecs(quick, id)
+	if err != nil {
+		return err
+	}
+	if len(specs) != 1 {
+		return fmt.Errorf("figure %q selects %d specs, want 1", id, len(specs))
+	}
+	s := specs[0]
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	if err := runner.Run(parallel, s.Jobs); err != nil {
+		return err
+	}
+	_ = s.Table().String()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	return json.NewEncoder(os.Stdout).Encode(figureResult{
+		WallNS: wall.Nanoseconds(),
+		Allocs: int64(ms1.Mallocs - ms0.Mallocs),
+	})
+}
+
+// runFigure times one figure in a child process of this binary; the
+// peak RSS is the child's own high-water mark.
+func runFigure(quick bool, parallel int, id string) (figureResult, error) {
+	var r figureResult
+	exe, err := os.Executable()
+	if err != nil {
+		return r, err
+	}
+	cmd := exec.Command(exe, "-quick="+strconv.FormatBool(quick), "-parallel="+strconv.Itoa(parallel), "figure", id)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return r, fmt.Errorf("figure %s: %w", id, err)
+	}
+	if err := json.Unmarshal(out, &r); err != nil {
+		return r, fmt.Errorf("figure %s: %w", id, err)
+	}
+	r.PeakRSSBytes = maxRSSBytes(cmd.ProcessState)
+	return r, nil
+}
+
+// maxRSSBytes is an exited child's peak resident set (ru_maxrss, which
+// Linux reports in KiB); 0 where the platform has no rusage.
+func maxRSSBytes(ps *os.ProcessState) int64 {
+	if ru, ok := ps.SysUsage().(*syscall.Rusage); ok {
+		return ru.Maxrss << 10
+	}
+	return 0
 }
 
 // nsPerOp keeps fractional precision (BenchmarkResult.NsPerOp truncates
@@ -229,11 +313,12 @@ func nsPerOp(r testing.BenchmarkResult) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
-// compareBaseline checks every microbenchmark present in both runs
-// (normalized time and allocs/op) plus per-figure alloc counts, writes
-// one line per comparison to w, and reports regressions beyond
-// maxRegress. Baseline kernels missing from rep are named as retired
-// and not gated.
+// compareBaseline checks every microbenchmark's allocs/op and every
+// figure's allocation count present in both runs, writes one line per
+// comparison to w, and reports regressions. Baseline kernels missing
+// from rep are named as retired and not gated. Time is not compared
+// here: a stored reading from another run is no baseline for it (see
+// -ab).
 func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) (failed bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -245,10 +330,6 @@ func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) 
 		fmt.Fprintf(w, "baseline %s: %v\n", path, err)
 		return true
 	}
-	if base.CalibrationNs <= 0 {
-		fmt.Fprintf(w, "baseline %s has no calibration; skipping regression check\n", path)
-		return false
-	}
 	var retired []string
 	for name := range base.Micro {
 		if _, ok := rep.Micro[name]; !ok {
@@ -259,25 +340,21 @@ func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) 
 	for _, name := range retired {
 		fmt.Fprintf(w, "compare %-28s retired, not gated\n", name)
 	}
-	for name, cur := range rep.Micro {
+	for _, name := range sortedKeys(rep.Micro) {
+		cur := rep.Micro[name]
 		b, ok := base.Micro[name]
-		if !ok || b.Normalized <= 0 || name == "RNGUint64" {
+		if !ok {
 			continue
-		}
-		ratio := cur.Normalized / b.Normalized
-		status := "ok"
-		if ratio > 1+maxRegress {
-			status = "REGRESSION"
-			failed = true
 		}
 		// Alloc counts are deterministic per op; one alloc of slack
 		// absorbs testing.Benchmark's occasional warmup remainder.
+		status := "ok"
 		if cur.AllocsPerOp > b.AllocsPerOp+1 {
 			status = "ALLOC REGRESSION"
 			failed = true
 		}
-		fmt.Fprintf(w, "compare %-28s baseline %8.2f (%d allocs)  now %8.2f (%d allocs)  ratio %.2fx  %s\n",
-			name, b.Normalized, b.AllocsPerOp, cur.Normalized, cur.AllocsPerOp, ratio, status)
+		fmt.Fprintf(w, "compare %-28s baseline %4d allocs/op  now %4d allocs/op  %s\n",
+			name, b.AllocsPerOp, cur.AllocsPerOp, status)
 	}
 	// Figure alloc counts are only comparable at the same sweep scale.
 	// Tiny figures (a few thousand allocs) are dominated by harness and
@@ -286,7 +363,8 @@ func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) 
 	// sweeps without tripping on setup noise.
 	const figureAllocSlack = 8192
 	if rep.Quick == base.Quick {
-		for id, cur := range rep.Figures {
+		for _, id := range sortedKeys(rep.Figures) {
+			cur := rep.Figures[id]
 			b, ok := base.Figures[id]
 			if !ok || b.Allocs <= 0 {
 				continue
@@ -302,9 +380,19 @@ func compareBaseline(w io.Writer, rep *report, path string, maxRegress float64) 
 		}
 	}
 	if failed {
-		fmt.Fprintf(w, "FAIL: regression beyond %.0f%% vs %s\n", maxRegress*100, path)
+		fmt.Fprintf(w, "FAIL: allocation regression vs %s\n", path)
 	}
 	return failed
+}
+
+// sortedKeys returns m's keys in order, for stable reports.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // nextBenchPath names the BENCH_<n>.json after the highest-numbered
@@ -319,40 +407,4 @@ func nextBenchPath() string {
 		}
 	}
 	return fmt.Sprintf("BENCH_%d.json", last+1)
-}
-
-// resetPeakRSS makes the next peakRSSBytes reading per-figure: free
-// heap is returned to the OS, then the kernel's resident high-water
-// mark is cleared (/proc/self/clear_refs, value 5). Best-effort — where
-// clear_refs is unavailable the readings degrade to the old cumulative
-// behaviour.
-func resetPeakRSS() {
-	runtime.GC()
-	debug.FreeOSMemory()
-	_ = os.WriteFile("/proc/self/clear_refs", []byte("5"), 0)
-}
-
-// peakRSSBytes reads the process resident-set high-water mark (VmHWM),
-// reset before each figure by resetPeakRSS so the value reflects that
-// figure's working set. Returns 0 where /proc is unavailable.
-func peakRSSBytes() int64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10
-	}
-	return 0
 }

@@ -35,8 +35,8 @@ func TestCompareBaseline(t *testing.T) {
 	base := report{
 		CalibrationNs: 2,
 		Micro: map[string]microResult{
-			"Kept":    {Normalized: 10, AllocsPerOp: 1},
-			"Retired": {Normalized: 10, AllocsPerOp: 0},
+			"Kept":    {NsPerOp: 10, AllocsPerOp: 1},
+			"Retired": {NsPerOp: 10, AllocsPerOp: 0},
 		},
 	}
 	raw, err := json.Marshal(&base)
@@ -52,9 +52,9 @@ func TestCompareBaseline(t *testing.T) {
 		kept microResult
 		fail bool
 	}{
-		{"retired kernel passes", microResult{Normalized: 10, AllocsPerOp: 1}, false},
-		{"1.3x normalized time fails", microResult{Normalized: 13, AllocsPerOp: 1}, true},
-		{"+2 allocs/op fails", microResult{Normalized: 10, AllocsPerOp: 3}, true},
+		{"retired kernel passes", microResult{NsPerOp: 10, AllocsPerOp: 1}, false},
+		{"2x time is not gated", microResult{NsPerOp: 20, AllocsPerOp: 1}, false},
+		{"+2 allocs/op fails", microResult{NsPerOp: 10, AllocsPerOp: 3}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := report{CalibrationNs: 2, Micro: map[string]microResult{"Kept": tc.kept}}
@@ -66,5 +66,49 @@ func TestCompareBaseline(t *testing.T) {
 				t.Fatalf("retired kernel not named:\n%s", out.String())
 			}
 		})
+	}
+}
+
+// The A/B gate flags a kernel only when its paired ratio reaches the
+// limit in the median and in all rounds but one.
+func TestABRegressed(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		ratios []float64
+		want   bool
+	}{
+		{"parity passes", []float64{1.02, 0.97, 1.05}, false},
+		{"one slow round passes", []float64{1.6, 1.01, 0.99}, false},
+		{"slow median, three of five slow rounds passes", []float64{1.3, 1.25, 1.0, 1.1, 1.3}, false},
+		{"injected 1.5x fails", []float64{1.48, 1.55, 1.51}, true},
+		{"two of three slow rounds fail", []float64{1.3, 0.9, 1.4}, true},
+		{"just under the limit passes", []float64{1.24, 1.24, 1.24}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := abRegressed(tc.ratios, 1.25); got != tc.want {
+				t.Fatalf("abRegressed(%v) = %v, want %v", tc.ratios, got, tc.want)
+			}
+		})
+	}
+}
+
+// checkoutRev checks a revision out of the local repository without
+// touching it, and reports a revision git does not know.
+func TestCheckoutRev(t *testing.T) {
+	root, err := gitOutput("", "rev-parse", "--show-toplevel")
+	if err != nil {
+		t.Skip("not in a git checkout")
+	}
+	dst := filepath.Join(t.TempDir(), "src")
+	if err := checkoutRev(root, "HEAD", dst); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"go.mod", "cmd/rambda-bench/main.go", "cmd/rambda-figures/main.go"} {
+		if _, err := os.Stat(filepath.Join(dst, f)); err != nil {
+			t.Fatalf("checked-out tree lacks %s: %v", f, err)
+		}
+	}
+	if err := checkoutRev(root, "no-such-revision", filepath.Join(t.TempDir(), "src")); err == nil {
+		t.Fatal("an unknown revision checked out without error")
 	}
 }

@@ -1,6 +1,7 @@
 package chainrep
 
 import (
+	"fmt"
 	"testing"
 
 	"rambda/internal/sim"
@@ -62,5 +63,32 @@ func TestHyperLoopTxScratchZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, steady); n != 0 {
 		t.Fatalf("HyperLoopTxInto: %.2f allocs/op in steady state, want 0", n)
+	}
+}
+
+// Redo-log replay decodes each entry in place from the log region into
+// the log's reused tuple buffer, and the flat store copies the data
+// out: once the buffer has grown to the widest entry, a replay of a
+// full, wrapped log allocates nothing.
+func TestRedoLogReplayZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are distorted under the race detector")
+	}
+	space, mem := newMem()
+	store := NewStore(space, mem, 1<<16)
+	log := NewRedoLog(space, mem, 32, EntrySize(4, 64))
+	payload := make([]byte, 64)
+	for i := 0; i < 50; i++ {
+		tx := []Tuple{{Offset: uint32(i * 64), Data: payload}, {Offset: uint32(i*64 + 4096), Data: payload[:i%64]}}
+		log.Append(0, EncodeEntry(tx[:1+i%2]))
+	}
+	replay := func() {
+		if n, err := log.Replay(store); err != nil || n != 32 {
+			panic(fmt.Sprintf("replayed %d: %v", n, err))
+		}
+	}
+	replay()
+	if n := testing.AllocsPerRun(50, replay); n != 0 {
+		t.Fatalf("Replay: %.2f allocs per full-log replay, want 0", n)
 	}
 }

@@ -127,8 +127,13 @@ type Chain struct {
 	ackTimeout sim.Duration
 	alive      []bool
 	downKind   []fault.Kind
-	applied    []int     // committed write sets applied per replica
-	history    [][]Tuple // committed write sets, for rejoin catch-up
+	applied    []int // committed write sets applied per replica
+	// history holds the committed write sets for rejoin catch-up, each
+	// encoded as a log entry and appended to one buffer; historyEnd[k]
+	// is the end of set k. catchUp is Rejoin's decode scratch.
+	history    []byte
+	historyEnd []int
+	catchUp    []Tuple
 	fstats     FailoverStats
 }
 

@@ -45,7 +45,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 		{Offset: 0, Data: []byte("alpha")},
 		{Offset: 4096, Data: bytes.Repeat([]byte{7}, 1024)},
 	}
-	out, err := DecodeEntry(EncodeEntry(in))
+	out, err := DecodeEntryInto(nil, EncodeEntry(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,17 +56,17 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 }
 
 func TestEntryCodecErrors(t *testing.T) {
-	if _, err := DecodeEntry(nil); err == nil {
+	if _, err := DecodeEntryInto(nil, nil); err == nil {
 		t.Fatal("empty entry accepted")
 	}
-	if _, err := DecodeEntry([]byte{0}); err == nil {
+	if _, err := DecodeEntryInto(nil, []byte{0}); err == nil {
 		t.Fatal("zero-tuple entry accepted")
 	}
-	if _, err := DecodeEntry([]byte{1, 2, 3}); err == nil {
+	if _, err := DecodeEntryInto(nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated header accepted")
 	}
 	good := EncodeEntry([]Tuple{{Offset: 1, Data: []byte("xyz")}})
-	if _, err := DecodeEntry(good[:len(good)-1]); err == nil {
+	if _, err := DecodeEntryInto(nil, good[:len(good)-1]); err == nil {
 		t.Fatal("truncated data accepted")
 	}
 }

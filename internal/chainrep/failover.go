@@ -150,11 +150,8 @@ func (c *Chain) replicateFaulty(at sim.Time, writes []Tuple, reqBytes int) (sim.
 	// When committed == 0 the client sees ErrNoReplicas and retries
 	// with identical bytes, so retaining the "failed" set is idempotent
 	// with the retry: the write surfaces exactly once, never torn.
-	kept := make([]Tuple, len(writes))
-	for i, w := range writes {
-		kept[i] = Tuple{Offset: w.Offset, Data: append([]byte(nil), w.Data...)}
-	}
-	c.history = append(c.history, kept)
+	c.history = AppendEntry(c.history, writes)
+	c.historyEnd = append(c.historyEnd, len(c.history))
 	if committed == 0 {
 		return at, ErrNoReplicas
 	}
@@ -222,8 +219,18 @@ func (c *Chain) Rejoin(now sim.Time, i int) (sim.Time, error) {
 		}
 		c.fstats.ReplayedTx += int64(n)
 	}
-	for _, writes := range c.history[c.applied[i]:] {
-		at += c.HopDelay + c.wire(EntryBytes(writes))
+	for k := c.applied[i]; k < len(c.historyEnd); k++ {
+		start := 0
+		if k > 0 {
+			start = c.historyEnd[k-1]
+		}
+		entry := c.history[start:c.historyEnd[k]]
+		writes, err := DecodeEntryInto(c.catchUp, entry)
+		c.catchUp = writes
+		if err != nil {
+			return at, err
+		}
+		at += c.HopDelay + c.wire(len(entry))
 		at = node.applyCatchUp(at, writes)
 		c.applied[i]++
 		c.fstats.CaughtUpTx++

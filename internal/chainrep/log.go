@@ -34,6 +34,8 @@ type RedoLog struct {
 	// pad is Append's reusable zero-padded staging buffer (entrySize
 	// bytes; memspace.Write copies it out before Append returns).
 	pad []byte
+	// tuples is Replay's reusable decode buffer.
+	tuples []Tuple
 }
 
 // tupleHdr is [4B offset][2B len].
@@ -93,28 +95,30 @@ func AppendEntry(dst []byte, tuples []Tuple) []byte {
 	return dst
 }
 
-// DecodeEntry parses a log entry.
-func DecodeEntry(b []byte) ([]Tuple, error) {
+// DecodeEntryInto parses a log entry into dst's backing array (grown
+// as needed) and returns the tuples. Each tuple's Data aliases b, so
+// the tuples are valid only while b is; with a reused dst the decode
+// allocates nothing.
+func DecodeEntryInto(dst []Tuple, b []byte) ([]Tuple, error) {
 	if len(b) < 1 {
-		return nil, fmt.Errorf("chainrep: empty entry")
+		return dst, fmt.Errorf("chainrep: empty entry")
 	}
 	n := int(b[0])
 	if n == 0 {
-		return nil, fmt.Errorf("chainrep: zero-tuple entry")
+		return dst, fmt.Errorf("chainrep: zero-tuple entry")
 	}
 	off := 1
-	tuples := make([]Tuple, 0, n)
+	tuples := dst[:0]
 	for i := 0; i < n; i++ {
 		if off+tupleHdr > len(b) {
-			return nil, fmt.Errorf("chainrep: truncated tuple header")
+			return tuples, fmt.Errorf("chainrep: truncated tuple header")
 		}
 		o := binary.LittleEndian.Uint32(b[off : off+4])
 		dl := int(binary.LittleEndian.Uint16(b[off+4 : off+6]))
 		if off+tupleHdr+dl > len(b) {
-			return nil, fmt.Errorf("chainrep: truncated tuple data")
+			return tuples, fmt.Errorf("chainrep: truncated tuple data")
 		}
-		data := make([]byte, dl)
-		copy(data, b[off+tupleHdr:off+tupleHdr+dl])
+		data := b[off+tupleHdr : off+tupleHdr+dl : off+tupleHdr+dl]
 		tuples = append(tuples, Tuple{Offset: o, Data: data})
 		off += tupleHdr + dl
 	}
@@ -149,7 +153,9 @@ func (l *RedoLog) Appended() int64 { return l.appended }
 
 // Replay re-applies every live log entry to the backend in append
 // order — the redo path after a crash. It returns the number of
-// transactions replayed.
+// transactions replayed. Entries decode in place from the log region:
+// each tuple's data is a view of the log bytes, which the backend's
+// Write copies out.
 func (l *RedoLog) Replay(store Backend) (int, error) {
 	n := int(l.appended)
 	if n > l.entries {
@@ -159,10 +165,9 @@ func (l *RedoLog) Replay(store Backend) (int, error) {
 	replayed := 0
 	for i := 0; i < n; i++ {
 		idx := (start + i) % l.entries
-		addr := l.region.Base + memspace.Addr(idx*l.entrySize)
-		raw := make([]byte, l.entrySize)
-		l.space.Read(addr, raw)
-		tuples, err := DecodeEntry(raw)
+		raw := l.region.Slice(l.region.Base+memspace.Addr(idx*l.entrySize), l.entrySize)
+		tuples, err := DecodeEntryInto(l.tuples, raw)
+		l.tuples = tuples
 		if err != nil {
 			return replayed, fmt.Errorf("chainrep: replay entry %d: %w", idx, err)
 		}

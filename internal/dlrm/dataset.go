@@ -85,12 +85,19 @@ func NewDataset(cat Category, seed uint64) *Dataset {
 	for b := range bundles {
 		bundles[b] = items[b*cat.BundleSize : (b+1)*cat.BundleSize : (b+1)*cat.BundleSize]
 	}
+	return (&Dataset{Cat: cat, Bundles: bundles}).Stream(seed)
+}
+
+// Stream returns a dataset that shares d's category and bundles and
+// draws its own query stream from seed: the stream NewDataset(d.Cat,
+// seed) would draw, without rebuilding the bundles.
+func (d *Dataset) Stream(seed uint64) *Dataset {
 	rng := sim.NewRNG(seed)
 	return &Dataset{
-		Cat:        cat,
-		Bundles:    bundles,
+		Cat:        d.Cat,
+		Bundles:    d.Bundles,
 		rng:        rng,
-		bundleZipf: sim.NewZipf(rng, uint64(nBundles), cat.BundleSkew),
+		bundleZipf: sim.NewZipf(rng, uint64(len(d.Bundles)), d.Cat.BundleSkew),
 	}
 }
 

@@ -285,9 +285,9 @@ func TestFig13Shapes(t *testing.T) {
 	}
 	cfg := Fig13Config{Queries: 5000, Dim: 64, RowScale: 0.05, Seed: 13}
 	cat := dlrm.AmazonCategories[0]
-	model := buildDLRM(cat, cfg)
+	in := buildDLRM(cat, cfg)
 	run := func(cores int, v core.AccelVariant) float64 {
-		return fig13Point{cat: cat, cores: cores, variant: v}.simulate(cfg, model)
+		return fig13Point{cat: cat, cores: cores, variant: v}.simulate(cfg, in)
 	}
 
 	cpu1 := run(1, core.NoAccel)

@@ -33,25 +33,27 @@ func DefaultFig13Config() Fig13Config {
 	return Fig13Config{Queries: 20000, Dim: 64, RowScale: 0.25, Seed: 13}
 }
 
-// dataset is cat's dataset at the experiment's scale: its bundles and
-// a fresh query stream.
-func (cfg Fig13Config) dataset(cat dlrm.Category) *dlrm.Dataset {
-	cat.Rows = int(float64(cat.Rows) * cfg.RowScale)
-	return dlrm.NewDataset(cat, cfg.Seed)
+// dlrmInput is what a category's points share: its dataset at the
+// experiment's scale, from which each point draws a query stream of its
+// own, and the model built over it.
+type dlrmInput struct {
+	data  *dlrm.Dataset
+	model *dlrm.Model
 }
 
-// buildDLRM builds a category's model in an address space of its own. A
-// point maps it into its machine with dlrm.Model.AdoptInto as the
-// machine's first allocation, where a model built in the machine's
-// space would have been placed.
-func buildDLRM(cat dlrm.Category, cfg Fig13Config) *dlrm.Model {
-	ds := cfg.dataset(cat)
+// buildDLRM builds a category's dataset and model, the model in an
+// address space of its own. A point maps it into its machine with
+// dlrm.Model.AdoptInto as the machine's first allocation, where a model
+// built in the machine's space would have been placed.
+func buildDLRM(cat dlrm.Category, cfg Fig13Config) dlrmInput {
+	cat.Rows = int(float64(cat.Rows) * cfg.RowScale)
+	ds := dlrm.NewDataset(cat, cfg.Seed)
 	space := memspace.New()
 	rng := sim.NewRNG(cfg.Seed + 3)
 	table := dlrm.NewTable(space, "emb-"+cat.Name, ds.Cat.Rows, cfg.Dim, memspace.KindDRAM, rng)
 	memo := dlrm.BuildMemo(space, "memo-"+cat.Name, table, ds.Bundles, ds.Cat.Rows/4, memspace.KindDRAM, rng)
 	mlp := dlrm.NewMLP(cfg.Dim, 32, rng)
-	return dlrm.NewModel(table, memo, mlp, ds.Bundles)
+	return dlrmInput{data: ds, model: dlrm.NewModel(table, memo, mlp, ds.Bundles)}
 }
 
 // Per-query CPU instruction path: request preprocessing + reduction
@@ -150,10 +152,11 @@ func (p fig13Point) build(model *dlrm.Model) (int, func(sim.Time, *fig13Work) si
 }
 
 // simulate drives the point's closed loop, with a query stream of its
-// own, over model and returns its throughput.
-func (p fig13Point) simulate(cfg Fig13Config, model *dlrm.Model) float64 {
+// own, over in's model and returns its throughput.
+func (p fig13Point) simulate(cfg Fig13Config, in dlrmInput) float64 {
+	model := in.model
 	clients, serve := p.build(model)
-	ds := cfg.dataset(p.cat)
+	ds := in.data.Stream(cfg.Seed)
 	net := interconnect.NewDuplex("net", core.NetBW, core.NetOneWay)
 	perClient := max(cfg.Queries/clients, 1)
 	var w fig13Work
@@ -183,7 +186,7 @@ var fig13Systems = []struct {
 // eight systems. A category's eight points share one model, built on
 // the first ask and let go after the eighth.
 func fig13Plan(cfg Fig13Config) ([]Fig13Row, sweep[fig13Point, float64]) {
-	models := newSharedInputs("DLRM model", func(cat dlrm.Category) *dlrm.Model { return buildDLRM(cat, cfg) })
+	models := newSharedInputs("DLRM model", func(cat dlrm.Category) dlrmInput { return buildDLRM(cat, cfg) })
 	var rows []Fig13Row
 	sw := sweep[fig13Point, float64]{table: Table{
 		ID:      "fig13",

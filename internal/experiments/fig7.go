@@ -78,8 +78,10 @@ const cpuMicrobenchCycles = 600
 // walkerApp is the RAMBDA APU for the microbenchmark: three dependent
 // coherent reads plus a little ALU work (paper: "randomly pick a node
 // ... traverse the two succeeding nodes, and return the value in the
-// second node").
+// second node"). Its 8-byte response buffer is reused by every
+// request: the server copies a response out before the next one.
 func walkerApp(list *linkedList) core.App {
+	resp := make([]byte, 8)
 	return core.AppFunc(func(ctx *core.AppCtx, now sim.Time, req []byte) ([]byte, sim.Time) {
 		idx := int(binary.LittleEndian.Uint64(req))
 		t := now
@@ -91,7 +93,6 @@ func walkerApp(list *linkedList) core.App {
 			cur = list.next(cur)
 		}
 		t = ctx.Compute(t, 12)
-		resp := make([]byte, 8)
 		binary.LittleEndian.PutUint64(resp, val)
 		return resp, t
 	})

@@ -226,8 +226,8 @@ type snicKVS struct {
 	store *kvs.Store
 	net   sim.Duration // client<->NIC one-way
 
-	// sc is the store's per-system value/trace scratch; cache inserts
-	// must NOT alias it (they copy), since it is overwritten per request.
+	// sc is the store's per-system value/trace scratch, overwritten per
+	// request; cache inserts copy out of it.
 	sc kvs.Scratch
 }
 
@@ -254,13 +254,12 @@ func newSNICKVS(cfg KVSConfig, store *kvs.Store) *snicKVS {
 	// low indices hottest), standing in for a long-running server whose
 	// cache reached steady state.
 	key := appendKVSKey(nil, 0)
+	var val []byte
 	var trace []kvs.Access
 	for i := 0; i < cfg.Keys; i++ {
-		// Fresh value allocation per iteration (dst nil): the cache
-		// retains it and copies the key. Only the trace scratch is
-		// reused.
-		v, t, ok := store.GetInto(nil, trace[:0], key)
-		trace = t
+		// The cache copies key and value, so both are scratch.
+		v, t, ok := store.GetInto(val[:0], trace[:0], key)
+		val, trace = v, t
 		if !ok {
 			panic("snic prewarm: missing key")
 		}
@@ -299,8 +298,7 @@ func (s *snicKVS) callOn(_ int, now sim.Time, req kvs.Request) (kvs.Response, si
 			}
 			resp = r
 			if r.Status == kvs.StatusOK {
-				// The cache retains the value: copy it out of the scratch.
-				s.cache.PutBytes(req.Key, append([]byte(nil), r.Val...))
+				s.cache.PutBytes(req.Key, r.Val)
 			}
 		}
 	case kvs.OpPut:
@@ -309,7 +307,7 @@ func (s *snicKVS) callOn(_ int, now sim.Time, req kvs.Request) (kvs.Response, si
 		for range trace {
 			t = s.snic.HostAccess(t, 64, 1)
 		}
-		s.cache.PutBytes(req.Key, append([]byte(nil), req.Val...))
+		s.cache.PutBytes(req.Key, req.Val)
 		resp = r
 	default:
 		resp = kvs.Response{Status: kvs.StatusError}

@@ -126,10 +126,10 @@ func steadyStateAllocs(sys kvsCaller, gen func(*kvsWork)) float64 {
 
 // TestKVSServerSteadyStateZeroAlloc guards the serving harness's
 // request path: once buffers reach their high-water mark, a call
-// allocates nothing — fig8's shape (hash store, 50/50 GET/PUT) and
-// ycsb-A's LSM server on its read half. An LSM PUT allocates inside the
-// backend (the memtable keeps its own copy of the value), so the update
-// half is not zero by design.
+// allocates nothing — fig8's shape (hash store, 50/50 GET/PUT) on the
+// RAMBDA server and the SmartNIC baseline, and ycsb-A's LSM server on
+// its read half. An LSM PUT that flushes allocates the new run, so the
+// update half is zero only between flushes (guarded in internal/lsm).
 func TestKVSServerSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
@@ -138,6 +138,12 @@ func TestKVSServerSteadyStateZeroAlloc(t *testing.T) {
 	fig8 := newRambdaKVS(cfg, preloadStore(cfg.storeShape()), core.AccelBase, cfg.Batch)
 	if n := steadyStateAllocs(fig8, kvsGen(cfg, true, true)); n != 0 {
 		t.Errorf("fig8 shape: %.2f allocs per call, want 0", n)
+	}
+	// The SmartNIC baseline: cache hits, misses that insert and evict,
+	// and PUTs that refresh, all copying into slots the cache owns.
+	snic := newSNICKVS(cfg, preloadStore(cfg.storeShape()))
+	if n := steadyStateAllocs(snic, kvsGen(cfg, true, true)); n != 0 {
+		t.Errorf("SmartNIC fig8 shape: %.2f allocs per call, want 0", n)
 	}
 
 	ycfg := DefaultYCSBConfig()

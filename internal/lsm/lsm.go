@@ -14,11 +14,11 @@
 //
 // Every record carries a sequence number from a global counter.
 // [DB.Snapshot] pins a view — the sequence high-water mark, the live
-// memtable map, and the run list — and reads or range scans through it
-// see exactly the versions at pin time: newer memtable versions are
-// filtered by sequence, a flush swaps in a fresh memtable map (the
-// snapshot keeps the old one), and compaction builds new sstables
-// while the pinned ones stay readable. Snapshots therefore never block
+// memtable generation, and the run list — and reads or range scans
+// through it see exactly the versions at pin time: newer memtable
+// versions are filtered by sequence, a flush starts a new memtable
+// generation (the snapshot keeps the old one), and compaction builds
+// new sstables while the pinned ones stay readable. Snapshots therefore never block
 // behind flush or compaction and cost nothing to take.
 //
 // Runs are reference counted: the current version holds one reference
@@ -49,6 +49,7 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -103,10 +104,14 @@ type DB struct {
 	// next value, snapshots pin the current one.
 	seq uint64
 
-	// memtable maps key -> versions in ascending sequence order. A
-	// flush swaps in a fresh map; pinned snapshots keep the old one.
-	memtable map[string][]entry
+	// mt is the current memtable generation. A flush resets it in
+	// place, or starts a new one when snapshots pin it.
+	mt       *memtable
 	memBytes int
+	// keys is flushState's reusable sort buffer, and merge
+	// compactState's merge state.
+	keys  []string
+	merge runMerge
 
 	// levels[0] holds newest-first overlapping runs; deeper levels hold
 	// one sorted run each.
@@ -130,12 +135,6 @@ type DB struct {
 	stalls                     int64
 }
 
-type entry struct {
-	seq       uint64
-	val       []byte
-	tombstone bool
-}
-
 // pendingIO is one deferred background NVM write.
 type pendingIO struct {
 	name  string // "flush" or "compact"
@@ -154,7 +153,7 @@ func Open(space *memspace.Space, mem *memdev.System, cfg Config) *DB {
 		mem:      mem,
 		wal:      space.Alloc("lsm-wal", cfg.WALBytes, memspace.KindNVM),
 		memArena: space.Alloc("lsm-mem", uint64(cfg.MemtableBytes), memspace.KindDRAM),
-		memtable: make(map[string][]entry),
+		mt:       newMemtable(cfg),
 		levels:   make([][]*sstable, cfg.MaxLevels),
 	}
 }
@@ -182,7 +181,7 @@ func (db *DB) Stats() Stats {
 	s := Stats{
 		Puts: db.puts, Gets: db.gets, Deletes: db.deletes, Scans: db.scans,
 		Flushes: db.flushes, Compactions: db.compactions, Stalls: db.stalls,
-		MemtableEntries: len(db.memtable),
+		MemtableEntries: len(db.mt.index),
 		MemtableBytes:   db.memBytes,
 		Seq:             db.seq,
 	}
@@ -197,7 +196,7 @@ func (db *DB) Stats() Stats {
 // the MVCC sequence high-water mark.
 func (db *DB) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+".memtable_bytes", func() float64 { return float64(db.memBytes) })
-	reg.Gauge(prefix+".memtable_entries", func() float64 { return float64(len(db.memtable)) })
+	reg.Gauge(prefix+".memtable_entries", func() float64 { return float64(len(db.mt.index)) })
 	reg.Gauge(prefix+".flushes", func() float64 { return float64(db.flushes) })
 	reg.Gauge(prefix+".compactions", func() float64 { return float64(db.compactions) })
 	reg.Gauge(prefix+".stalls", func() float64 { return float64(db.stalls) })
@@ -213,7 +212,7 @@ func (db *DB) RegisterMetrics(reg *obs.Registry, prefix string) {
 
 // recordBytes is the record framing shared by the WAL and sstables:
 // [2B klen][4B vlen|tomb][8B seq][key][val].
-func recordBytes(key string, val []byte) int { return recordHdr + len(key) + len(val) }
+func recordBytes(klen, vlen int) int { return recordHdr + klen + vlen }
 
 const (
 	recordHdr = 14
@@ -224,23 +223,23 @@ const (
 // the memtable, flushing and compacting as needed. It returns the time
 // the write is durable.
 func (db *DB) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
-	return db.write(now, key, val, false)
+	return db.write(now, bytesOf(key), val, false)
 }
 
 // Delete writes a tombstone.
 func (db *DB) Delete(now sim.Time, key string) (sim.Time, error) {
-	return db.write(now, key, nil, true)
+	return db.write(now, bytesOf(key), nil, true)
 }
 
 // write is the timed write path: the WAL charge lands inline and any
 // triggered background work drains synchronously before returning (the
 // pre-MVCC behavior chainrep's replicas depend on).
-func (db *DB) write(now sim.Time, key string, val []byte, tomb bool) (sim.Time, error) {
+func (db *DB) write(now sim.Time, key, val []byte, tomb bool) (sim.Time, error) {
 	walAddr, err := db.writeState(key, val, tomb)
 	if err != nil {
 		return now, err
 	}
-	at := db.mem.NVM.WriteAt(now, uint64(walAddr), recordBytes(key, val))
+	at := db.mem.NVM.WriteAt(now, uint64(walAddr), recordBytes(len(key), len(val)))
 	at, _ = db.Maintain(at)
 	return at, nil
 }
@@ -250,11 +249,11 @@ func (db *DB) write(now sim.Time, key string, val []byte, tomb bool) (sim.Time, 
 // WAL address of the appended record. NVM time for the WAL record is
 // the caller's to charge (inline on the timed path, via the access
 // trace on the serving path); flush/compaction cost lands in pending.
-func (db *DB) writeState(key string, val []byte, tomb bool) (memspace.Addr, error) {
+func (db *DB) writeState(key, val []byte, tomb bool) (memspace.Addr, error) {
 	if len(key) == 0 || len(key) > 0xFFFF || len(val) >= tombBit {
 		return 0, fmt.Errorf("lsm: invalid key/value size (%d/%d)", len(key), len(val))
 	}
-	rec := recordBytes(key, val)
+	rec := recordBytes(len(key), len(val))
 	if uint64(rec) > db.wal.Size {
 		return 0, fmt.Errorf("lsm: record %d exceeds WAL", rec)
 	}
@@ -272,8 +271,7 @@ func (db *DB) writeState(key string, val []byte, tomb bool) (memspace.Addr, erro
 	db.walOff += uint64(rec)
 	db.walRecords++
 
-	db.memtable[key] = append(db.memtable[key],
-		entry{seq: db.seq, val: append([]byte(nil), val...), tombstone: tomb})
+	db.mt.add(key, val, db.seq, tomb)
 	db.memBytes += rec
 	if tomb {
 		db.deletes++
@@ -286,8 +284,8 @@ func (db *DB) writeState(key string, val []byte, tomb bool) (memspace.Addr, erro
 	return walAddr, nil
 }
 
-func (db *DB) encodeRecord(addr memspace.Addr, key string, val []byte, seq uint64, tomb bool) {
-	buf := db.space.Slice(addr, recordBytes(key, val))
+func (db *DB) encodeRecord(addr memspace.Addr, key, val []byte, seq uint64, tomb bool) {
+	buf := db.space.Slice(addr, recordBytes(len(key), len(val)))
 	putRecordHdr(buf, len(key), len(val), seq, tomb)
 	copy(buf[recordHdr:], key)
 	copy(buf[recordHdr+len(key):], val)
@@ -313,11 +311,11 @@ func parseRecordHdr(buf []byte) (klen, vlen int, seq uint64, tomb bool) {
 // per deeper level, charging an NVM probe per run consulted.
 func (db *DB) Get(now sim.Time, key string) ([]byte, sim.Time, bool) {
 	db.gets++
-	if e, ok := newestVisible(db.memtable[key], db.seq); ok {
-		if e.tombstone {
+	if v, ok := db.mt.newest(key, db.seq); ok {
+		if v.tomb {
 			return nil, now, false
 		}
-		return append([]byte(nil), e.val...), now, true
+		return append([]byte(nil), v.val...), now, true
 	}
 	at := now
 	tomb, found := false, false
@@ -331,16 +329,6 @@ func (db *DB) Get(now sim.Time, key string) ([]byte, sim.Time, bool) {
 		return nil, at, false
 	}
 	return out, at, true
-}
-
-// newestVisible returns the newest version with seq <= maxSeq.
-func newestVisible(versions []entry, maxSeq uint64) (entry, bool) {
-	for i := len(versions) - 1; i >= 0; i-- {
-		if versions[i].seq <= maxSeq {
-			return versions[i], true
-		}
-	}
-	return entry{}, false
 }
 
 // probeRuns walks the run hierarchy for key — L0 newest-first, one run
@@ -365,26 +353,48 @@ func (db *DB) probeRuns(key string, maxSeq uint64,
 	}
 }
 
-// flushState sorts the memtable's newest versions into a new L0 run,
-// swaps in a fresh memtable (pinned snapshots keep the old map), and
-// truncates the WAL. The run's streaming NVM write lands in pending.
+// flushState writes the memtable's newest versions, sorted by key,
+// into a new L0 run, starts a fresh memtable generation (pinned
+// snapshots keep the old one), and truncates the WAL. The run's
+// streaming NVM write lands in pending.
 func (db *DB) flushState() {
-	if len(db.memtable) == 0 {
+	mt := db.mt
+	if len(mt.index) == 0 {
 		return
 	}
-	flat := make(map[string]entry, len(db.memtable))
-	for k, versions := range db.memtable {
-		flat[k] = versions[len(versions)-1]
+	keys := db.keys[:0]
+	total := runHdr
+	for k, i := range mt.index {
+		keys = append(keys, k)
+		total += recordBytes(len(k), len(mt.versions[i].val))
 	}
-	run, bytes := buildSSTable(db.space, "lsm-l0-"+strconv.FormatInt(db.flushes, 10), db.cfg.SSTableBytes, flat)
+	slices.Sort(keys)
+	w := newRunWriter(db.space, "lsm-l0-"+strconv.FormatInt(db.flushes, 10), db.cfg.SSTableBytes, total, len(keys))
+	for _, k := range keys {
+		v := mt.versions[mt.index[k]]
+		w.add(k, v.val, v.seq, v.tomb)
+	}
+	clear(keys)
+	db.keys = keys[:0]
+	run, bytes := w.t, w.off
 	db.pending = append(db.pending, pendingIO{name: "lsm.flush", addr: uint64(run.region.Base), bytes: bytes})
 	db.levels[0] = append(db.levels[0], run)
-	db.memtable = make(map[string][]entry)
+	db.nextMemtable()
 	db.memBytes = 0
 	db.walOff = 0
 	db.flushes++
 	if len(db.levels[0]) > db.cfg.L0Runs {
 		db.compactState(0)
+	}
+}
+
+// nextMemtable starts the next memtable generation: the current one
+// reset in place, or a new one when a snapshot pins it.
+func (db *DB) nextMemtable() {
+	if db.mt.pins == 0 {
+		db.mt.reset()
+	} else {
+		db.mt = newMemtable(db.cfg)
 	}
 }
 
@@ -400,26 +410,27 @@ func (db *DB) Flush(now sim.Time) sim.Time {
 // new single run at li+1, deferring the streaming write to pending. The
 // version drops its references to the replaced runs; pinned snapshots
 // keep reading them until they are released.
+//
+// The merge streams: a k-way merge of the sorted input runs resolves
+// each key to its newest record (dropping tombstones at the bottom
+// level), once to size the output and once to write it.
 func (db *DB) compactState(li int) {
 	if li+1 >= db.cfg.MaxLevels {
 		return // bottom level absorbs runs without further merging
 	}
-	merged := make(map[string]entry)
-	// Oldest first so newer (higher-sequence) records overwrite.
+	// Oldest first: on a sequence tie the later input wins.
+	m := &db.merge
+	m.reset(li+1 == db.cfg.MaxLevels-1)
 	if len(db.levels[li+1]) > 0 {
-		db.levels[li+1][0].scanInto(merged)
+		m.addInput(db.levels[li+1][0])
 	}
 	for _, run := range db.levels[li] {
-		run.scanInto(merged)
+		m.addInput(run)
 	}
-	bottom := li+1 == db.cfg.MaxLevels-1
-	if bottom {
-		// Tombstones die at the bottom.
-		for k, e := range merged {
-			if e.tombstone {
-				delete(merged, k)
-			}
-		}
+	count, total := 0, runHdr
+	for m.next() {
+		count++
+		total += len(m.rec)
 	}
 	db.compactions++
 	for _, run := range db.levels[li] {
@@ -428,15 +439,24 @@ func (db *DB) compactState(li int) {
 	for _, run := range db.levels[li+1] {
 		db.unref(run)
 	}
-	db.levels[li] = nil
-	if len(merged) == 0 {
-		db.levels[li+1] = nil
+	clear(db.levels[li])
+	db.levels[li] = db.levels[li][:0]
+	clear(db.levels[li+1])
+	db.levels[li+1] = db.levels[li+1][:0]
+	if count == 0 {
+		m.reset(false)
 		return
 	}
-	run, bytes := buildSSTable(db.space, "lsm-l"+strconv.Itoa(li+1)+"-"+strconv.FormatInt(db.compactions, 10),
-		db.cfg.SSTableBytes*uint64(li+2), merged)
+	w := newRunWriter(db.space, "lsm-l"+strconv.Itoa(li+1)+"-"+strconv.FormatInt(db.compactions, 10),
+		db.cfg.SSTableBytes*uint64(li+2), total, count)
+	m.rewind()
+	for m.next() {
+		w.copyRecord(m.rec)
+	}
+	m.reset(false)
+	run, bytes := w.t, w.off
 	db.pending = append(db.pending, pendingIO{name: "lsm.compact", addr: uint64(run.region.Base), bytes: bytes})
-	db.levels[li+1] = []*sstable{run}
+	db.levels[li+1] = append(db.levels[li+1], run)
 	// Cascade if the merged level has grown too large.
 	if uint64(bytes) > db.cfg.SSTableBytes*uint64(1<<uint(li+1)) && li+2 < db.cfg.MaxLevels {
 		db.compactState(li + 1)
@@ -498,14 +518,14 @@ func (db *DB) memAccess(key []byte, write bool) kvs.Access {
 func (db *DB) GetInto(dst []byte, trace []kvs.Access, key []byte) ([]byte, []kvs.Access, bool) {
 	db.gets++
 	trace = append(trace, db.memAccess(key, false))
-	if e, ok := newestVisible(db.memtable[string(key)], db.seq); ok {
-		if e.tombstone {
+	if v, ok := db.mt.newest(view(key), db.seq); ok {
+		if v.tomb {
 			return dst, trace, false
 		}
-		return append(dst, e.val...), trace, true
+		return append(dst, v.val...), trace, true
 	}
 	found, tomb := false, false
-	db.probeRuns(string(key), db.seq, func(addr memspace.Addr, bytes int) {
+	db.probeRuns(view(key), db.seq, func(addr memspace.Addr, bytes int) {
 		trace = append(trace, kvs.Access{Addr: addr, Bytes: bytes})
 	}, func(v []byte, t bool) {
 		tomb = t
@@ -522,11 +542,11 @@ func (db *DB) GetInto(dst []byte, trace []kvs.Access, key []byte) ([]byte, []kvs
 // touch. Flush/compaction triggered here only mutate state — call
 // Maintain afterward to charge the background stream.
 func (db *DB) PutInto(trace []kvs.Access, key, val []byte) ([]kvs.Access, error) {
-	walAddr, err := db.writeState(string(key), val, false)
+	walAddr, err := db.writeState(key, val, false)
 	if err != nil {
 		return trace, err
 	}
-	trace = append(trace, kvs.Access{Addr: walAddr, Bytes: recordBytes(string(key), val), Write: true})
+	trace = append(trace, kvs.Access{Addr: walAddr, Bytes: recordBytes(len(key), len(val)), Write: true})
 	trace = append(trace, db.memAccess(key, true))
 	return trace, nil
 }
@@ -534,12 +554,12 @@ func (db *DB) PutInto(trace []kvs.Access, key, val []byte) ([]kvs.Access, error)
 // DeleteInto implements kvs.Backend: a tombstone write. ok reports
 // whether the key was visible before the delete.
 func (db *DB) DeleteInto(trace []kvs.Access, key []byte) ([]kvs.Access, bool) {
-	visible := db.liveKey(string(key))
-	walAddr, err := db.writeState(string(key), nil, true)
+	visible := db.liveKey(view(key))
+	walAddr, err := db.writeState(key, nil, true)
 	if err != nil {
 		return trace, false
 	}
-	trace = append(trace, kvs.Access{Addr: walAddr, Bytes: recordBytes(string(key), nil), Write: true})
+	trace = append(trace, kvs.Access{Addr: walAddr, Bytes: recordBytes(len(key), 0), Write: true})
 	trace = append(trace, db.memAccess(key, true))
 	return trace, visible
 }
@@ -547,8 +567,8 @@ func (db *DB) DeleteInto(trace []kvs.Access, key []byte) ([]kvs.Access, bool) {
 // liveKey reports whether key currently resolves to a non-tombstone
 // version (functional visibility check, no charging).
 func (db *DB) liveKey(key string) bool {
-	if e, ok := newestVisible(db.memtable[key], db.seq); ok {
-		return !e.tombstone
+	if v, ok := db.mt.newest(key, db.seq); ok {
+		return !v.tomb
 	}
 	live := false
 	db.probeRuns(key, db.seq, func(memspace.Addr, int) {}, func(_ []byte, tomb bool) {
@@ -565,7 +585,7 @@ func (db *DB) liveKey(key string) bool {
 func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 	start []byte, limit int, reverse bool) ([]byte, []kvs.ScanPair, []kvs.Access) {
 	db.scans++
-	it := newMergeIter(db.memtable, db.levels, db.seq, string(start), reverse)
+	it := newMergeIter(db.mt, db.levels, db.seq, string(start), reverse)
 	emitted := 0
 	for emitted < limit && it.next() {
 		trace = append(trace, it.probes...)
@@ -587,13 +607,13 @@ func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 // --- MVCC snapshots ---
 
 // Snapshot is a pinned read view: sequence high-water mark, memtable
-// map, and run list as of Snapshot(). It holds a reference to each of
-// its runs, so they stay readable through any later flush or
-// compaction until Release.
+// generation, and run list as of Snapshot(). It holds a reference to
+// each of its runs and pins the generation, so they stay readable
+// through any later flush or compaction until Release.
 type Snapshot struct {
 	db   *DB
 	seq  uint64
-	mem  map[string][]entry
+	mem  *memtable
 	runs [][]*sstable // nil once released
 }
 
@@ -606,18 +626,23 @@ func (db *DB) Snapshot() *Snapshot {
 			t.refs++
 		}
 	}
-	return &Snapshot{db: db, seq: db.seq, mem: db.memtable, runs: runs}
+	db.mt.pins++
+	return &Snapshot{db: db, seq: db.seq, mem: db.mt, runs: runs}
 }
 
-// Release drops the snapshot's references to its runs. A run that no
-// version and no other snapshot holds is unmapped at the end of the
-// next Maintain. The snapshot must not be read after Release; a second
-// Release does nothing.
+// Release drops the snapshot's references to its runs and its memtable
+// generation. A run that no version and no other snapshot holds is
+// unmapped at the end of the next Maintain; a superseded generation
+// nobody pins is left to the garbage collector. The snapshot must not
+// be read after Release; a second Release does nothing.
 func (s *Snapshot) Release() {
 	for _, level := range s.runs {
 		for _, t := range level {
 			s.db.unref(t)
 		}
+	}
+	if s.mem != nil {
+		s.mem.pins--
 	}
 	s.mem, s.runs = nil, nil
 }
@@ -635,11 +660,11 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // Get reads a key as of the snapshot.
 func (s *Snapshot) Get(key string) ([]byte, bool) {
 	s.mustBeLive()
-	if e, ok := newestVisible(s.mem[key], s.seq); ok {
-		if e.tombstone {
+	if v, ok := s.mem.newest(key, s.seq); ok {
+		if v.tomb {
 			return nil, false
 		}
-		return append([]byte(nil), e.val...), true
+		return append([]byte(nil), v.val...), true
 	}
 	var out []byte
 	found, tomb := false, false
@@ -709,7 +734,7 @@ type mergeIter struct {
 type iterSource struct {
 	keys []string
 	pos  int // index into keys; -1 / len(keys) = exhausted
-	mem  map[string][]entry
+	mem  *memtable
 	run  *sstable
 }
 
@@ -728,11 +753,11 @@ func (src *iterSource) advance(reverse bool) {
 	}
 }
 
-func newMergeIter(mem map[string][]entry, levels [][]*sstable, maxSeq uint64,
+func newMergeIter(mem *memtable, levels [][]*sstable, maxSeq uint64,
 	start string, reverse bool) *mergeIter {
 	it := &mergeIter{reverse: reverse, maxSeq: maxSeq}
-	memKeys := make([]string, 0, len(mem))
-	for k := range mem {
+	memKeys := make([]string, 0, len(mem.index))
+	for k := range mem.index {
 		memKeys = append(memKeys, k)
 	}
 	sort.Strings(memKeys)
@@ -795,8 +820,8 @@ func (it *mergeIter) next() bool {
 				continue
 			}
 			if src.mem != nil {
-				if e, ok := newestVisible(src.mem[best], it.maxSeq); ok && (!resolved || e.seq > bestSeq) {
-					bestSeq, val, tomb, resolved = e.seq, e.val, e.tombstone, true
+				if v, ok := src.mem.newest(best, it.maxSeq); ok && (!resolved || v.seq > bestSeq) {
+					bestSeq, val, tomb, resolved = v.seq, v.val, v.tomb, true
 				}
 			} else {
 				v, seq, t, addr, probed, ok := src.run.get(best)
@@ -820,53 +845,76 @@ func (it *mergeIter) next() bool {
 // sstable is one sorted run in NVM.
 type sstable struct {
 	region *memspace.Region
-	space  *memspace.Space
-	// index holds the sorted keys with their record offsets and
-	// sequence numbers (rebuilt by scanning the region on recovery,
-	// held in DRAM at runtime).
+	// index holds the sorted keys with their record offsets (rebuilt
+	// by scanning the region on recovery, held in DRAM at runtime).
+	// Each key is a view of the key bytes in the run's own records,
+	// which are never rewritten.
 	keys    []string
 	offsets []uint32
-	seqs    []uint64
 	// refs counts the version that lists the run (one) and the
 	// snapshots that pin it (one each). A new run starts with the
 	// version's reference.
 	refs int
 }
 
-// buildSSTable serializes entries (sorted) into a fresh NVM region. The
+const (
+	sstMagic = 0x4C534D32 // "LSM2"
+	runHdr   = 8          // [4B magic][4B count]
+)
+
+// runWriter fills a new run's region record by record, in key order,
+// indexing each record as it lands.
+type runWriter struct {
+	t   *sstable
+	buf []byte
+	off int
+}
+
+// newRunWriter allocates a run of count records in total bytes. The
 // region reserves capBytes of address space (more if the records need
 // it) but backs only the bytes it holds.
-func buildSSTable(space *memspace.Space, name string, capBytes uint64, entries map[string]entry) (*sstable, int) {
-	keys := make([]string, 0, len(entries))
-	total := 8 // [4B magic][4B count]
-	for k, e := range entries {
-		keys = append(keys, k)
-		total += recordBytes(k, e.val)
-	}
-	sort.Strings(keys)
+func newRunWriter(space *memspace.Space, name string, capBytes uint64, total, count int) runWriter {
 	if uint64(total) > capBytes {
 		capBytes = uint64(total) // grow: address space is free
 	}
 	region := space.AllocPrefix(name, capBytes, uint64(total), memspace.KindNVM)
 	buf := region.Bytes()
 	binary.LittleEndian.PutUint32(buf[0:4], sstMagic)
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(keys)))
-	t := &sstable{region: region, space: space, refs: 1, keys: keys,
-		offsets: make([]uint32, 0, len(keys)), seqs: make([]uint64, 0, len(keys))}
-	off := 8
-	for _, k := range keys {
-		e := entries[k]
-		t.offsets = append(t.offsets, uint32(off))
-		t.seqs = append(t.seqs, e.seq)
-		putRecordHdr(buf[off:], len(k), len(e.val), e.seq, e.tombstone)
-		copy(buf[off+recordHdr:], k)
-		copy(buf[off+recordHdr+len(k):], e.val)
-		off += recordBytes(k, e.val)
-	}
-	return t, off
+	binary.LittleEndian.PutUint32(buf[4:8], uint32(count))
+	t := &sstable{region: region, refs: 1,
+		keys: make([]string, 0, count), offsets: make([]uint32, 0, count)}
+	return runWriter{t: t, buf: buf, off: runHdr}
 }
 
-const sstMagic = 0x4C534D32 // "LSM2"
+// add encodes one record.
+func (w *runWriter) add(key string, val []byte, seq uint64, tomb bool) {
+	rec := w.buf[w.off : w.off+recordBytes(len(key), len(val))]
+	putRecordHdr(rec, len(key), len(val), seq, tomb)
+	copy(rec[recordHdr:], key)
+	copy(rec[recordHdr+len(key):], val)
+	w.index(rec, len(key))
+}
+
+// copyRecord copies an encoded record (from another run) verbatim.
+func (w *runWriter) copyRecord(rec []byte) {
+	n := copy(w.buf[w.off:], rec)
+	kl, _, _, _ := parseRecordHdr(rec)
+	w.index(w.buf[w.off:w.off+n], kl)
+}
+
+func (w *runWriter) index(rec []byte, klen int) {
+	w.t.keys = append(w.t.keys, view(rec[recordHdr:recordHdr+klen]))
+	w.t.offsets = append(w.t.offsets, uint32(w.off))
+	w.off += len(rec)
+}
+
+// record returns the encoded record at index i.
+func (t *sstable) record(i int) []byte {
+	off := int(t.offsets[i])
+	buf := t.region.Bytes()
+	kl, vl, _, _ := parseRecordHdr(buf[off : off+recordHdr])
+	return buf[off : off+recordBytes(kl, vl)]
+}
 
 // get binary-searches the run. probed is the byte count of NVM touched
 // (index is in DRAM; one record read per hit/miss probe) and addr the
@@ -876,52 +924,100 @@ func (t *sstable) get(key string) (val []byte, seq uint64, tomb bool, addr memsp
 	if i >= len(t.keys) || t.keys[i] != key {
 		return nil, 0, false, t.region.Base, memdev.NVMGranularity, false
 	}
-	off := int(t.offsets[i])
-	kl, n, seq, tomb := parseRecordHdr(t.region.Bytes()[off : off+recordHdr])
-	val = t.region.Bytes()[off+recordHdr+kl : off+recordHdr+kl+n]
-	return val, seq, tomb, t.region.Base + memspace.Addr(off), recordHdr + kl + n, true
+	rec := t.record(i)
+	kl, _, seq, tomb := parseRecordHdr(rec)
+	return rec[recordHdr+kl:], seq, tomb, t.region.Base + memspace.Addr(t.offsets[i]), len(rec), true
 }
 
-// scanInto replays the run's records into dst; a record overwrites only
-// an older (lower-sequence) one.
-func (t *sstable) scanInto(dst map[string]entry) {
-	for i, k := range t.keys {
-		off := int(t.offsets[i])
-		kl, n, seq, tomb := parseRecordHdr(t.region.Bytes()[off : off+recordHdr])
-		if old, ok := dst[k]; ok && old.seq > seq {
+// runMerge is the streaming k-way merge compaction runs: next yields
+// the inputs' keys in order, each once, as the record with the highest
+// sequence number (the later input on a tie, so inputs are added
+// oldest first). With dropTombs a key whose newest record is a
+// tombstone is skipped. rewind restarts the merge over the same inputs.
+type runMerge struct {
+	inputs    []mergeInput
+	dropTombs bool
+	rec       []byte // the current key's winning record, after next
+}
+
+type mergeInput struct {
+	t   *sstable
+	pos int
+}
+
+func (m *runMerge) reset(dropTombs bool) {
+	clear(m.inputs)
+	m.inputs = m.inputs[:0]
+	m.dropTombs = dropTombs
+	m.rec = nil
+}
+
+func (m *runMerge) addInput(t *sstable) { m.inputs = append(m.inputs, mergeInput{t: t}) }
+
+func (m *runMerge) rewind() {
+	for i := range m.inputs {
+		m.inputs[i].pos = 0
+	}
+}
+
+func (m *runMerge) next() bool {
+	for {
+		best, found := "", false
+		for i := range m.inputs {
+			in := &m.inputs[i]
+			if in.pos < len(in.t.keys) && (!found || in.t.keys[in.pos] < best) {
+				best, found = in.t.keys[in.pos], true
+			}
+		}
+		if !found {
+			return false
+		}
+		var win []byte
+		var winSeq uint64
+		for i := range m.inputs {
+			in := &m.inputs[i]
+			if in.pos >= len(in.t.keys) || in.t.keys[in.pos] != best {
+				continue
+			}
+			rec := in.t.record(in.pos)
+			if _, _, seq, _ := parseRecordHdr(rec); win == nil || seq >= winSeq {
+				win, winSeq = rec, seq
+			}
+			in.pos++
+		}
+		if _, _, _, tomb := parseRecordHdr(win); tomb && m.dropTombs {
 			continue
 		}
-		dst[k] = entry{
-			seq:       seq,
-			val:       append([]byte(nil), t.region.Bytes()[off+recordHdr+kl:off+recordHdr+kl+n]...),
-			tombstone: tomb,
-		}
+		m.rec = win
+		return true
 	}
 }
 
-// openSSTable rebuilds a run's index by scanning its region bytes.
-func openSSTable(space *memspace.Space, region *memspace.Region) (*sstable, error) {
+// openSSTable rebuilds a run's index by scanning its region bytes, and
+// reports the highest sequence number it holds.
+func openSSTable(region *memspace.Region) (*sstable, uint64, error) {
 	buf := region.Bytes()
-	if len(buf) < 8 || binary.LittleEndian.Uint32(buf[0:4]) != sstMagic {
-		return nil, fmt.Errorf("lsm: region %q is not an sstable", region.Name)
+	if len(buf) < runHdr || binary.LittleEndian.Uint32(buf[0:4]) != sstMagic {
+		return nil, 0, fmt.Errorf("lsm: region %q is not an sstable", region.Name)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	t := &sstable{region: region, space: space, refs: 1}
-	off := 8
+	t := &sstable{region: region, refs: 1}
+	var maxSeq uint64
+	off := runHdr
 	for i := 0; i < count; i++ {
 		if off+recordHdr > len(buf) {
-			return nil, fmt.Errorf("lsm: truncated sstable %q", region.Name)
+			return nil, 0, fmt.Errorf("lsm: truncated sstable %q", region.Name)
 		}
 		kl, vl, seq, _ := parseRecordHdr(buf[off : off+recordHdr])
-		if off+recordHdr+kl+vl > len(buf) {
-			return nil, fmt.Errorf("lsm: truncated record in %q", region.Name)
+		if off+recordBytes(kl, vl) > len(buf) {
+			return nil, 0, fmt.Errorf("lsm: truncated record in %q", region.Name)
 		}
-		t.keys = append(t.keys, string(buf[off+recordHdr:off+recordHdr+kl]))
+		t.keys = append(t.keys, view(buf[off+recordHdr:off+recordHdr+kl]))
 		t.offsets = append(t.offsets, uint32(off))
-		t.seqs = append(t.seqs, seq)
-		off += recordHdr + kl + vl
+		maxSeq = max(maxSeq, seq)
+		off += recordBytes(kl, vl)
 	}
-	return t, nil
+	return t, maxSeq, nil
 }
 
 // Recover rebuilds a DB after a crash from the persistent regions: the
@@ -939,7 +1035,7 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 		mem:      mem,
 		wal:      wal,
 		memArena: space.Alloc("lsm-mem", uint64(cfg.MemtableBytes), memspace.KindDRAM),
-		memtable: make(map[string][]entry),
+		mt:       newMemtable(cfg),
 		levels:   make([][]*sstable, cfg.MaxLevels),
 	}
 	for li, level := range runs {
@@ -947,15 +1043,11 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 			return nil, fmt.Errorf("lsm: %d levels exceed MaxLevels %d", len(runs), cfg.MaxLevels)
 		}
 		for _, region := range level {
-			t, err := openSSTable(space, region)
+			t, maxSeq, err := openSSTable(region)
 			if err != nil {
 				return nil, err
 			}
-			for _, seq := range t.seqs {
-				if seq > db.seq {
-					db.seq = seq
-				}
-			}
+			db.seq = max(db.seq, maxSeq)
 			db.levels[li] = append(db.levels[li], t)
 		}
 	}
@@ -967,9 +1059,8 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 		if off+uint64(recordHdr+kl+vl) > walValid {
 			break // torn tail record: discarded, like a failed checksum
 		}
-		key := string(buf[off+recordHdr : off+recordHdr+uint64(kl)])
-		val := append([]byte(nil), buf[off+recordHdr+uint64(kl):off+recordHdr+uint64(kl+vl)]...)
-		db.memtable[key] = append(db.memtable[key], entry{seq: seq, val: val, tombstone: tomb})
+		key := buf[off+recordHdr : off+recordHdr+uint64(kl)]
+		db.mt.add(key, buf[off+recordHdr+uint64(kl):off+recordHdr+uint64(kl+vl)], seq, tomb)
 		db.memBytes += recordHdr + kl + vl
 		if seq > db.seq {
 			db.seq = seq

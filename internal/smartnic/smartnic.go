@@ -6,7 +6,6 @@
 package smartnic
 
 import (
-	"container/list"
 	"unsafe"
 
 	"rambda/internal/interconnect"
@@ -116,54 +115,77 @@ func (s *SmartNIC) HostAccesses() int64  { return s.hostAccesses }
 // LRUCache is the on-board software cache of recently accessed hash
 // entries and key-value pairs (paper Sec. VI-B allocates 512 MB of the
 // SmartNIC's DRAM for it). Capacity is accounted in bytes.
+//
+// Entries live in one index-linked table: slots link into a recency
+// list by int32 index (head = most recent), an evicted slot goes onto a
+// free list for the next insert, and byKey maps a key to its slot. The
+// cache copies every value into storage it owns, so callers may pass
+// scratch; a slot keeps its value buffer across reuse. Once the working
+// set is resident, inserts, refreshes and evictions allocate nothing.
 type LRUCache struct {
 	capacity int64
 	used     int64
-	order    *list.List // front = most recent; values are *cacheEntry
-	byKey    map[string]*list.Element
+	slots    []cacheEntry
+	head     int32 // most recent; nilSlot when empty
+	tail     int32 // least recent
+	free     int32 // first free slot, linked through next
+	byKey    map[string]int32
 
 	// Key interning: byte-slice keys are copied once per distinct key
 	// into append-only arena blocks; `interned` dedups so re-inserting
 	// a key the cache has ever seen (including after eviction) reuses
-	// the same string header and bytes. Arena memory is bounded by the
-	// distinct-key universe, not by insert traffic.
+	// the same string header and bytes. The same arena backs the slots'
+	// value buffers, and a slot reuses its buffer for any value that
+	// fits. Arena memory is bounded by the distinct-key universe and
+	// the largest value each slot has held, not by insert traffic.
 	interned map[string]string
-	arena    keyArena
+	arena    byteArena
 
 	hits, misses int64
 }
 
 type cacheEntry struct {
-	key  string
-	val  []byte
-	size int64
+	key        string
+	val        []byte
+	size       int64
+	prev, next int32
 }
 
-// keyArena stores interned key bytes in append-only blocks. Blocks are
-// never reallocated (append only ever fills spare capacity), so the
-// unsafe.String headers handed out stay valid for the cache's lifetime.
-type keyArena struct {
+// nilSlot terminates the recency and free lists.
+const nilSlot = -1
+
+// byteArena stores copied bytes (interned keys, value buffers) in
+// append-only blocks. Blocks are never reallocated (append only ever
+// fills spare capacity), so the unsafe.String headers and slices handed
+// out stay valid for the cache's lifetime.
+type byteArena struct {
 	blocks [][]byte
 }
 
 const arenaBlockBytes = 64 << 10
 
-func (a *keyArena) intern(key []byte) string {
-	n := len(key)
+func (a *byteArena) intern(key []byte) string {
+	return unsafe.String(unsafe.SliceData(a.carve(key)), len(key))
+}
+
+// carve copies b into the arena and returns the copy, capped at its
+// length so an append to it cannot reach a neighbour.
+func (a *byteArena) carve(b []byte) []byte {
+	n := len(b)
 	if len(a.blocks) == 0 {
 		a.grow(n)
 	}
-	b := &a.blocks[len(a.blocks)-1]
-	if cap(*b)-len(*b) < n {
+	blk := &a.blocks[len(a.blocks)-1]
+	if cap(*blk)-len(*blk) < n {
 		a.grow(n)
-		b = &a.blocks[len(a.blocks)-1]
+		blk = &a.blocks[len(a.blocks)-1]
 	}
-	off := len(*b)
-	*b = append(*b, key...)
-	return unsafe.String(&(*b)[off], n)
+	off := len(*blk)
+	*blk = append(*blk, b...)
+	return (*blk)[off : off+n : off+n]
 }
 
-func (a *keyArena) grow(need int) {
+func (a *byteArena) grow(need int) {
 	size := arenaBlockBytes
 	if need > size {
 		size = need
@@ -178,8 +200,10 @@ func NewLRUCache(capacityBytes int64) *LRUCache {
 	}
 	return &LRUCache{
 		capacity: capacityBytes,
-		order:    list.New(),
-		byKey:    make(map[string]*list.Element),
+		head:     nilSlot,
+		tail:     nilSlot,
+		free:     nilSlot,
+		byKey:    make(map[string]int32),
 		interned: make(map[string]string),
 	}
 }
@@ -189,12 +213,14 @@ func entrySize(keyLen int, val []byte) int64 {
 	return int64(keyLen + len(val) + 32)
 }
 
-// Get returns the cached value and refreshes recency.
+// Get returns the cached value and refreshes recency. The value is the
+// cache's own copy, valid until the next Put or PutBytes (which may
+// overwrite its slot), so callers must not retain it across them.
 func (c *LRUCache) Get(key string) ([]byte, bool) {
-	if el, ok := c.byKey[key]; ok {
-		c.order.MoveToFront(el)
+	if i, ok := c.byKey[key]; ok {
+		c.touch(i)
 		c.hits++
-		return el.Value.(*cacheEntry).val, true
+		return c.slots[i].val, true
 	}
 	c.misses++
 	return nil, false
@@ -202,13 +228,12 @@ func (c *LRUCache) Get(key string) ([]byte, bool) {
 
 // GetBytes is Get keyed by a byte slice: the map lookup's string
 // conversion is the compiler-recognized non-allocating pattern, so
-// steady-state lookups stay allocation-free while inserts (which must
-// materialize an owned string key) still go through Put.
+// lookups stay allocation-free.
 func (c *LRUCache) GetBytes(key []byte) ([]byte, bool) {
-	if el, ok := c.byKey[string(key)]; ok {
-		c.order.MoveToFront(el)
+	if i, ok := c.byKey[string(key)]; ok {
+		c.touch(i)
 		c.hits++
-		return el.Value.(*cacheEntry).val, true
+		return c.slots[i].val, true
 	}
 	c.misses++
 	return nil, false
@@ -222,32 +247,94 @@ func (c *LRUCache) Put(key string, val []byte) {
 }
 
 // PutBytes inserts or refreshes a value keyed by raw bytes, evicting
-// LRU entries to fit. The key path never allocates in steady state:
-// resident-key refreshes use the compiler's non-allocating
-// []byte→string map lookup, and re-inserting any previously seen key
-// (including one evicted since) reuses its interned string.
+// LRU entries to fit. Key and value are both copied, so either may be
+// caller scratch. Resident-key refreshes use the compiler's
+// non-allocating []byte→string map lookup, re-inserting any previously
+// seen key (including one evicted since) reuses its interned string,
+// and a new entry takes an evicted slot and its value buffer.
 func (c *LRUCache) PutBytes(key, val []byte) {
 	size := entrySize(len(key), val)
 	if size > c.capacity {
 		return // larger than the whole cache: uncacheable
 	}
-	if el, ok := c.byKey[string(key)]; ok {
-		e := el.Value.(*cacheEntry)
+	if i, ok := c.byKey[string(key)]; ok {
+		e := &c.slots[i]
 		c.used += size - e.size
-		e.val, e.size = val, size
-		c.order.MoveToFront(el)
+		e.val, e.size = c.store(e.val, val), size
+		c.touch(i)
 	} else {
 		k := c.internKey(key)
-		el := c.order.PushFront(&cacheEntry{key: k, val: val, size: size})
-		c.byKey[k] = el
+		i := c.alloc()
+		e := &c.slots[i]
+		e.key, e.val, e.size = k, c.store(e.val, val), size
+		c.pushFront(i)
+		c.byKey[k] = i
 		c.used += size
 	}
 	for c.used > c.capacity {
-		back := c.order.Back()
-		e := back.Value.(*cacheEntry)
-		c.order.Remove(back)
-		delete(c.byKey, e.key)
-		c.used -= e.size
+		c.remove(c.tail)
+	}
+}
+
+// store copies val into buf when it fits, else into fresh arena bytes.
+func (c *LRUCache) store(buf, val []byte) []byte {
+	if cap(buf) >= len(val) {
+		return append(buf[:0], val...)
+	}
+	return c.arena.carve(val)
+}
+
+// alloc takes a slot off the free list, or appends one.
+func (c *LRUCache) alloc() int32 {
+	if i := c.free; i != nilSlot {
+		c.free = c.slots[i].next
+		return i
+	}
+	c.slots = append(c.slots, cacheEntry{})
+	return int32(len(c.slots) - 1)
+}
+
+// remove unlinks slot i, drops its key and puts it on the free list
+// (its value buffer stays with the slot).
+func (c *LRUCache) remove(i int32) {
+	e := &c.slots[i]
+	c.unlink(i)
+	delete(c.byKey, e.key)
+	c.used -= e.size
+	e.key, e.size, e.next = "", 0, c.free
+	c.free = i
+}
+
+func (c *LRUCache) unlink(i int32) {
+	e := &c.slots[i]
+	if e.prev != nilSlot {
+		c.slots[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != nilSlot {
+		c.slots[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+func (c *LRUCache) pushFront(i int32) {
+	e := &c.slots[i]
+	e.prev, e.next = nilSlot, c.head
+	if c.head != nilSlot {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// touch makes slot i the most recent.
+func (c *LRUCache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -264,11 +351,8 @@ func (c *LRUCache) internKey(key []byte) string {
 
 // Invalidate drops a key (e.g. on a PUT that must reach host memory).
 func (c *LRUCache) Invalidate(key string) {
-	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.order.Remove(el)
-		delete(c.byKey, key)
-		c.used -= e.size
+	if i, ok := c.byKey[key]; ok {
+		c.remove(i)
 	}
 }
 
@@ -276,7 +360,7 @@ func (c *LRUCache) Invalidate(key string) {
 func (c *LRUCache) UsedBytes() int64 { return c.used }
 
 // Len reports the number of cached entries.
-func (c *LRUCache) Len() int { return c.order.Len() }
+func (c *LRUCache) Len() int { return len(c.byKey) }
 
 // HitRate reports the lifetime hit ratio.
 func (c *LRUCache) HitRate() float64 {

@@ -2,6 +2,7 @@ package smartnic
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +235,28 @@ func TestLRUSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state PutBytes+GetBytes allocates %.1f/op, want 0", allocs)
+	}
+
+	// At capacity: cycling twice as many keys as fit makes every insert
+	// evict the LRU entry. Inserts reuse the evicted slot and its value
+	// buffer, and the keys are interned from the first cycle on.
+	full := NewLRUCache(n / 2 * entrySize(len(keys[0]), vals[0]))
+	for _, k := range keys {
+		full.PutBytes(k, vals[0])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for cycle := 0; cycle < 100; cycle++ {
+		for i, k := range keys {
+			full.PutBytes(k, vals[i])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if full.Len() != n/2 {
+		t.Fatalf("len=%d, want %d resident at capacity", full.Len(), n/2)
+	}
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("%d inserts at capacity, each evicting, made %d allocations, want 0", 100*n, got)
 	}
 }
 
