@@ -130,7 +130,9 @@ type Chain struct {
 	applied    []int // committed write sets applied per replica
 	// history holds the committed write sets for rejoin catch-up, each
 	// encoded as a log entry and appended to one buffer; historyEnd[k]
-	// is the end of set k. catchUp is Rejoin's decode scratch.
+	// is the end of set k. It is emptied whenever every replica has
+	// applied all of it (trimHistory). catchUp is Rejoin's decode
+	// scratch.
 	history    []byte
 	historyEnd []int
 	catchUp    []Tuple

@@ -39,9 +39,9 @@ type FailoverStats struct {
 func (n *Node) Name() string { return n.cfg.Name }
 
 // EnableFaultDetection arms the chain's failure detector against the
-// instantiated fault plan. ackTimeout <= 0 takes the default. Committed
-// write sets are retained from this point on so spliced-out replicas can
-// catch up on rejoin.
+// instantiated fault plan. ackTimeout <= 0 takes the default. From this
+// point on, committed write sets are retained until every replica has
+// applied them, so spliced-out replicas can catch up on rejoin.
 func (c *Chain) EnableFaultDetection(inj *fault.Injector, ackTimeout sim.Duration) {
 	if ackTimeout <= 0 {
 		ackTimeout = defaultAckTimeout
@@ -152,10 +152,26 @@ func (c *Chain) replicateFaulty(at sim.Time, writes []Tuple, reqBytes int) (sim.
 	// with the retry: the write surfaces exactly once, never torn.
 	c.history = AppendEntry(c.history, writes)
 	c.historyEnd = append(c.historyEnd, len(c.history))
+	c.trimHistory()
 	if committed == 0 {
 		return at, ErrNoReplicas
 	}
 	return at, nil
+}
+
+// trimHistory drops the catch-up history once every replica has
+// applied all of it, keeping the buffers' capacity and rebasing the
+// applied counts. A spliced-out replica lags until its Rejoin, so while
+// one is out the history keeps every set from that replica's applied
+// index on; with the whole chain live it holds no set between writes.
+func (c *Chain) trimHistory() {
+	for _, n := range c.applied {
+		if n < len(c.historyEnd) {
+			return
+		}
+	}
+	c.history, c.historyEnd = c.history[:0], c.historyEnd[:0]
+	clear(c.applied)
 }
 
 // applyCatchUp re-applies one committed entry at a rejoining replica:

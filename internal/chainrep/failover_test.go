@@ -1,6 +1,8 @@
 package chainrep
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"rambda/internal/fault"
@@ -337,5 +339,83 @@ func TestRejoinRacesApplyCommitted(t *testing.T) {
 	if !StateEqual(c.Nodes[0].Store, c.Nodes[1].Store, n) ||
 		!StateEqual(c.Nodes[0].Store, c.Nodes[2].Store, n) {
 		t.Fatal("replicas diverged after rejoin raced ApplyCommitted")
+	}
+}
+
+// TestSoakHistoryBounded commits 40 000 write sets through a 3-replica
+// chain whose replicas crash or pause in turn, one outage per cycle of
+// 200 writes, and rejoins each after its window. The catch-up history
+// must hold only what a spliced-out replica has yet to apply: nothing
+// while the whole chain is live, at most one outage's writes, and a
+// buffer that stops growing after the first cycles. Every replica must
+// end state-equal.
+func TestSoakHistoryBounded(t *testing.T) {
+	const (
+		cycles   = 200
+		perCycle = 200
+		spacing  = 20 * sim.Microsecond // between write issues
+		cycle    = perCycle * spacing
+		region   = 64 << 10
+	)
+	var wins []fault.Window
+	for k := 0; k < cycles; k++ {
+		kind := fault.Crash
+		if k%2 == 1 {
+			kind = fault.Pause
+		}
+		from := sim.Time(k)*cycle + cycle/4
+		wins = append(wins, fault.Window{Node: fmt.Sprintf("r%d", k%3), Kind: kind, From: from, To: from + cycle/4})
+	}
+	c := newChain(3)
+	c.EnableFaultDetection(fault.New(fault.Plan{Nodes: wins}), 20*sim.Microsecond)
+
+	rng := sim.NewRNG(3)
+	val := make([]byte, 8)
+	now := sim.Time(0)
+	maxSets, warmCap := 0, 0
+	for k := 0; k < cycles; k++ {
+		if k == 10 {
+			warmCap = cap(c.history)
+		}
+		outageEnd := wins[k].To
+		for j := 0; j < perCycle; j++ {
+			now = max(now, sim.Time(k)*cycle+sim.Time(j)*spacing)
+			down := k % 3
+			if !c.Alive(down) && now >= outageEnd {
+				back, err := c.Rejoin(now, down)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now = back
+			}
+			binary.LittleEndian.PutUint64(val, uint64(k*perCycle+j))
+			off := uint32(rng.Intn(region)) &^ 7
+			_, done, err := c.RambdaTxInto(now, Tx{Writes: []Tuple{{Offset: off, Data: val}}}, nil)
+			if err != nil {
+				t.Fatalf("cycle %d write %d: %v", k, j, err)
+			}
+			now = done
+			maxSets = max(maxSets, len(c.historyEnd))
+			if c.LiveReplicas() == 3 && (len(c.historyEnd) != 0 || len(c.history) != 0) {
+				t.Fatalf("cycle %d write %d: whole chain live but the history holds %d sets (%d bytes)",
+					k, j, len(c.historyEnd), len(c.history))
+			}
+		}
+	}
+	t.Logf("history peaked at %d sets; buffer capacity %d bytes", maxSets, cap(c.history))
+	st := c.FailoverStats()
+	if st.Rejoins != cycles || st.Failovers != cycles || st.ReplayedTx == 0 {
+		t.Fatalf("stats %+v: want %d failovers and rejoins, crash rejoins replaying", st, cycles)
+	}
+	if maxSets == 0 || maxSets > perCycle/4+1 {
+		t.Fatalf("history peaked at %d sets, want 1..%d (one outage's writes)", maxSets, perCycle/4+1)
+	}
+	if cap(c.history) != warmCap {
+		t.Fatalf("history buffer grew from %d to %d bytes after warmup", warmCap, cap(c.history))
+	}
+	for i := 1; i < 3; i++ {
+		if !StateEqual(c.Nodes[0].Store, c.Nodes[i].Store, region) {
+			t.Fatalf("replica %d differs from the head after %d outages", i, cycles)
+		}
 	}
 }

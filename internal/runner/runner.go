@@ -10,11 +10,22 @@
 // the results; only the order in which they were *enumerated* does.
 // `Run(1, jobs)` executes the jobs strictly sequentially in enumeration
 // order, reproducing the pre-harness behaviour exactly.
+//
+// Isolation also fixes a job's memory lifetime: a job's state dies with
+// the job, and only the values it wrote into its slot outlive it. A
+// sweep point builds megabytes of modeled state (address spaces, rings,
+// NVM logs, placement tables), so the runner collects the heap at job
+// boundaries: before a worker starts its next job, it runs the garbage
+// collector if the job just finished allocated at least collectAfter
+// bytes. The process's peak then follows its largest live point rather
+// than the collector's pacing, which would let the heap reach twice the
+// last live heap before collecting.
 package runner
 
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 )
@@ -67,7 +78,8 @@ func Default() int {
 
 // Run executes the jobs on `parallel` workers (parallel <= 0 uses
 // Default()) and blocks until all have finished. With parallel == 1 the
-// jobs run sequentially in slice order on the calling goroutine. If any
+// jobs run sequentially in slice order on the calling goroutine. Either
+// way the heap may be collected between two jobs (see collectAfter). If any
 // job panics, no job starts after that panic is recovered, and the
 // error for the lowest-indexed panicking job is returned — the choice
 // is deterministic even when several jobs fail in the same run.
@@ -84,7 +96,11 @@ func Run(parallel int, jobs []Job) error {
 	errs := make([]*PanicError, len(jobs))
 	var failed atomic.Bool
 	if parallel == 1 {
+		b := newBoundary()
 		for i := range jobs {
+			if i > 0 {
+				b.cross()
+			}
 			if runJob(&jobs[i], &errs[i], &failed); errs[i] != nil {
 				return errs[i]
 			}
@@ -102,7 +118,8 @@ func Run(parallel int, jobs []Job) error {
 
 // runPool runs jobs on parallel workers, each claiming the next
 // unclaimed index. A worker checks failed before it starts a job, so no
-// job starts after runJob has recovered a panic.
+// job starts after runJob has recovered a panic, and crosses a job
+// boundary between any two of its own jobs.
 func runPool(parallel int, jobs []Job, errs []*PanicError, failed *atomic.Bool) {
 	var (
 		next atomic.Int64 // index of the next unclaimed job
@@ -112,10 +129,14 @@ func runPool(parallel int, jobs []Job, errs []*PanicError, failed *atomic.Bool) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			b := newBoundary()
+			for ran := false; ; ran = true {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) || failed.Load() {
 					return
+				}
+				if ran {
+					b.cross()
 				}
 				if runJob(&jobs[i], &errs[i], failed); errs[i] != nil {
 					return
@@ -124,6 +145,39 @@ func runPool(parallel int, jobs []Job, errs []*PanicError, failed *atomic.Bool) 
 		}()
 	}
 	wg.Wait()
+}
+
+// collectAfter is how much a job must allocate for the boundary after
+// it to collect. A real sweep point allocates several MiB (one
+// machine's placement-table arena alone is 229 KB per busy resource),
+// so every point pays for one collection, about a millisecond. Jobs
+// that allocate next to nothing, such as the runner's own tests'
+// thousands of one-line jobs, never pay it.
+const collectAfter = 1 << 20
+
+// boundary is one goroutine's view of the heap's cumulative allocation
+// count at its last job boundary. The count is process-wide, so in the
+// pool a worker's count includes its peers' allocations.
+type boundary struct {
+	allocs [1]metrics.Sample
+}
+
+func newBoundary() *boundary {
+	b := &boundary{}
+	b.allocs[0].Name = "/gc/heap/allocs:bytes"
+	metrics.Read(b.allocs[:])
+	return b
+}
+
+// cross is called between two jobs: it collects the previous job's
+// garbage if at least collectAfter bytes were allocated since the last
+// boundary. Reading the count does not stop the world.
+func (b *boundary) cross() {
+	last := b.allocs[0].Value.Uint64()
+	metrics.Read(b.allocs[:])
+	if b.allocs[0].Value.Uint64()-last >= collectAfter {
+		runtime.GC()
+	}
 }
 
 // runJob executes one job, converting a panic into a PanicError. It

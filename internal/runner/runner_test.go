@@ -3,6 +3,7 @@ package runner
 import (
 	"errors"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -190,6 +191,71 @@ func TestRaceStress(t *testing.T) {
 	for i, v := range out {
 		if v != Seed("stress", i) {
 			t.Fatalf("slot %d corrupted", i)
+		}
+	}
+}
+
+// readMetric reads one runtime/metrics counter or gauge.
+func readMetric(name string) uint64 {
+	s := []metrics.Sample{{Name: name}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// sink keeps job 0's buffer reachable until the job clears it, so the
+// collection inside the job marks it live.
+var sink []byte
+
+// TestBoundaryCollectsFinishedJob runs two jobs in each path: job 0
+// allocates 64 MiB, collects while holding it (so the last collection
+// saw it live), and drops it; job 1 then reads the live heap, which
+// must reflect a collection at the boundary between them.
+func TestBoundaryCollectsFinishedJob(t *testing.T) {
+	const big = 64 << 20
+	for _, tc := range []struct {
+		name string
+		run  func([]Job)
+	}{
+		{"sequential", func(jobs []Job) { MustRun(1, jobs) }},
+		{"pool", func(jobs []Job) {
+			var failed atomic.Bool
+			runPool(1, jobs, make([]*PanicError, len(jobs)), &failed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var heldLive, nextLive uint64
+			tc.run(Jobs("boundary", 2, nil, func(i int) {
+				if i == 0 {
+					sink = make([]byte, big)
+					runtime.GC()
+					heldLive = readMetric("/gc/heap/live:bytes")
+					sink = nil
+					return
+				}
+				nextLive = readMetric("/gc/heap/live:bytes")
+			}))
+			if heldLive < big {
+				t.Fatalf("live heap while job 0 held its buffer = %d, want >= %d", heldLive, big)
+			}
+			if nextLive > big/4 {
+				t.Fatalf("live heap seen by job 1 = %d MiB: job 0's %d MiB was not collected at the boundary",
+					nextLive>>20, big>>20)
+			}
+		})
+	}
+}
+
+// TestBoundarySkipsNonAllocatingJobs checks that jobs allocating next
+// to nothing force no collection in either path.
+func TestBoundarySkipsNonAllocatingJobs(t *testing.T) {
+	const n = 1000
+	out := make([]uint64, n)
+	jobs := Jobs("quiet", n, nil, func(i int) { out[i] = Seed("quiet", i) })
+	for _, parallel := range []int{1, 4} {
+		before := readMetric("/gc/cycles/forced:gc-cycles")
+		MustRun(parallel, jobs)
+		if forced := readMetric("/gc/cycles/forced:gc-cycles") - before; forced != 0 {
+			t.Fatalf("parallel=%d: %d forced collections over %d non-allocating jobs", parallel, forced, n)
 		}
 	}
 }

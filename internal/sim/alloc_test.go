@@ -15,7 +15,7 @@ func TestAcquireZeroAllocSteadyState(t *testing.T) {
 	now := Time(0)
 	renumbers := 0
 	steady := func() {
-		for i := 0; i < 4*gapRecords; i++ {
+		for i := 0; i < 4*r.gaps.records(); i++ {
 			now += Duration(rng.Intn(int(20 * Nanosecond)))
 			at := now
 			if i%2 == 1 {
@@ -34,9 +34,9 @@ func TestAcquireZeroAllocSteadyState(t *testing.T) {
 	renumbers = 0
 	// One run per measurement, so a single allocation is not averaged away.
 	if n := testing.AllocsPerRun(1, steady); n != 0 {
-		t.Fatalf("Acquire: %v allocations over %d ops in steady state, want 0", n, 4*gapRecords)
+		t.Fatalf("Acquire: %v allocations over %d ops in steady state, want 0", n, 4*r.gaps.records())
 	}
-	if r.gaps.live != maxGaps || renumbers < 4 {
+	if r.gaps.live != r.gaps.limit || renumbers < 4 {
 		t.Fatalf("steady state not reached: %d live gaps, %d renumbers in the measured runs", r.gaps.live, renumbers)
 	}
 }

@@ -24,6 +24,7 @@ type gapTable struct {
 	oldest int32    // records below it are evicted
 	next   int32    // record number of the next gap
 	live   int      // live gaps
+	limit  int      // live gaps kept; recording one more evicts the oldest
 }
 
 // gapList is one server's gaps in start order.
@@ -43,28 +44,30 @@ type gapEntry struct {
 	rec int32
 }
 
-// gapRecords bounds the record numbers handed out between renumbers.
-// Every live or evicted entry holds one, so the lists never hold more
-// entries than this, and the first gap allocates an arena of that size.
-const gapRecords = 2 * maxGaps
+// records bounds the record numbers handed out between renumbers,
+// twice the live limit. Every live or evicted entry holds one, so the
+// lists never hold more entries than this.
+func (t *gapTable) records() int { return 2 * t.limit }
 
 // gapArena is one allocation holding every list's initial share and
-// the per-record marks.
+// the per-record marks, sized for the model's limit, maxGaps.
 type gapArena struct {
-	ents [gapRecords]gapEntry
-	rank [gapRecords]int32
+	ents [2 * maxGaps]gapEntry
+	rank [2 * maxGaps]int32
 }
 
 func newGapTable(servers int) gapTable {
-	return gapTable{lists: make([]gapList, servers)}
+	return gapTable{lists: make([]gapList, servers), limit: maxGaps}
 }
 
-// alloc splits one arena evenly across the servers. A list that
-// outgrows its share reallocates alone (append over a capped slice).
+// alloc splits the arena's first records() slots evenly across the
+// servers; a lower limit (tests only) leaves the rest unused. A list
+// that outgrows its share reallocates alone (append over a capped
+// slice).
 func (t *gapTable) alloc() {
 	a := new(gapArena)
-	t.rank = a.rank[:]
-	share := gapRecords / len(t.lists)
+	t.rank = a.rank[:t.records()]
+	share := t.records() / len(t.lists)
 	for k := range t.lists {
 		t.lists[k].ents = a.ents[k*share : k*share : (k+1)*share]
 	}
@@ -237,7 +240,7 @@ func (t *gapTable) push(k int, g gap) {
 // first when the table is full (old gaps are the least likely to be
 // backfilled by future arrivals).
 func (t *gapTable) record(g gap) gapEntry {
-	if t.live >= maxGaps {
+	if t.live >= t.limit {
 		for t.rank[t.oldest] == 0 {
 			t.oldest++ // consumed records need no eviction
 		}
@@ -254,9 +257,9 @@ func (t *gapTable) record(g gap) gapEntry {
 // renumberIfFull keeps room for the two records a backfill may take.
 // When the record numbers run out it renumbers the live gaps densely in
 // age order and drops evicted entries in the same pass; at least
-// maxGaps records pass between renumbers, so this amortizes to O(1).
+// limit records pass between renumbers, so this amortizes to O(1).
 func (t *gapTable) renumberIfFull() {
-	if int(t.next) <= gapRecords-2 {
+	if int(t.next) <= t.records()-2 {
 		return
 	}
 	live := int32(0)

@@ -18,6 +18,8 @@ type linearResource struct {
 	propagation Duration
 	free        linearServerHeap
 	gaps        []gap
+	limit       int // gaps kept, as gapTable.limit
+	evictions   int // gaps dropped from a full list
 }
 
 type linearServerHeap []Time
@@ -35,7 +37,7 @@ func (h *linearServerHeap) Pop() any {
 }
 
 func newLinearResource(capacity int, overhead Duration, bytesPerSec float64, propagation Duration) *linearResource {
-	r := &linearResource{overhead: overhead, propagation: propagation}
+	r := &linearResource{overhead: overhead, propagation: propagation, limit: maxGaps}
 	if bytesPerSec > 0 {
 		r.psPerByte = float64(Second) / bytesPerSec
 	}
@@ -99,9 +101,10 @@ func (r *linearResource) recordGap(start, end Time) {
 	if end <= start {
 		return
 	}
-	if len(r.gaps) >= maxGaps {
+	if len(r.gaps) >= r.limit {
 		copy(r.gaps, r.gaps[1:])
 		r.gaps = r.gaps[:len(r.gaps)-1]
+		r.evictions++
 	}
 	r.gaps = append(r.gaps, gap{start: start, end: end})
 }
@@ -118,9 +121,25 @@ type equivOp struct {
 // pair.
 func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec float64, propagation Duration, ops []equivOp) {
 	t.Helper()
+	runEquivalenceAt(t, maxGaps, capacity, overhead, bytesPerSec, propagation, ops)
+}
+
+// equivCounts is how often an equivalence run evicted a gap from a full
+// table and renumbered the table's records.
+type equivCounts struct{ evictions, renumbers int }
+
+// runEquivalenceAt is runEquivalence with both placements keeping at
+// most limit gaps. A small limit reaches eviction and renumbering after
+// fewer ops, and makes the reference's scans cheaper.
+func runEquivalenceAt(t *testing.T, limit, capacity int, overhead Duration, bytesPerSec float64, propagation Duration, ops []equivOp) equivCounts {
+	t.Helper()
 	indexed := NewResource("equiv", capacity, overhead, bytesPerSec, propagation)
+	indexed.gaps.limit = limit
 	linear := newLinearResource(capacity, overhead, bytesPerSec, propagation)
+	linear.limit = limit
+	renumbers := 0
 	for i, op := range ops {
+		next := indexed.gaps.next
 		var s1, d1, s2, d2 Time
 		if op.occupy > 0 {
 			s1, d1 = indexed.Occupy(op.now, op.occupy)
@@ -133,11 +152,15 @@ func runEquivalence(t *testing.T, capacity int, overhead Duration, bytesPerSec f
 			t.Fatalf("op %d (now=%v bytes=%d occupy=%v): indexed (%v,%v) != linear (%v,%v); live gaps=%d",
 				i, op.now, op.bytes, op.occupy, s1, d1, s2, d2, indexed.gaps.live)
 		}
+		if indexed.gaps.next < next {
+			renumbers++
+		}
 		if i%invariantEvery == 0 {
 			checkGapTable(t, &indexed.gaps, linear.gaps)
 		}
 	}
 	checkGapTable(t, &indexed.gaps, linear.gaps)
+	return equivCounts{linear.evictions, renumbers}
 }
 
 // invariantEvery spaces the full-table invariant checks of a long
@@ -230,30 +253,70 @@ func equivStressOps(seed uint64, n int, jumpEvery, backEvery int) []equivOp {
 	return ops
 }
 
+// stressCase is one resource shape of the randomized stress run, with
+// the eviction and renumber counts its 1M ops reach at the full limit.
+type stressCase struct {
+	name        string
+	capacity    int
+	overhead    Duration
+	bytesPerSec float64
+	propagation Duration
+	seed        uint64
+	fullLimit   equivCounts
+}
+
+var stressCases = []stressCase{
+	{"single-server-bw", 1, 0, 16e9, 300 * Nanosecond, 1, equivCounts{9298, 5}},
+	{"multi-server", 7, 30 * Nanosecond, 4e9, 0, 2, equivCounts{194351, 58}},
+	{"overhead-only", 3, 50 * Nanosecond, 0, 100 * Nanosecond, 3, equivCounts{533277, 152}},
+}
+
+// stressLimit is the gap limit of the stress run: maxGaps/16 costs the
+// reference's O(limit) scans a sixteenth and evicts and renumbers more
+// often than the full limit does over the same ops.
+const stressLimit = maxGaps / 16
+
 // TestPlacementEquivalenceStress is the randomized 1M-op equivalence
-// run (scaled down under -race, where the linear reference's O(gaps)
-// scans are ~15x slower).
+// run (scaled down under -race and -short, where the linear reference's
+// scans are ~15x slower), at stressLimit. The full run must evict and
+// renumber more often than the same ops do at the full limit, so the
+// smaller table loses no coverage of either path.
 func TestPlacementEquivalenceStress(t *testing.T) {
 	n := 1_000_000
 	if raceEnabled || testing.Short() {
 		n = 120_000
 	}
-	for _, tc := range []struct {
-		name        string
-		capacity    int
-		overhead    Duration
-		bytesPerSec float64
-		propagation Duration
-		seed        uint64
-	}{
-		{"single-server-bw", 1, 0, 16e9, 300 * Nanosecond, 1},
-		{"multi-server", 7, 30 * Nanosecond, 4e9, 0, 2},
-		{"overhead-only", 3, 50 * Nanosecond, 0, 100 * Nanosecond, 3},
-	} {
+	for _, tc := range stressCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := equivStressOps(tc.seed, n, 40, 200)
-			runEquivalence(t, tc.capacity, tc.overhead, tc.bytesPerSec, tc.propagation, ops)
+			got := runEquivalenceAt(t, stressLimit, tc.capacity, tc.overhead, tc.bytesPerSec, tc.propagation, ops)
+			t.Logf("limit %d: %d evictions, %d renumbers", stressLimit, got.evictions, got.renumbers)
+			want := tc.fullLimit
+			if n < 1_000_000 {
+				want = equivCounts{}
+			}
+			if got.evictions <= want.evictions || got.renumbers <= want.renumbers {
+				t.Fatalf("%d evictions and %d renumbers, want more than %d and %d",
+					got.evictions, got.renumbers, want.evictions, want.renumbers)
+			}
 		})
+	}
+}
+
+// TestPlacementEquivalenceStressFullLimit runs one stress case at the
+// model's limit, maxGaps. It runs only under the race detector (CI's
+// race job and make race), where the stress run is scaled down; the
+// plain run covers the full limit through the saturated, interleaved
+// and fuzz equivalence tests.
+func TestPlacementEquivalenceStressFullLimit(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("the full-limit stress case runs under -race")
+	}
+	tc := stressCases[1]
+	ops := equivStressOps(tc.seed, 120_000, 40, 200)
+	got := runEquivalenceAt(t, maxGaps, tc.capacity, tc.overhead, tc.bytesPerSec, tc.propagation, ops)
+	if got.evictions == 0 || got.renumbers == 0 {
+		t.Fatalf("%d evictions and %d renumbers: the full table was never exercised", got.evictions, got.renumbers)
 	}
 }
 
