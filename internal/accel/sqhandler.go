@@ -51,9 +51,6 @@ func NewSQHandler(a *Accel, qp *rnic.QP, pcie *interconnect.PCIe, staging *memsp
 	return &SQHandler{accel: a, qp: qp, pcie: pcie, staging: staging, Batch: batch}
 }
 
-// Posted reports responses pushed through the handler.
-func (h *SQHandler) Posted() int64 { return h.posted }
-
 // Doorbells reports MMIO doorbell writes issued.
 func (h *SQHandler) Doorbells() int64 { return h.mmio }
 

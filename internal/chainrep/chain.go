@@ -6,7 +6,6 @@ import (
 	"rambda/internal/fault"
 	"rambda/internal/memdev"
 	"rambda/internal/memspace"
-	"rambda/internal/obs"
 	"rambda/internal/sim"
 )
 
@@ -28,11 +27,11 @@ type NodeConfig struct {
 	PerTupleDelay sim.Duration
 }
 
-// Node is one replica: persistent data backend + redo log +
-// concurrency control.
+// Node is one replica: persistent data area + redo log + concurrency
+// control.
 type Node struct {
 	cfg   NodeConfig
-	Store Backend
+	Store *Store
 	Log   *RedoLog
 	CC    *LockTable
 
@@ -116,10 +115,6 @@ type Chain struct {
 	// WireBPS is the network bandwidth for payload serialization.
 	WireBPS float64
 
-	// tr, when non-nil, records per-hop spans (client legs, head reads,
-	// replica applies and inter-replica hops). Nil is the fast path.
-	tr *obs.Trace
-
 	// Availability layer (failover.go). inj == nil — the default, until
 	// EnableFaultDetection — is the fault-free fast path: no liveness
 	// checks, no history retention, byte-identical timing.
@@ -149,11 +144,6 @@ func (c *Chain) wire(bytes int) sim.Duration {
 
 // ackBytes is the size of a chain ACK / client completion.
 const ackBytes = 32
-
-// SetTrace attaches a span recorder to the chain (nil detaches). The
-// chain is driven from one goroutine per sweep point, matching the
-// trace's single-goroutine contract.
-func (c *Chain) SetTrace(tr *obs.Trace) { c.tr = tr }
 
 // TxScratch holds reusable per-transaction result storage for the Into
 // transaction forms: one backing buffer per read slot plus the returned
@@ -187,9 +177,6 @@ func (c *Chain) RambdaTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]byte,
 		reqBytes = EntryBytes(tx.Writes)
 	}
 	at := now + c.wire(reqBytes) + c.ClientOneWay
-	if c.tr != nil {
-		c.tr.Span("chain-send", obs.StageWire, now, at)
-	}
 	hi, at, err := c.headAt(at)
 	if err != nil {
 		return nil, now, err
@@ -209,12 +196,8 @@ func (c *Chain) RambdaTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]byte,
 		if sc != nil {
 			dst = sc.buf(ri)
 		}
-		rstart := at
 		var data []byte
-		data, at = head.Store.ReadInto(dst, rstart, r.Offset, r.Len)
-		if c.tr != nil {
-			c.tr.Span("head-read", obs.StageMemory, rstart, at)
-		}
+		data, at = head.Store.ReadInto(dst, at, r.Offset, r.Len)
 		if sc != nil {
 			sc.bufs[ri] = data
 		}
@@ -236,31 +219,17 @@ func (c *Chain) RambdaTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]byte,
 		} else {
 			for i, node := range c.Nodes {
 				if i > 0 {
-					hop := at
 					at += c.HopDelay + c.wire(reqBytes)
-					if c.tr != nil {
-						c.tr.Span("chain-hop", obs.StageWire, hop, at)
-					}
 				}
-				apply := at
-				at, err = node.applyTx(apply, tx.Writes)
+				at, err = node.applyTx(at, tx.Writes)
 				if err != nil {
 					return nil, now, err
-				}
-				if c.tr != nil {
-					// Per-hop ack timing: when this replica durably
-					// applied the write set and handed off.
-					c.tr.Span(node.cfg.Name, obs.StageMemory, apply, at)
 				}
 			}
 		}
 	}
 
-	done = at + c.wire(respBytes) + c.ClientOneWay
-	if c.tr != nil {
-		c.tr.Span("chain-ack", obs.StageWire, at, done)
-	}
-	return vals, done, nil
+	return vals, at + c.wire(respBytes) + c.ClientOneWay, nil
 }
 
 // HyperLoopTxInto executes the same transaction with HyperLoop's
@@ -281,12 +250,8 @@ func (c *Chain) HyperLoopTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]by
 		if sc != nil {
 			dst = sc.buf(ri)
 		}
-		rstart := at
 		var data []byte
-		data, at = head.Store.ReadInto(dst, rstart, r.Offset, r.Len)
-		if c.tr != nil {
-			c.tr.Span("head-read", obs.StageMemory, rstart, at)
-		}
+		data, at = head.Store.ReadInto(dst, at, r.Offset, r.Len)
 		if sc != nil {
 			sc.bufs[ri] = data
 		}
@@ -301,17 +266,9 @@ func (c *Chain) HyperLoopTxInto(now sim.Time, tx Tx, sc *TxScratch) (vals [][]by
 		at += c.ClientOneWay + c.wire(entryLen)
 		for i, node := range c.Nodes {
 			if i > 0 {
-				hop := at
 				at += c.HopDelay + c.wire(entryLen)
-				if c.tr != nil {
-					c.tr.Span("chain-hop", obs.StageWire, hop, at)
-				}
 			}
-			apply := at
-			at = node.applyHyperLoop(apply, w)
-			if c.tr != nil {
-				c.tr.Span(node.cfg.Name, obs.StageMemory, apply, at)
-			}
+			at = node.applyHyperLoop(at, w)
 		}
 		at += c.ClientOneWay + c.wire(ackBytes) // group ACK
 	}

@@ -258,7 +258,7 @@ func (c *Chain) Rejoin(now sim.Time, i int) (sim.Time, error) {
 
 // StateEqual compares the first n bytes of two replicas' data areas —
 // the rejoin acceptance check.
-func StateEqual(a, b Backend, n int) bool {
+func StateEqual(a, b *Store, n int) bool {
 	av, _ := a.ReadInto(nil, 0, 0, n)
 	bv, _ := b.ReadInto(nil, 0, 0, n)
 	return bytes.Equal(av, bv)

@@ -151,12 +151,12 @@ func (l *RedoLog) Append(now sim.Time, entry []byte) sim.Time {
 // Appended reports the number of entries written.
 func (l *RedoLog) Appended() int64 { return l.appended }
 
-// Replay re-applies every live log entry to the backend in append
+// Replay re-applies every live log entry to the store in append
 // order — the redo path after a crash. It returns the number of
 // transactions replayed. Entries decode in place from the log region:
-// each tuple's data is a view of the log bytes, which the backend's
+// each tuple's data is a view of the log bytes, which the store's
 // Write copies out.
-func (l *RedoLog) Replay(store Backend) (int, error) {
+func (l *RedoLog) Replay(store *Store) (int, error) {
 	n := int(l.appended)
 	if n > l.entries {
 		n = l.entries

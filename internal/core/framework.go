@@ -168,8 +168,7 @@ type Server struct {
 	ptrBuf  *ringbuf.PointerBuffer
 	ctx     *AppCtx
 
-	served        int64
-	lastBreakdown Breakdown
+	served int64
 }
 
 // NewServer allocates the server's communication state per paper
@@ -305,17 +304,11 @@ func (s *Server) Serve(arrive sim.Time, idx int) ([]byte, sim.Time) {
 	}
 
 	resp, t := s.App.Handle(s.ctx, t, payload)
-	processed := t
 
 	conn.Complete(eidx)
 	s.M.Coh.Reacquire(coherence.AgentAccel, entryAddr, s.Opts.EntryBytes)
 	done := conn.Respond(t, resp)
 	s.served++
-	s.lastBreakdown = Breakdown{
-		Notify:  notified - arrive,
-		Process: processed - notified,
-		Respond: done - processed,
-	}
 	if s.Opts.Metrics != nil {
 		s.Opts.Metrics.Tick(done)
 	}

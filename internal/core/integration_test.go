@@ -255,36 +255,3 @@ func TestLossyFabricKeepsCorrectnessInflatesTail(t *testing.T) {
 		t.Fatalf("median should stay near clean: %v vs %v", lossy.P50(), clean.P50())
 	}
 }
-
-// TestCallTracedBreakdown verifies the stage decomposition sums to the
-// end-to-end latency and every stage is populated.
-func TestCallTracedBreakdown(t *testing.T) {
-	sm := NewMachine(MachineConfig{Name: "srv", Variant: AccelBase})
-	cm := NewMachine(MachineConfig{Name: "cli"})
-	ConnectMachines(sm, cm)
-	data := sm.Space.Alloc("data", 4096, memspace.KindDRAM)
-	app := AppFunc(func(ctx *AppCtx, now sim.Time, req []byte) ([]byte, sim.Time) {
-		t2 := ctx.Read(now, data.Base, 64)
-		return req, ctx.Compute(t2, 16)
-	})
-	s := NewServer(sm, app, smallOpts())
-	c := ConnectClient(cm, s, 0)
-
-	_, done, b := c.CallTraced(0, []byte("trace-me"))
-	if b.Total() != done {
-		t.Fatalf("breakdown total %v != end-to-end %v", b.Total(), done)
-	}
-	if b.Send <= 0 || b.Notify <= 0 || b.Process <= 0 || b.Respond <= 0 {
-		t.Fatalf("stage missing: %v", b)
-	}
-	// Send and Respond both cross the wire: each beyond one-way latency.
-	if b.Send < NetOneWay || b.Respond < NetOneWay {
-		t.Fatalf("network stages too fast: %v", b)
-	}
-	if b.String() == "" {
-		t.Fatal("breakdown must render")
-	}
-	if s.LastBreakdown() != b.sansSend() {
-		t.Fatalf("server breakdown mismatch: %v vs %v", s.LastBreakdown(), b)
-	}
-}

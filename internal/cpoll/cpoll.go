@@ -295,11 +295,6 @@ func (c *Checker) Harvest(now sim.Time, idx int, fetch FetchFunc) (int, sim.Time
 // Signals reports invalidations observed by the checker.
 func (c *Checker) Signals() int64 { return c.signals }
 
-// SignalDrops reports signals discarded because the fixed-capacity
-// scheduler queue was full (zero in correct operation; the counter
-// exists so a broken invariant is visible, not silent).
-func (c *Checker) SignalDrops() int64 { return c.dropped }
-
 // Harvested reports total requests discovered.
 func (c *Checker) Harvested() int64 { return c.harvested }
 

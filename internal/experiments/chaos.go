@@ -136,8 +136,13 @@ func chaosLossPoint(cfg ChaosConfig, loss float64) ChaosLossRow {
 	}
 }
 
+// chaosPayload is the crash scenario's write: one tuple per transaction.
+const chaosPayload = "chaos-tx-payload"
+
 // chaosChain builds the 3-replica RAMBDA chain at the testbed parameters
-// used throughout the chainrep tests.
+// used throughout the chainrep tests. Each replica's redo log holds 4096
+// entries sized to one chaosPayload tuple, more than the scenario writes
+// at full scale, so it never wraps.
 func chaosChain() *chainrep.Chain {
 	c := &chainrep.Chain{
 		ClientOneWay: 2 * sim.Microsecond,
@@ -155,7 +160,7 @@ func chaosChain() *chainrep.Chain {
 		}
 		c.Nodes = append(c.Nodes, chainrep.NewNode(space, mem, chainrep.NodeConfig{
 			Name: name, ProcDelay: 500 * sim.Nanosecond, PerTupleDelay: 100 * sim.Nanosecond,
-		}, 1<<20, 4096, 4096))
+		}, 1<<20, 4096, chainrep.EntrySize(1, len(chaosPayload))))
 	}
 	return c
 }
@@ -177,7 +182,7 @@ func chaosCrashScenario(cfg ChaosConfig) ChaosChainRow {
 	c.EnableFaultDetection(fault.New(fault.Plan{Seed: cfg.Seed, Nodes: []fault.Window{window}}), 25*sim.Microsecond)
 
 	rng := sim.NewRNG(cfg.Seed + 1)
-	data := []byte("chaos-tx-payload")
+	data := []byte(chaosPayload)
 	now := sim.Time(0)
 	committed := 0
 	for i := 0; i < cfg.Txs; i++ {

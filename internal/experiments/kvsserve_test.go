@@ -77,7 +77,7 @@ func TestKVSServerReadYourWrites(t *testing.T) {
 				t.Fatalf("recover: %v", err)
 			}
 			for k, v := range want {
-				if got, _, ok := re.Get(0, k); !ok || string(got) != v {
+				if got, _, ok := re.GetInto(nil, nil, []byte(k)); !ok || string(got) != v {
 					t.Fatalf("%s after recovery: %q ok=%v, want %q", k, got, ok, v)
 				}
 			}

@@ -107,10 +107,9 @@ func New(space *memspace.Space, cfg Config) *Store {
 	}
 }
 
-// IndexRange and PoolRange expose the store's memory layout (for MR
-// registration and region-kind experiments).
+// IndexRange exposes the index's place in the store's memory layout
+// (for MR registration and region-kind experiments).
 func (s *Store) IndexRange() memspace.Range { return s.index.Range }
-func (s *Store) PoolRange() memspace.Range  { return s.pool.Range }
 
 // at returns the live bytes [addr, addr+n) of the index or the pool
 // (New allocates the pool right after the index). Region.Slice panics

@@ -63,7 +63,7 @@ func benchDB() *DB {
 }
 
 // ReadBench is the reusable state of the LSMReadHotPath kernel. Step is
-// the measured unit: format a key, probe the memtable versions and
+// the measured unit: format a key, probe the memtable and
 // every run tier, and append the access trace — the exact storage work
 // of one served GET.
 type ReadBench struct {

@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"rambda/internal/memspace"
-	"rambda/internal/sim"
 )
 
-// currentRuns lists the regions of the runs the current version holds.
+// currentRuns lists the regions of the tree's runs.
 func currentRuns(db *DB) map[*memspace.Region]bool {
 	out := map[*memspace.Region]bool{}
 	for _, level := range db.Runs() {
@@ -26,7 +25,7 @@ func mapped(space *memspace.Space, r *memspace.Region) bool {
 
 // putUntilCompaction writes distinct keys through the serving path
 // (no Maintain) until the tree compacts, and returns the runs the
-// version held just before that write.
+// tree held just before that write.
 func putUntilCompaction(t *testing.T, db *DB, from int) (before map[*memspace.Region]bool, next int) {
 	t.Helper()
 	start := db.Stats().Compactions
@@ -66,7 +65,7 @@ func TestCompactionFreesSupersededRunsAfterMaintain(t *testing.T) {
 	}
 	for _, p := range db.pending {
 		if space.Region(memspace.Addr(p.addr)) == nil {
-			t.Fatalf("pending %s write names unmapped address %#x", p.name, p.addr)
+			t.Fatalf("pending write names unmapped address %#x", p.addr)
 		}
 	}
 	db.Maintain(0)
@@ -75,8 +74,8 @@ func TestCompactionFreesSupersededRunsAfterMaintain(t *testing.T) {
 			t.Fatalf("superseded run %q still mapped after Maintain", r.Name)
 		}
 	}
-	// What stays mapped is the WAL, the memtable arena and the current
-	// version's runs.
+	// What stays mapped is the WAL, the memtable arena and the tree's
+	// runs.
 	live := currentRuns(db)
 	if got, want := len(space.Regions()), 2+len(live); got != want {
 		t.Fatalf("%d regions mapped, want %d (WAL, arena and %d runs)", got, want, len(live))
@@ -88,99 +87,8 @@ func TestCompactionFreesSupersededRunsAfterMaintain(t *testing.T) {
 	}
 }
 
-// TestSnapshotPinsRunsUntilRelease takes a snapshot, compacts every run
-// it pinned away, and checks that the snapshot still reads its frozen
-// state; its runs leave the address space only after Release.
-func TestSnapshotPinsRunsUntilRelease(t *testing.T) {
-	db, space, _ := newDB(t, smallConfig())
-	model := map[string]string{}
-	now := sim.Time(0)
-	put := func(i, version int) {
-		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("v%d-%d", version, i)
-		at, err := db.Put(now, k, []byte(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, model[k] = at, v
-	}
-	for i := 0; i < 120; i++ {
-		put(i, 0)
-	}
-	snap, frozen := db.Snapshot(), captureOracle(model)
-	pinned := currentRuns(db)
-	if len(pinned) == 0 {
-		t.Fatal("the snapshot pinned no run")
-	}
-	compactions := db.Stats().Compactions
-	for round := 1; round <= 4; round++ {
-		for i := 0; i < 120; i++ {
-			put(i, round)
-		}
-	}
-	if db.Stats().Compactions-compactions < 2 {
-		t.Fatal("workload too gentle: the pinned runs were never compacted")
-	}
-	live := currentRuns(db)
-	for r := range pinned {
-		if live[r] {
-			t.Fatalf("pinned run %q survived the compactions; the test needs it superseded", r.Name)
-		}
-		if !mapped(space, r) {
-			t.Fatalf("pinned run %q unmapped while the snapshot holds it", r.Name)
-		}
-	}
-	checkSnapshot(t, "after compaction", snap, frozen)
-
-	snap.Release()
-	snap.Release() // a second Release is a no-op
-	db.Maintain(now)
-	for r := range pinned {
-		if mapped(space, r) {
-			t.Fatalf("run %q still mapped after the snapshot's Release", r.Name)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("reading a released snapshot did not panic")
-			}
-		}()
-		snap.Get("key-000")
-	}()
-}
-
-// TestRangeReleasesItsSnapshot checks that DB.Range does not leave its
-// internal snapshot holding the runs it scanned.
-func TestRangeReleasesItsSnapshot(t *testing.T) {
-	db, space, _ := newDB(t, smallConfig())
-	_, next := putUntilCompaction(t, db, 0)
-	db.Maintain(0)
-	scanned := currentRuns(db)
-	n := 0
-	db.Range(func(string, []byte) bool { n++; return true })
-	if n != next {
-		t.Fatalf("Range saw %d keys, want %d", n, next)
-	}
-	putUntilCompaction(t, db, next)
-	db.Maintain(0)
-	live, superseded := currentRuns(db), 0
-	for r := range scanned {
-		if live[r] {
-			continue
-		}
-		superseded++
-		if mapped(space, r) {
-			t.Fatalf("run %q scanned by Range stayed mapped after it was superseded", r.Name)
-		}
-	}
-	if superseded == 0 {
-		t.Fatal("the second compaction superseded no run Range scanned")
-	}
-}
-
-// TestRecoveredRunsFreedWhenSuperseded checks that Recover gives each
-// recovered run the new version's reference: a compaction of the
-// recovered tree frees them like runs it built itself.
+// TestRecoveredRunsFreedWhenSuperseded checks that a compaction of a
+// recovered tree frees the recovered runs like runs it built itself.
 func TestRecoveredRunsFreedWhenSuperseded(t *testing.T) {
 	db, space, mem := newDB(t, smallConfig())
 	_, next := putUntilCompaction(t, db, 0)

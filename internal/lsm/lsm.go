@@ -10,40 +10,31 @@
 // regions), the memtable lives in DRAM, and flush/compaction charge
 // streaming NVM writes while reads charge per-run probes.
 //
-// # MVCC
+// Every record carries a sequence number from a global counter;
+// compaction resolves a key to its highest-sequence record, and
+// recovery resumes the counter from the highest one it finds.
 //
-// Every record carries a sequence number from a global counter.
-// [DB.Snapshot] pins a view — the sequence high-water mark, the live
-// memtable generation, and the run list — and reads or range scans
-// through it see exactly the versions at pin time: newer memtable
-// versions are filtered by sequence, a flush starts a new memtable
-// generation (the snapshot keeps the old one), and compaction builds
-// new sstables while the pinned ones stay readable. Snapshots therefore never block
-// behind flush or compaction and cost nothing to take.
-//
-// Runs are reference counted: the current version holds one reference
-// to each run it lists, and every snapshot holds one more to each run
-// it pinned. Compaction drops the version's references to the runs it
-// supersedes, and [Snapshot.Release] drops a snapshot's. A run nobody
-// holds is unmapped from the address space ([memspace.Space.Free]) at
-// the end of the next [DB.Maintain], after the background write that
-// superseded it has been charged, so no charged access and no pending
-// write ever names an unmapped address.
+// A run superseded by compaction stays mapped until the end of the
+// next [DB.Maintain], after the background write that superseded it has
+// been charged, and is then unmapped from the address space
+// ([memspace.Space.Free]), so no charged access and no pending write
+// ever names an unmapped address.
 //
 // # Serving path
 //
-// DB implements kvs.Backend: [DB.GetInto], [DB.PutInto],
-// [DB.DeleteInto], and [DB.ScanInto] run the operation functionally and
-// append the memory-access trace (WAL appends and run probes at their
-// real NVM addresses, memtable touches in the DRAM arena) for the
-// serving handler to charge through its coherent datapath. Flush and
-// compaction triggered by those writes only mutate state; their NVM
-// streaming cost accumulates as pending background work that
-// [DB.Maintain] charges to the write-bandwidth model — occupying the
-// NVM channels so subsequent reads queue behind compaction, which is
-// how compaction pressure surfaces in tail latency. A WAL wrap is the
-// exception: the triggering write must stall until the forced flush is
-// durable (Maintain reports it; [Stats].Stalls counts them).
+// DB implements kvs.Backend, and that is its only read/write API:
+// [DB.GetInto], [DB.PutInto], [DB.DeleteInto], and [DB.ScanInto] run
+// the operation functionally and append the memory-access trace (WAL
+// appends and run probes at their real NVM addresses, memtable touches
+// in the DRAM arena) for the serving handler to charge through its
+// coherent datapath. Flush and compaction triggered by those writes
+// only mutate state; their NVM streaming cost accumulates as pending
+// background work that [DB.Maintain] charges to the write-bandwidth
+// model — occupying the NVM channels so subsequent reads queue behind
+// compaction, which is how compaction pressure surfaces in tail
+// latency. A WAL wrap is the exception: the triggering write must
+// stall until the forced flush is durable (Maintain reports it;
+// [Stats].Stalls counts them).
 package lsm
 
 import (
@@ -100,12 +91,11 @@ type DB struct {
 	memArena *memspace.Region // DRAM stand-in for the memtable's working set
 	walOff   uint64
 
-	// seq is the global MVCC sequence counter: every write gets the
-	// next value, snapshots pin the current one.
+	// seq is the global sequence counter: every write gets the next
+	// value.
 	seq uint64
 
-	// mt is the current memtable generation. A flush resets it in
-	// place, or starts a new one when snapshots pin it.
+	// mt is the memtable; a flush resets it in place.
 	mt       *memtable
 	memBytes int
 	// keys is flushState's reusable sort buffer, and merge
@@ -123,21 +113,18 @@ type DB struct {
 	pending      []pendingIO
 	pendingStall bool
 
-	// dead lists the runs whose last reference is gone; Maintain
-	// unmaps them once their superseding writes are charged.
+	// dead lists the runs compaction superseded; Maintain unmaps them
+	// once their superseding writes are charged.
 	dead []*sstable
-
-	tr *obs.Trace // optional flush/compaction span collector
 
 	puts, gets, deletes, scans int64
 	flushes, compactions       int64
-	walRecords, walReplays     int64
 	stalls                     int64
 }
 
-// pendingIO is one deferred background NVM write.
+// pendingIO is one deferred background NVM write (a flushed or
+// compacted run).
 type pendingIO struct {
-	name  string // "flush" or "compact"
 	addr  uint64
 	bytes int
 }
@@ -157,11 +144,6 @@ func Open(space *memspace.Space, mem *memdev.System, cfg Config) *DB {
 		levels:   make([][]*sstable, cfg.MaxLevels),
 	}
 }
-
-// SetTrace attaches an optional span collector: Maintain records one
-// StageCompaction span per drained flush/compaction write. Nil (the
-// default) is the fast path.
-func (db *DB) SetTrace(tr *obs.Trace) { db.tr = tr }
 
 // Stats summarizes activity.
 type Stats struct {
@@ -193,7 +175,7 @@ func (db *DB) Stats() Stats {
 
 // RegisterMetrics exposes the tree's health as gauges under prefix:
 // memtable occupancy, run counts, flush/compaction/stall totals, and
-// the MVCC sequence high-water mark.
+// the sequence high-water mark.
 func (db *DB) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+".memtable_bytes", func() float64 { return float64(db.memBytes) })
 	reg.Gauge(prefix+".memtable_entries", func() float64 { return float64(len(db.mt.index)) })
@@ -219,36 +201,11 @@ const (
 	tombBit   = 1 << 31
 )
 
-// Put inserts or updates a key: WAL append (persistence point), then
-// the memtable, flushing and compacting as needed. It returns the time
-// the write is durable.
-func (db *DB) Put(now sim.Time, key string, val []byte) (sim.Time, error) {
-	return db.write(now, bytesOf(key), val, false)
-}
-
-// Delete writes a tombstone.
-func (db *DB) Delete(now sim.Time, key string) (sim.Time, error) {
-	return db.write(now, bytesOf(key), nil, true)
-}
-
-// write is the timed write path: the WAL charge lands inline and any
-// triggered background work drains synchronously before returning (the
-// pre-MVCC behavior chainrep's replicas depend on).
-func (db *DB) write(now sim.Time, key, val []byte, tomb bool) (sim.Time, error) {
-	walAddr, err := db.writeState(key, val, tomb)
-	if err != nil {
-		return now, err
-	}
-	at := db.mem.NVM.WriteAt(now, uint64(walAddr), recordBytes(len(key), len(val)))
-	at, _ = db.Maintain(at)
-	return at, nil
-}
-
 // writeState performs the functional write — WAL append, memtable
-// version insert, flush/compaction state transitions — and returns the
+// insert, flush/compaction state transitions — and returns the
 // WAL address of the appended record. NVM time for the WAL record is
-// the caller's to charge (inline on the timed path, via the access
-// trace on the serving path); flush/compaction cost lands in pending.
+// the caller's to charge through the access trace; flush/compaction
+// cost lands in pending.
 func (db *DB) writeState(key, val []byte, tomb bool) (memspace.Addr, error) {
 	if len(key) == 0 || len(key) > 0xFFFF || len(val) >= tombBit {
 		return 0, fmt.Errorf("lsm: invalid key/value size (%d/%d)", len(key), len(val))
@@ -269,7 +226,6 @@ func (db *DB) writeState(key, val []byte, tomb bool) (memspace.Addr, error) {
 	walAddr := db.wal.Base + memspace.Addr(db.walOff)
 	db.encodeRecord(walAddr, key, val, db.seq, tomb)
 	db.walOff += uint64(rec)
-	db.walRecords++
 
 	db.mt.add(key, val, db.seq, tomb)
 	db.memBytes += rec
@@ -307,42 +263,18 @@ func parseRecordHdr(buf []byte) (klen, vlen int, seq uint64, tomb bool) {
 	return klen, int(raw &^ uint32(tombBit)), binary.LittleEndian.Uint64(buf[6:14]), raw&tombBit != 0
 }
 
-// Get looks up a key: memtable, then L0 runs newest-first, then one run
-// per deeper level, charging an NVM probe per run consulted.
-func (db *DB) Get(now sim.Time, key string) ([]byte, sim.Time, bool) {
-	db.gets++
-	if v, ok := db.mt.newest(key, db.seq); ok {
-		if v.tomb {
-			return nil, now, false
-		}
-		return append([]byte(nil), v.val...), now, true
-	}
-	at := now
-	tomb, found := false, false
-	var out []byte
-	db.probeRuns(key, db.seq, func(_ memspace.Addr, bytes int) {
-		at = db.mem.NVM.Read(at, bytes)
-	}, func(v []byte, t bool) {
-		out, tomb, found = append([]byte(nil), v...), t, true
-	})
-	if !found || tomb {
-		return nil, at, false
-	}
-	return out, at, true
-}
-
 // probeRuns walks the run hierarchy for key — L0 newest-first, one run
 // per deeper level — invoking charge per NVM probe (with the record's
 // real address, or the run base on a miss) and hit (at most once) with
-// the winning record. Records above maxSeq are invisible.
-func (db *DB) probeRuns(key string, maxSeq uint64,
+// the winning record.
+func (db *DB) probeRuns(key string,
 	charge func(addr memspace.Addr, bytes int), hit func(val []byte, tomb bool)) {
 	for li, runs := range db.levels {
 		for ri := len(runs) - 1; ri >= 0; ri-- { // newest first within L0
 			run := runs[ri]
-			val, seq, tomb, addr, probed, found := run.get(key)
+			val, _, tomb, addr, probed, found := run.get(key)
 			charge(addr, probed)
-			if found && seq <= maxSeq {
+			if found {
 				hit(val, tomb)
 				return
 			}
@@ -353,9 +285,8 @@ func (db *DB) probeRuns(key string, maxSeq uint64,
 	}
 }
 
-// flushState writes the memtable's newest versions, sorted by key,
-// into a new L0 run, starts a fresh memtable generation (pinned
-// snapshots keep the old one), and truncates the WAL. The run's
+// flushState writes the memtable's entries, sorted by key, into a new
+// L0 run, resets the memtable, and truncates the WAL. The run's
 // streaming NVM write lands in pending.
 func (db *DB) flushState() {
 	mt := db.mt
@@ -366,20 +297,20 @@ func (db *DB) flushState() {
 	total := runHdr
 	for k, i := range mt.index {
 		keys = append(keys, k)
-		total += recordBytes(len(k), len(mt.versions[i].val))
+		total += recordBytes(len(k), len(mt.entries[i].val))
 	}
 	slices.Sort(keys)
 	w := newRunWriter(db.space, "lsm-l0-"+strconv.FormatInt(db.flushes, 10), db.cfg.SSTableBytes, total, len(keys))
 	for _, k := range keys {
-		v := mt.versions[mt.index[k]]
+		v := mt.entries[mt.index[k]]
 		w.add(k, v.val, v.seq, v.tomb)
 	}
 	clear(keys)
 	db.keys = keys[:0]
 	run, bytes := w.t, w.off
-	db.pending = append(db.pending, pendingIO{name: "lsm.flush", addr: uint64(run.region.Base), bytes: bytes})
+	db.pending = append(db.pending, pendingIO{addr: uint64(run.region.Base), bytes: bytes})
 	db.levels[0] = append(db.levels[0], run)
-	db.nextMemtable()
+	mt.reset()
 	db.memBytes = 0
 	db.walOff = 0
 	db.flushes++
@@ -388,28 +319,9 @@ func (db *DB) flushState() {
 	}
 }
 
-// nextMemtable starts the next memtable generation: the current one
-// reset in place, or a new one when a snapshot pins it.
-func (db *DB) nextMemtable() {
-	if db.mt.pins == 0 {
-		db.mt.reset()
-	} else {
-		db.mt = newMemtable(db.cfg)
-	}
-}
-
-// Flush exposes flushing for tests and shutdown, charging the run write
-// before returning.
-func (db *DB) Flush(now sim.Time) sim.Time {
-	db.flushState()
-	at, _ := db.Maintain(now)
-	return at
-}
-
 // compactState merges every run of level li plus the run at li+1 into a
 // new single run at li+1, deferring the streaming write to pending. The
-// version drops its references to the replaced runs; pinned snapshots
-// keep reading them until they are released.
+// replaced runs wait in dead for the end of the next Maintain.
 //
 // The merge streams: a k-way merge of the sorted input runs resolves
 // each key to its newest record (dropping tombstones at the bottom
@@ -433,12 +345,8 @@ func (db *DB) compactState(li int) {
 		total += len(m.rec)
 	}
 	db.compactions++
-	for _, run := range db.levels[li] {
-		db.unref(run)
-	}
-	for _, run := range db.levels[li+1] {
-		db.unref(run)
-	}
+	db.dead = append(db.dead, db.levels[li]...)
+	db.dead = append(db.dead, db.levels[li+1]...)
 	clear(db.levels[li])
 	db.levels[li] = db.levels[li][:0]
 	clear(db.levels[li+1])
@@ -455,7 +363,7 @@ func (db *DB) compactState(li int) {
 	}
 	m.reset(false)
 	run, bytes := w.t, w.off
-	db.pending = append(db.pending, pendingIO{name: "lsm.compact", addr: uint64(run.region.Base), bytes: bytes})
+	db.pending = append(db.pending, pendingIO{addr: uint64(run.region.Base), bytes: bytes})
 	db.levels[li+1] = append(db.levels[li+1], run)
 	// Cascade if the merged level has grown too large.
 	if uint64(bytes) > db.cfg.SSTableBytes*uint64(1<<uint(li+1)) && li+2 < db.cfg.MaxLevels {
@@ -473,11 +381,7 @@ func (db *DB) compactState(li int) {
 func (db *DB) Maintain(now sim.Time) (sim.Time, bool) {
 	at := now
 	for _, p := range db.pending {
-		end := db.mem.NVM.WriteAt(at, p.addr, p.bytes)
-		if db.tr != nil {
-			db.tr.Span(p.name, obs.StageCompaction, at, end)
-		}
-		at = end
+		at = db.mem.NVM.WriteAt(at, p.addr, p.bytes)
 	}
 	db.pending = db.pending[:0]
 	for i, t := range db.dead {
@@ -488,15 +392,6 @@ func (db *DB) Maintain(now sim.Time) (sim.Time, bool) {
 	stalled := db.pendingStall
 	db.pendingStall = false
 	return at, stalled
-}
-
-// unref drops one reference to t; a run nobody holds waits in dead for
-// the end of the next Maintain.
-func (db *DB) unref(t *sstable) {
-	t.refs--
-	if t.refs == 0 {
-		db.dead = append(db.dead, t)
-	}
 }
 
 // --- kvs.Backend: the trace-emitting serving path ---
@@ -518,14 +413,14 @@ func (db *DB) memAccess(key []byte, write bool) kvs.Access {
 func (db *DB) GetInto(dst []byte, trace []kvs.Access, key []byte) ([]byte, []kvs.Access, bool) {
 	db.gets++
 	trace = append(trace, db.memAccess(key, false))
-	if v, ok := db.mt.newest(view(key), db.seq); ok {
+	if v, ok := db.mt.get(view(key)); ok {
 		if v.tomb {
 			return dst, trace, false
 		}
 		return append(dst, v.val...), trace, true
 	}
 	found, tomb := false, false
-	db.probeRuns(view(key), db.seq, func(addr memspace.Addr, bytes int) {
+	db.probeRuns(view(key), func(addr memspace.Addr, bytes int) {
 		trace = append(trace, kvs.Access{Addr: addr, Bytes: bytes})
 	}, func(v []byte, t bool) {
 		tomb = t
@@ -567,11 +462,11 @@ func (db *DB) DeleteInto(trace []kvs.Access, key []byte) ([]kvs.Access, bool) {
 // liveKey reports whether key currently resolves to a non-tombstone
 // version (functional visibility check, no charging).
 func (db *DB) liveKey(key string) bool {
-	if v, ok := db.mt.newest(key, db.seq); ok {
+	if v, ok := db.mt.get(key); ok {
 		return !v.tomb
 	}
 	live := false
-	db.probeRuns(key, db.seq, func(memspace.Addr, int) {}, func(_ []byte, tomb bool) {
+	db.probeRuns(key, func(memspace.Addr, int) {}, func(_ []byte, tomb bool) {
 		live = !tomb
 	})
 	return live
@@ -585,7 +480,7 @@ func (db *DB) liveKey(key string) bool {
 func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 	start []byte, limit int, reverse bool) ([]byte, []kvs.ScanPair, []kvs.Access) {
 	db.scans++
-	it := newMergeIter(db.mt, db.levels, db.seq, string(start), reverse)
+	it := newMergeIter(db.mt, db.levels, string(start), reverse)
 	emitted := 0
 	for emitted < limit && it.next() {
 		trace = append(trace, it.probes...)
@@ -604,122 +499,14 @@ func (db *DB) ScanInto(buf []byte, pairs []kvs.ScanPair, trace []kvs.Access,
 	return buf, pairs, trace
 }
 
-// --- MVCC snapshots ---
-
-// Snapshot is a pinned read view: sequence high-water mark, memtable
-// generation, and run list as of Snapshot(). It holds a reference to
-// each of its runs and pins the generation, so they stay readable
-// through any later flush or compaction until Release.
-type Snapshot struct {
-	db   *DB
-	seq  uint64
-	mem  *memtable
-	runs [][]*sstable // nil once released
-}
-
-// Snapshot pins the current view.
-func (db *DB) Snapshot() *Snapshot {
-	runs := make([][]*sstable, len(db.levels))
-	for li, level := range db.levels {
-		runs[li] = append([]*sstable(nil), level...)
-		for _, t := range level {
-			t.refs++
-		}
-	}
-	db.mt.pins++
-	return &Snapshot{db: db, seq: db.seq, mem: db.mt, runs: runs}
-}
-
-// Release drops the snapshot's references to its runs and its memtable
-// generation. A run that no version and no other snapshot holds is
-// unmapped at the end of the next Maintain; a superseded generation
-// nobody pins is left to the garbage collector. The snapshot must not
-// be read after Release; a second Release does nothing.
-func (s *Snapshot) Release() {
-	for _, level := range s.runs {
-		for _, t := range level {
-			s.db.unref(t)
-		}
-	}
-	if s.mem != nil {
-		s.mem.pins--
-	}
-	s.mem, s.runs = nil, nil
-}
-
-// mustBeLive panics on a read of a released snapshot.
-func (s *Snapshot) mustBeLive() {
-	if s.runs == nil {
-		panic("lsm: read of a released snapshot")
-	}
-}
-
-// Seq reports the snapshot's pinned sequence number.
-func (s *Snapshot) Seq() uint64 { return s.seq }
-
-// Get reads a key as of the snapshot.
-func (s *Snapshot) Get(key string) ([]byte, bool) {
-	s.mustBeLive()
-	if v, ok := s.mem.newest(key, s.seq); ok {
-		if v.tomb {
-			return nil, false
-		}
-		return append([]byte(nil), v.val...), true
-	}
-	var out []byte
-	found, tomb := false, false
-	for li, runs := range s.runs {
-		for ri := len(runs) - 1; ri >= 0 && !found; ri-- {
-			val, seq, t, _, _, ok := runs[ri].get(key)
-			if ok && seq <= s.seq {
-				out, tomb, found = append([]byte(nil), val...), t, true
-			}
-			if li > 0 {
-				break
-			}
-		}
-		if found {
-			break
-		}
-	}
-	if !found || tomb {
-		return nil, false
-	}
-	return out, true
-}
-
-// Scan iterates live pairs from start (inclusive) in key order
-// (descending when reverse), calling fn until it returns false or limit
-// pairs have been visited (limit <= 0 is unbounded). It returns the
-// number of pairs visited.
-func (s *Snapshot) Scan(start string, limit int, reverse bool, fn func(key string, val []byte) bool) int {
-	s.mustBeLive()
-	it := newMergeIter(s.mem, s.runs, s.seq, start, reverse)
-	n := 0
-	for it.next() {
-		if it.tomb {
-			continue
-		}
-		n++
-		if !fn(it.key, it.val) {
-			break
-		}
-		if limit > 0 && n >= limit {
-			break
-		}
-	}
-	return n
-}
-
 // --- merged iterator ---
 
 // mergeIter walks memtable + runs in key order, resolving each key to
-// its newest visible version. One source per structure: the memtable's
-// sorted key list and each sstable's index.
+// its newest record. One source per structure: the memtable's sorted
+// key list and each sstable's index.
 type mergeIter struct {
 	sources []*iterSource
 	reverse bool
-	maxSeq  uint64
 
 	// Current resolved record after next():
 	key  string
@@ -753,9 +540,8 @@ func (src *iterSource) advance(reverse bool) {
 	}
 }
 
-func newMergeIter(mem *memtable, levels [][]*sstable, maxSeq uint64,
-	start string, reverse bool) *mergeIter {
-	it := &mergeIter{reverse: reverse, maxSeq: maxSeq}
+func newMergeIter(mem *memtable, levels [][]*sstable, start string, reverse bool) *mergeIter {
+	it := &mergeIter{reverse: reverse}
 	memKeys := make([]string, 0, len(mem.index))
 	for k := range mem.index {
 		memKeys = append(memKeys, k)
@@ -791,53 +577,50 @@ func seekPos(keys []string, start string, reverse bool) int {
 }
 
 // next advances to the following key in scan order, resolving its
-// newest visible version into key/val/tomb. It returns false when every
-// source is exhausted.
+// newest record into key/val/tomb. It returns false when every source
+// is exhausted.
 func (it *mergeIter) next() bool {
-	for {
-		best := ""
-		found := false
-		for _, src := range it.sources {
-			if src.done(it.reverse) {
-				continue
-			}
-			k := src.keys[src.pos]
-			if !found || (!it.reverse && k < best) || (it.reverse && k > best) {
-				best, found = k, true
-			}
+	best := ""
+	found := false
+	for _, src := range it.sources {
+		if src.done(it.reverse) {
+			continue
 		}
-		if !found {
-			return false
+		k := src.keys[src.pos]
+		if !found || (!it.reverse && k < best) || (it.reverse && k > best) {
+			best, found = k, true
 		}
-		// Resolve the newest visible version among the sources at best,
-		// then advance them all past it.
-		var bestSeq uint64
-		resolved := false
-		var val []byte
-		var tomb bool
-		for _, src := range it.sources {
-			if src.done(it.reverse) || src.keys[src.pos] != best {
-				continue
-			}
-			if src.mem != nil {
-				if v, ok := src.mem.newest(best, it.maxSeq); ok && (!resolved || v.seq > bestSeq) {
-					bestSeq, val, tomb, resolved = v.seq, v.val, v.tomb, true
-				}
-			} else {
-				v, seq, t, addr, probed, ok := src.run.get(best)
-				it.probes = append(it.probes, kvs.Access{Addr: addr, Bytes: probed})
-				if ok && seq <= it.maxSeq && (!resolved || seq > bestSeq) {
-					bestSeq, val, tomb, resolved = seq, v, t, true
-				}
-			}
-			src.advance(it.reverse)
-		}
-		if !resolved {
-			continue // every version is newer than the pinned sequence
-		}
-		it.key, it.val, it.tomb = best, val, tomb
-		return true
 	}
+	if !found {
+		return false
+	}
+	// Resolve the newest record among the sources at best, then
+	// advance them all past it.
+	var bestSeq uint64
+	resolved := false
+	for _, src := range it.sources {
+		if src.done(it.reverse) || src.keys[src.pos] != best {
+			continue
+		}
+		var val []byte
+		var seq uint64
+		var tomb bool
+		if src.mem != nil {
+			e, _ := src.mem.get(best)
+			val, seq, tomb = e.val, e.seq, e.tomb
+		} else {
+			var addr memspace.Addr
+			var probed int
+			val, seq, tomb, addr, probed, _ = src.run.get(best)
+			it.probes = append(it.probes, kvs.Access{Addr: addr, Bytes: probed})
+		}
+		if !resolved || seq > bestSeq {
+			bestSeq, it.val, it.tomb, resolved = seq, val, tomb, true
+		}
+		src.advance(it.reverse)
+	}
+	it.key = best
+	return true
 }
 
 // --- sstables ---
@@ -851,10 +634,6 @@ type sstable struct {
 	// which are never rewritten.
 	keys    []string
 	offsets []uint32
-	// refs counts the version that lists the run (one) and the
-	// snapshots that pin it (one each). A new run starts with the
-	// version's reference.
-	refs int
 }
 
 const (
@@ -881,7 +660,7 @@ func newRunWriter(space *memspace.Space, name string, capBytes uint64, total, co
 	buf := region.Bytes()
 	binary.LittleEndian.PutUint32(buf[0:4], sstMagic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(count))
-	t := &sstable{region: region, refs: 1,
+	t := &sstable{region: region,
 		keys: make([]string, 0, count), offsets: make([]uint32, 0, count)}
 	return runWriter{t: t, buf: buf, off: runHdr}
 }
@@ -1001,7 +780,7 @@ func openSSTable(region *memspace.Region) (*sstable, uint64, error) {
 		return nil, 0, fmt.Errorf("lsm: region %q is not an sstable", region.Name)
 	}
 	count := int(binary.LittleEndian.Uint32(buf[4:8]))
-	t := &sstable{region: region, refs: 1}
+	t := &sstable{region: region}
 	var maxSeq uint64
 	off := runHdr
 	for i := 0; i < count; i++ {
@@ -1022,11 +801,10 @@ func openSSTable(region *memspace.Region) (*sstable, uint64, error) {
 
 // Recover rebuilds a DB after a crash from the persistent regions: the
 // sstable runs (oldest-to-newest per level, levels deep-to-shallow
-// handled by scan order) and the WAL records not yet flushed. Each
-// recovered run starts with the new version's reference. walValid
+// handled by scan order) and the WAL records not yet flushed. walValid
 // is the number of durable WAL bytes (a real system reads until the
-// checksum breaks; the simulation tracks it in the test). The MVCC
-// sequence counter resumes from the highest sequence seen anywhere.
+// checksum breaks; the simulation tracks it in the test). The sequence
+// counter resumes from the highest sequence seen anywhere.
 func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 	wal *memspace.Region, walValid uint64, runs [][]*memspace.Region) (*DB, error) {
 	db := &DB{
@@ -1065,7 +843,6 @@ func Recover(space *memspace.Space, mem *memdev.System, cfg Config,
 		if seq > db.seq {
 			db.seq = seq
 		}
-		db.walReplays++
 		off += uint64(recordHdr + kl + vl)
 	}
 	db.walOff = off
@@ -1085,12 +862,4 @@ func (db *DB) Runs() [][]*memspace.Region {
 		}
 	}
 	return out
-}
-
-// Range iterates the live keys in sorted order (merging all levels and
-// the memtable), calling fn until it returns false.
-func (db *DB) Range(fn func(key string, val []byte) bool) {
-	s := db.Snapshot()
-	defer s.Release()
-	s.Scan("", 0, false, fn)
 }

@@ -32,36 +32,60 @@ func smallConfig() Config {
 	}
 }
 
-func TestPutGetDelete(t *testing.T) {
-	db, _, _ := newDB(t, smallConfig())
-	at, err := db.Put(0, "alpha", []byte("1"))
-	if err != nil || at <= 0 {
-		t.Fatalf("put: %v at=%v (WAL write must take time)", err, at)
-	}
-	v, _, ok := db.Get(at, "alpha")
-	if !ok || string(v) != "1" {
-		t.Fatalf("get=%q ok=%v", v, ok)
-	}
-	if _, _, ok := db.Get(at, "missing"); ok {
-		t.Fatal("phantom key")
-	}
-	if _, err := db.Delete(at, "alpha"); err != nil {
+// put writes key=val through the serving path and charges the
+// background work it triggered, as the serving handler does.
+func put(t *testing.T, db *DB, key, val string) {
+	t.Helper()
+	if _, err := db.PutInto(nil, []byte(key), []byte(val)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := db.Get(at, "alpha"); ok {
+	db.Maintain(0)
+}
+
+// del writes a tombstone for key through the serving path and reports
+// whether key was visible before.
+func del(db *DB, key string) bool {
+	_, ok := db.DeleteInto(nil, []byte(key))
+	db.Maintain(0)
+	return ok
+}
+
+// get reads key through the serving path.
+func get(db *DB, key string) (string, bool) {
+	v, _, ok := db.GetInto(nil, nil, []byte(key))
+	return string(v), ok
+}
+
+// flush writes the memtable out as an L0 run and charges the write.
+func flush(db *DB) {
+	db.flushState()
+	db.Maintain(0)
+}
+
+func TestPutGetDelete(t *testing.T) {
+	db, _, _ := newDB(t, smallConfig())
+	put(t, db, "alpha", "1")
+	if v, ok := get(db, "alpha"); !ok || v != "1" {
+		t.Fatalf("get=%q ok=%v", v, ok)
+	}
+	if _, ok := get(db, "missing"); ok {
+		t.Fatal("phantom key")
+	}
+	if !del(db, "alpha") {
+		t.Fatal("delete did not see the live key")
+	}
+	if _, ok := get(db, "alpha"); ok {
 		t.Fatal("deleted key visible")
+	}
+	if del(db, "alpha") {
+		t.Fatal("second delete saw a live key")
 	}
 }
 
 func TestFlushAndReadFromRuns(t *testing.T) {
 	db, _, _ := newDB(t, smallConfig())
-	now := sim.Time(0)
 	for i := 0; i < 100; i++ {
-		at, err := db.Put(now, fmt.Sprintf("key-%03d", i), []byte(fmt.Sprintf("val-%03d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = at
+		put(t, db, fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
 	}
 	st := db.Stats()
 	if st.Flushes == 0 {
@@ -69,8 +93,7 @@ func TestFlushAndReadFromRuns(t *testing.T) {
 	}
 	// Every key readable regardless of which structure holds it.
 	for i := 0; i < 100; i++ {
-		v, _, ok := db.Get(now, fmt.Sprintf("key-%03d", i))
-		if !ok || string(v) != fmt.Sprintf("val-%03d", i) {
+		if v, ok := get(db, fmt.Sprintf("key-%03d", i)); !ok || v != fmt.Sprintf("val-%03d", i) {
 			t.Fatalf("key %d lost after flush (got %q ok=%v)", i, v, ok)
 		}
 	}
@@ -78,19 +101,14 @@ func TestFlushAndReadFromRuns(t *testing.T) {
 
 func TestCompactionMergesLevels(t *testing.T) {
 	db, _, _ := newDB(t, smallConfig())
-	now := sim.Time(0)
 	// Eight generations of the same 50 keys, each flushed as its own
 	// run: L0 (bounded at 2 runs) must compact repeatedly, and the
 	// newest generation must win everywhere.
 	for gen := 0; gen < 8; gen++ {
 		for i := 0; i < 50; i++ {
-			at, err := db.Put(now, fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("gen-%d", gen)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			now = at
+			put(t, db, fmt.Sprintf("k%04d", i), fmt.Sprintf("gen-%d", gen))
 		}
-		now = db.Flush(now)
+		flush(db)
 	}
 	st := db.Stats()
 	if st.Compactions == 0 {
@@ -100,11 +118,11 @@ func TestCompactionMergesLevels(t *testing.T) {
 		t.Fatalf("L0 runs=%d not bounded", st.Runs[0])
 	}
 	for i := 0; i < 50; i++ {
-		v, _, ok := db.Get(now, fmt.Sprintf("k%04d", i))
+		v, ok := get(db, fmt.Sprintf("k%04d", i))
 		if !ok {
 			t.Fatalf("key %d lost in compaction", i)
 		}
-		if string(v) != "gen-7" {
+		if v != "gen-7" {
 			t.Fatalf("key %d = %q, want gen-7", i, v)
 		}
 	}
@@ -112,30 +130,28 @@ func TestCompactionMergesLevels(t *testing.T) {
 
 func TestTombstonesSurviveCompaction(t *testing.T) {
 	db, _, _ := newDB(t, smallConfig())
-	now := sim.Time(0)
-	now, _ = db.Put(now, "victim", []byte("x"))
-	now = db.Flush(now)
-	now, _ = db.Delete(now, "victim")
-	now = db.Flush(now) // tombstone now in its own run above the value
-	if _, _, ok := db.Get(now, "victim"); ok {
+	put(t, db, "victim", "x")
+	flush(db)
+	del(db, "victim")
+	flush(db) // tombstone now in its own run above the value
+	if _, ok := get(db, "victim"); ok {
 		t.Fatal("tombstone must shadow the older run")
 	}
 	// Force merges; the key must stay dead.
 	for i := 0; i < 300; i++ {
-		now, _ = db.Put(now, fmt.Sprintf("fill-%04d", i), []byte("f"))
+		put(t, db, fmt.Sprintf("fill-%04d", i), "f")
 	}
-	if _, _, ok := db.Get(now, "victim"); ok {
+	if _, ok := get(db, "victim"); ok {
 		t.Fatal("deleted key resurrected by compaction")
 	}
 }
 
 func TestCrashRecoveryFromWALAndRuns(t *testing.T) {
 	db, space, mem := newDB(t, smallConfig())
-	now := sim.Time(0)
 	for i := 0; i < 60; i++ { // enough for a flush plus a WAL tail
-		now, _ = db.Put(now, fmt.Sprintf("key-%03d", i), []byte(fmt.Sprintf("v%d", i)))
+		put(t, db, fmt.Sprintf("key-%03d", i), fmt.Sprintf("v%d", i))
 	}
-	db.Delete(now, "key-010")
+	del(db, "key-010")
 
 	wal, walValid := db.WAL()
 	runs := db.Runs()
@@ -147,14 +163,14 @@ func TestCrashRecoveryFromWALAndRuns(t *testing.T) {
 	}
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("key-%03d", i)
-		v, _, ok := re.Get(0, key)
+		v, ok := get(re, key)
 		if i == 10 {
 			if ok {
 				t.Fatal("tombstoned key survived recovery")
 			}
 			continue
 		}
-		if !ok || string(v) != fmt.Sprintf("v%d", i) {
+		if !ok || v != fmt.Sprintf("v%d", i) {
 			t.Fatalf("%s lost in recovery (got %q ok=%v)", key, v, ok)
 		}
 	}
@@ -162,18 +178,18 @@ func TestCrashRecoveryFromWALAndRuns(t *testing.T) {
 
 func TestRecoveryDiscardsTornTail(t *testing.T) {
 	db, space, mem := newDB(t, smallConfig())
-	db.Put(0, "whole", []byte("record"))
-	db.Put(0, "torn", []byte("half-written-record"))
+	put(t, db, "whole", "record")
+	put(t, db, "torn", "half-written-record")
 	wal, walValid := db.WAL()
 	// The crash happened mid-way through the second record.
 	re, err := Recover(space, mem, smallConfig(), wal, walValid-5, db.Runs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := re.Get(0, "whole"); !ok {
+	if _, ok := get(re, "whole"); !ok {
 		t.Fatal("intact record lost")
 	}
-	if _, _, ok := re.Get(0, "torn"); ok {
+	if _, ok := get(re, "torn"); ok {
 		t.Fatal("torn record must be discarded")
 	}
 }
@@ -183,57 +199,28 @@ func TestWALWrapForcesFlush(t *testing.T) {
 	cfg.MemtableBytes = 1 << 20 // never flush by size
 	cfg.WALBytes = 512          // wrap quickly
 	db, _, _ := newDB(t, cfg)
-	now := sim.Time(0)
 	for i := 0; i < 50; i++ {
-		at, err := db.Put(now, fmt.Sprintf("key-%04d", i), make([]byte, 40))
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = at
+		put(t, db, fmt.Sprintf("key-%04d", i), string(make([]byte, 40)))
 	}
 	if db.Stats().Flushes == 0 {
 		t.Fatal("WAL wrap must force a flush (otherwise durability breaks)")
 	}
 	for i := 0; i < 50; i++ {
-		if _, _, ok := db.Get(now, fmt.Sprintf("key-%04d", i)); !ok {
+		if _, ok := get(db, fmt.Sprintf("key-%04d", i)); !ok {
 			t.Fatalf("key %d lost across WAL wrap", i)
 		}
 	}
 }
 
-func TestRangeSortedAndLive(t *testing.T) {
-	db, _, _ := newDB(t, smallConfig())
-	now := sim.Time(0)
-	for _, k := range []string{"cherry", "apple", "banana", "date"} {
-		now, _ = db.Put(now, k, []byte(k))
-	}
-	db.Delete(now, "banana")
-	var got []string
-	db.Range(func(k string, v []byte) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []string{"apple", "cherry", "date"}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("range=%v", got)
-	}
-	// Early stop.
-	n := 0
-	db.Range(func(string, []byte) bool { n++; return false })
-	if n != 1 {
-		t.Fatal("early stop")
-	}
-}
-
 func TestInvalidInputs(t *testing.T) {
 	db, _, _ := newDB(t, smallConfig())
-	if _, err := db.Put(0, "", []byte("x")); err == nil {
+	if _, err := db.PutInto(nil, nil, []byte("x")); err == nil {
 		t.Fatal("empty key accepted")
 	}
 	cfg := smallConfig()
 	cfg.WALBytes = 64
 	db2, _, _ := newDB(t, cfg)
-	if _, err := db2.Put(0, "k", make([]byte, 128)); err == nil {
+	if _, err := db2.PutInto(nil, []byte("k"), make([]byte, 128)); err == nil {
 		t.Fatal("record larger than WAL accepted")
 	}
 }
@@ -249,37 +236,33 @@ func TestModelEquivalenceProperty(t *testing.T) {
 	f := func(ops []op) bool {
 		db, _, _ := newDB(t, smallConfig())
 		model := map[string]string{}
-		now := sim.Time(0)
 		for _, o := range ops {
 			key := fmt.Sprintf("key-%d", o.Key%40)
 			switch o.Op % 4 {
 			case 0, 1:
 				val := fmt.Sprintf("val-%d", o.Val)
-				at, err := db.Put(now, key, []byte(val))
-				if err != nil {
+				if _, err := db.PutInto(nil, []byte(key), []byte(val)); err != nil {
 					return false
 				}
+				db.Maintain(0)
 				model[key] = val
-				now = at
 			case 2:
-				v, _, ok := db.Get(now, key)
+				v, ok := get(db, key)
 				mv, mok := model[key]
-				if ok != mok || (ok && string(v) != mv) {
+				if ok != mok || (ok && v != mv) {
 					return false
 				}
 			case 3:
-				at, err := db.Delete(now, key)
-				if err != nil {
+				_, mok := model[key]
+				if del(db, key) != mok {
 					return false
 				}
 				delete(model, key)
-				now = at
 			}
 		}
 		// Final full audit.
 		for k, mv := range model {
-			v, _, ok := db.Get(now, k)
-			if !ok || string(v) != mv {
+			if v, ok := get(db, k); !ok || v != mv {
 				return false
 			}
 		}
@@ -290,13 +273,47 @@ func TestModelEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestDurabilityCostsTime checks that a put traces its WAL append, the
+// durability point, as an NVM write of the whole record at its log
+// address, and that charging a flush takes NVM time.
 func TestDurabilityCostsTime(t *testing.T) {
-	db, _, mem := newDB(t, smallConfig())
-	at, _ := db.Put(0, "k", []byte("v"))
-	if at <= 0 {
-		t.Fatal("WAL append must charge NVM time")
+	db, space, mem := newDB(t, smallConfig())
+	trace, err := db.PutInto(nil, []byte("k"), []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trace) == 0 || !trace[0].Write || trace[0].Bytes != recordBytes(1, 1) ||
+		space.Region(trace[0].Addr) != db.wal || space.KindOf(trace[0].Addr) != memspace.KindNVM {
+		t.Fatalf("put traced %+v, want a %d-byte NVM write into the WAL first", trace, recordBytes(1, 1))
+	}
+	db.flushState()
+	if at, _ := db.Maintain(0); at <= 0 {
+		t.Fatal("a flush must charge NVM time")
 	}
 	if mem.NVM.Resource().Ops() == 0 {
 		t.Fatal("NVM not charged")
+	}
+}
+
+// TestMemtableKeepsOneVersionPerKey pins the memtable's shape: the
+// serving path only reads a key's latest write, so repeated puts of
+// one key replace its entry instead of growing the entry array.
+func TestMemtableKeepsOneVersionPerKey(t *testing.T) {
+	cfg := smallConfig()
+	cfg.MemtableBytes = 1 << 20 // no flush while the key is rewritten
+	cfg.WALBytes = 1 << 20
+	db, _, _ := newDB(t, cfg)
+	const puts = 100
+	for i := 0; i < puts; i++ {
+		put(t, db, "hot", fmt.Sprintf("v%03d", i))
+	}
+	if db.Stats().Flushes != 0 {
+		t.Fatal("the memtable flushed; the test needs the key to stay in it")
+	}
+	if n := len(db.mt.entries); n != 1 {
+		t.Fatalf("%d puts of one key left %d entries, want 1", puts, n)
+	}
+	if v, ok := get(db, "hot"); !ok || v != fmt.Sprintf("v%03d", puts-1) {
+		t.Fatalf("get=%q ok=%v, want the last put", v, ok)
 	}
 }

@@ -179,11 +179,11 @@ func checkRuns(t *testing.T, db *DB, ref *refTree, step int) {
 	}
 }
 
-// TestStreamingMergeMatchesMapBuilder drives random put/delete streams,
-// through both the timed and the serving path, with snapshots pinning
-// memtable generations and runs across flushes and multi-level
-// cascades. After every write the DB's runs must equal the reference's,
-// and every snapshot must still read what it pinned when released.
+// TestStreamingMergeMatchesMapBuilder drives random put/delete streams
+// through the serving path, with Maintain after a random half of the
+// writes, across flushes and multi-level cascades. After every write
+// the DB's runs must equal the reference's, and a full scan now and
+// then must read exactly the live keys.
 func TestStreamingMergeMatchesMapBuilder(t *testing.T) {
 	cfg := Config{MemtableBytes: 1 << 10, L0Runs: 2, SSTableBytes: 1 << 10, WALBytes: 896, MaxLevels: 4}
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -192,21 +192,7 @@ func TestStreamingMergeMatchesMapBuilder(t *testing.T) {
 			ref := newRefTree(cfg)
 			rng := sim.NewRNG(seed)
 			live := map[string][]byte{}
-			type pinned struct {
-				s    *Snapshot
-				want map[string][]byte
-			}
-			var snaps []pinned
-			// seen keeps the key and value views scans handed out, with
-			// copies: a view must never be rewritten, even after its
-			// memtable generation is flushed and reused.
-			type seenPair struct {
-				k, kCopy string
-				v, vCopy []byte
-			}
-			var seen []seenPair
 			universe := 40 + rng.Intn(200)
-			now := sim.Time(0)
 			for step := 0; step < 4000; step++ {
 				key := fmt.Sprintf("k%0*d", 1+rng.Intn(8), rng.Intn(universe))
 				val := make([]byte, rng.Intn(48))
@@ -214,57 +200,31 @@ func TestStreamingMergeMatchesMapBuilder(t *testing.T) {
 					val[i] = byte(rng.Intn(256))
 				}
 				tomb := rng.Intn(5) == 0
-				timed := rng.Intn(2) == 0
-				switch {
-				case tomb && timed:
-					now, _ = db.Delete(now, key)
-				case tomb:
-					db.DeleteInto(nil, []byte(key))
-				case timed:
-					now, _ = db.Put(now, key, val)
-				default:
-					if _, err := db.PutInto(nil, []byte(key), val); err != nil {
-						t.Fatal(err)
-					}
-				}
 				if tomb {
+					db.DeleteInto(nil, []byte(key))
 					ref.write(key, nil, true)
 					delete(live, key)
 				} else {
+					if _, err := db.PutInto(nil, []byte(key), val); err != nil {
+						t.Fatal(err)
+					}
 					ref.write(key, val, false)
 					live[key] = val
 				}
-				checkRuns(t, db, ref, step)
-				switch r := rng.Intn(100); {
-				case r < 2:
-					want := make(map[string][]byte, len(live))
-					for k, v := range live {
-						want[k] = v
-					}
-					snaps = append(snaps, pinned{db.Snapshot(), want})
-				case r < 4 && len(snaps) > 0:
-					i := rng.Intn(len(snaps))
-					p := snaps[i]
-					n := p.s.Scan("", 0, false, func(k string, v []byte) bool {
-						if w, ok := p.want[k]; !ok || !bytes.Equal(v, w) {
-							t.Fatalf("step %d: snapshot scan %q=%x, pinned %x (%v)", step, k, v, w, ok)
-						}
-						seen = append(seen, seenPair{k, string([]byte(k)), v, append([]byte(nil), v...)})
-						return true
-					})
-					if n != len(p.want) {
-						t.Fatalf("step %d: snapshot scan saw %d keys, pinned %d", step, n, len(p.want))
-					}
-					p.s.Release()
-					snaps = append(snaps[:i], snaps[i+1:]...)
+				if rng.Intn(2) == 0 {
+					db.Maintain(0)
 				}
-			}
-			for _, p := range snaps {
-				p.s.Release()
-			}
-			for _, p := range seen {
-				if p.k != p.kCopy || !bytes.Equal(p.v, p.vCopy) {
-					t.Fatalf("a scanned view was rewritten: %q=%x, scanned as %q=%x", p.k, p.v, p.kCopy, p.vCopy)
+				checkRuns(t, db, ref, step)
+				if rng.Intn(100) < 2 {
+					buf, pairs, _ := db.ScanInto(nil, nil, nil, nil, len(live)+1, false)
+					if len(pairs) != len(live) {
+						t.Fatalf("step %d: scan saw %d keys, %d live", step, len(pairs), len(live))
+					}
+					for _, p := range pairs {
+						if w, ok := live[string(p.Key(buf))]; !ok || !bytes.Equal(p.Val(buf), w) {
+							t.Fatalf("step %d: scan %q=%x, live %x (%v)", step, p.Key(buf), p.Val(buf), w, ok)
+						}
+					}
 				}
 			}
 			if ref.bottomMerges == 0 || ref.compactions < 10 {
@@ -272,7 +232,7 @@ func TestStreamingMergeMatchesMapBuilder(t *testing.T) {
 					ref.compactions, ref.bottomMerges)
 			}
 			for k, v := range live {
-				got, _, ok := db.Get(now, k)
+				got, _, ok := db.GetInto(nil, nil, []byte(k))
 				if !ok || !bytes.Equal(got, v) {
 					t.Fatalf("final read %q=%x ok=%v, want %x", k, got, ok, v)
 				}
@@ -291,7 +251,7 @@ func mallocs(f func()) uint64 {
 }
 
 // TestPutIntoZeroAllocBetweenFlushes guards the memtable's arena: once
-// a few generations have grown its index, version array and arena, a
+// a few generations have grown its index, entry array and arena, a
 // put that does not flush allocates nothing — new keys and values are
 // interned into the current arena block.
 func TestPutIntoZeroAllocBetweenFlushes(t *testing.T) {
@@ -315,9 +275,9 @@ func TestPutIntoZeroAllocBetweenFlushes(t *testing.T) {
 		put(i)
 	}
 	db.Maintain(0)
-	// A fresh generation: fill it to just under the flush threshold
+	// An empty memtable: fill it to just under the flush threshold
 	// (the arena block of the first put may be new).
-	db.Flush(0)
+	flush(db)
 	put(0)
 	flushes := db.Stats().Flushes
 	i := 1
@@ -355,7 +315,7 @@ func TestCompactionAllocsIndependentOfRecords(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			db.Flush(0)
+			flush(db)
 		}
 		return mallocs(func() { db.compactState(0) })
 	}

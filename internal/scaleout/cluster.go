@@ -7,7 +7,6 @@ import (
 	"rambda/internal/chainrep"
 	"rambda/internal/fault"
 	"rambda/internal/kvs"
-	"rambda/internal/lsm"
 	"rambda/internal/memdev"
 	"rambda/internal/memspace"
 	"rambda/internal/obs"
@@ -44,13 +43,6 @@ type Config struct {
 	SlotsPerShard int
 	SlotBytes     int
 	LogEntries    int
-
-	// Backend selects each replica's storage engine: "" or "flat" is the
-	// flat NVM store (the chainrep default), "lsm" puts a tiered LSM tree
-	// (DRAM memtable + NVM sstables, internal/lsm) under every replica —
-	// same chain protocol, same slot addressing, but writes absorb in the
-	// memtable and background flush/compaction charges the replica's NVM.
-	Backend string
 
 	// Seed places the ring's virtual nodes.
 	Seed uint64
@@ -164,26 +156,8 @@ type Shard struct {
 	wr [1]chainrep.Tuple
 }
 
-// shardLSMConfig sizes a replica's LSM tree from the shard's data
-// footprint: the memtable absorbs ~1/16 of the working set before a
-// flush, L0 bounds at 4 runs.
-func shardLSMConfig(dataBytes uint64) lsm.Config {
-	mt := int(dataBytes / 16)
-	if mt < 16<<10 {
-		mt = 16 << 10
-	}
-	return lsm.Config{
-		MemtableBytes: mt,
-		L0Runs:        4,
-		SSTableBytes:  8 << 20,
-		WALBytes:      1 << 20,
-		MaxLevels:     4,
-	}
-}
-
 // newShard builds shard i's chain: Replicas fresh machines, each with
-// its own memory system, storage backend (flat NVM store or tiered LSM
-// tree, per Config.Backend), and redo log.
+// its own memory system, flat NVM store, and redo log.
 func newShard(i int, cfg Config) *Shard {
 	ch := &chainrep.Chain{
 		ClientOneWay: cfg.ClientOneWay,
@@ -204,16 +178,8 @@ func newShard(i int, cfg Config) *Shard {
 		nodeCfg := chainrep.NodeConfig{
 			Name: name, ProcDelay: cfg.ProcDelay, PerTupleDelay: cfg.PerTupleDelay,
 		}
-		switch cfg.Backend {
-		case "", "flat":
-			ch.Nodes = append(ch.Nodes, chainrep.NewNode(space, mem, nodeCfg,
-				dataBytes, cfg.LogEntries, entrySize))
-		case "lsm":
-			ch.Nodes = append(ch.Nodes, chainrep.NewNodeLSM(space, mem, nodeCfg,
-				shardLSMConfig(dataBytes), cfg.LogEntries, entrySize))
-		default:
-			panic(fmt.Sprintf("scaleout: unknown backend %q", cfg.Backend))
-		}
+		ch.Nodes = append(ch.Nodes, chainrep.NewNode(space, mem, nodeCfg,
+			dataBytes, cfg.LogEntries, entrySize))
 	}
 	return &Shard{
 		id:        i,
@@ -366,9 +332,6 @@ func (c *Cluster) LiveShards() int {
 	}
 	return n
 }
-
-// ShardServed reports shard i's lifetime request count.
-func (c *Cluster) ShardServed(i int) int64 { return c.shards[i].served }
 
 // MergedLatency folds the per-shard latency histograms into one
 // cluster-wide distribution (sim.Histogram.Merge keeps count/sum/min/

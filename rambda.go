@@ -134,9 +134,6 @@ type (
 	NotifyMode = core.NotifyMode
 	// CpollMode selects the cpoll region layout.
 	CpollMode = cpoll.Mode
-	// Breakdown decomposes one request's latency into pipeline stages
-	// (see Client.CallTraced).
-	Breakdown = core.Breakdown
 )
 
 // Notification options.
@@ -203,8 +200,9 @@ func DialCPU(cm *Machine, s *CPUServer, idx int) *CPUClient {
 // MemAccess per touch to the caller's trace, which the APU replays
 // through its coherent datapath so DRAM/NVM bandwidth is charged by
 // address kind. Two engines ship: the MICA-style hash index (KVStore)
-// and the tiered LSM tree (LSMTree) with MVCC snapshots and key-ordered
-// range scans. DispatchRequest routes a decoded wire request to either.
+// and the tiered LSM tree (LSMTree) with key-ordered range scans; both
+// are driven only through this serving contract. DispatchRequest routes
+// a decoded wire request to either.
 type (
 	// StorageBackend is the pluggable KVS storage engine interface.
 	StorageBackend = kvs.Backend
@@ -213,13 +211,10 @@ type (
 	// KVStoreConfig sizes a KVStore.
 	KVStoreConfig = kvs.Config
 	// LSMTree is the tiered storage engine: DRAM memtable + NVM
-	// sstables, WAL-durable, MVCC snapshot reads, merged range scans.
+	// sstables, WAL-durable, merged range scans.
 	LSMTree = lsm.DB
 	// LSMConfig sizes an LSMTree.
 	LSMConfig = lsm.Config
-	// LSMSnapshot is a pinned read view: its Get/Scan results are frozen
-	// at pin time, unaffected by later writes, flushes, or compactions.
-	LSMSnapshot = lsm.Snapshot
 	// MemAccess is one traced memory touch (address, bytes, direction).
 	MemAccess = kvs.Access
 	// KVRequest is a decoded wire request.
