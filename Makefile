@@ -3,7 +3,7 @@
 GO ?= go
 PARALLEL ?= 0 # 0 = one worker per CPU (runner default)
 
-.PHONY: all build test race vet lint figures figures-quick determinism bench bench-check profile clean
+.PHONY: all build test race vet lint figures figures-quick determinism reach bench bench-check profile clean
 
 all: build test
 
@@ -49,6 +49,26 @@ determinism:
 		test "$$(LC_ALL=C ls $(DET_DIR)/$$d | tr '\n' ' ')" = "$(DET_FILES) " || \
 			{ echo "$(DET_DIR)/$$d: want exactly $(DET_FILES)"; exit 1; }; \
 	done
+
+# Reachability report: which functions do the quick figures and the
+# examples never run? Builds rambda-figures and every example with
+# coverage counters over the whole module, runs `rambda-figures -quick`
+# (with -obs-dir, so the exporters count) and then each example, and
+# prints every function whose count is 0 (package path, line, name). A function listed here is reached only by
+# tests or benchmark kernels, or by nothing.
+REACH_DIR ?= reach
+EXAMPLES := $(notdir $(wildcard examples/*))
+reach:
+	rm -rf $(REACH_DIR) && mkdir -p $(REACH_DIR)/cov
+	$(GO) build -cover -coverpkg=./... -o $(REACH_DIR)/rambda-figures ./cmd/rambda-figures
+	for e in $(EXAMPLES); do \
+		$(GO) build -cover -coverpkg=./... -o $(REACH_DIR)/$$e ./examples/$$e || exit 1; \
+	done
+	GOCOVERDIR=$(REACH_DIR)/cov $(REACH_DIR)/rambda-figures -quick -obs-dir $(REACH_DIR)/obs > /dev/null
+	for e in $(EXAMPLES); do \
+		GOCOVERDIR=$(REACH_DIR)/cov $(REACH_DIR)/$$e > /dev/null || exit 1; \
+	done
+	$(GO) tool covdata func -i=$(REACH_DIR)/cov | awk '$$NF == "0.0%"'
 
 # The newest committed BENCH_<n>.json is the baseline; `make bench`
 # records the next one.

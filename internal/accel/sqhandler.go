@@ -76,7 +76,7 @@ func (h *SQHandler) Deliver(now sim.Time, entryAddr memspace.Addr, entry []byte,
 
 	h.wrid++
 	h.qp.PostSend(rnic.WQE{
-		Op: rnic.OpWrite, LocalAddr: base, RemoteAddr: entryAddr,
+		LocalAddr: base, RemoteAddr: entryAddr,
 		Len: len(entry), WRID: h.wrid,
 	})
 	if ptrAddr != 0 {

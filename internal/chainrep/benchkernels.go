@@ -37,7 +37,7 @@ func BenchFailoverReplay(n int) sim.Time {
 	// length, so nearly every commit lands on the shortened chain and the
 	// final Rejoin replays and catches up the full history.
 	c.EnableFaultDetection(fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r1", Kind: fault.Crash, From: 20 * sim.Microsecond, To: sim.Time(n+1) * sim.Time(sim.Millisecond)},
+		{Node: "r1", From: 20 * sim.Microsecond, To: sim.Time(n+1) * sim.Time(sim.Millisecond)},
 	}}), 25*sim.Microsecond)
 
 	rng := sim.NewRNG(5)

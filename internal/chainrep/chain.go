@@ -121,7 +121,6 @@ type Chain struct {
 	inj        *fault.Injector
 	ackTimeout sim.Duration
 	alive      []bool
-	downKind   []fault.Kind
 	applied    []int // committed write sets applied per replica
 	// history holds the committed write sets for rejoin catch-up, each
 	// encoded as a log entry and appended to one buffer; historyEnd[k]

@@ -52,7 +52,6 @@ func (c *Chain) EnableFaultDetection(inj *fault.Injector, ackTimeout sim.Duratio
 	for i := range c.alive {
 		c.alive[i] = true
 	}
-	c.downKind = make([]fault.Kind, len(c.Nodes))
 	c.applied = make([]int, len(c.Nodes))
 }
 
@@ -78,9 +77,8 @@ func (c *Chain) LiveReplicas() int {
 
 // spliceOut removes replica i from the chain (reconfiguration: its
 // predecessor forwards directly to its successor from now on).
-func (c *Chain) spliceOut(i int, kind fault.Kind) {
+func (c *Chain) spliceOut(i int) {
 	c.alive[i] = false
-	c.downKind[i] = kind
 	c.fstats.Failovers++
 }
 
@@ -95,10 +93,10 @@ func (c *Chain) headAt(at sim.Time) (int, sim.Time, error) {
 		if !c.alive[i] {
 			continue
 		}
-		if down, kind := c.inj.NodeState(node.Name(), at); down {
+		if c.inj.NodeDown(node.Name(), at) {
 			at += sim.Time(c.ackTimeout)
 			c.fstats.MissedAcks++
-			c.spliceOut(i, kind)
+			c.spliceOut(i)
 			continue
 		}
 		return i, at, nil
@@ -120,19 +118,17 @@ func (c *Chain) replicateFaulty(at sim.Time, writes []Tuple, reqBytes int) (sim.
 		if committed > 0 {
 			at += c.HopDelay + c.wire(reqBytes)
 		}
-		if down, kind := c.inj.NodeState(node.Name(), at); down {
+		if c.inj.NodeDown(node.Name(), at) {
 			// The upstream replica waits out the ack timeout, declares
 			// this one dead, and the chain reconfigures around it.
 			at += sim.Time(c.ackTimeout)
 			c.fstats.MissedAcks++
-			c.spliceOut(i, kind)
-			if kind == fault.Crash {
-				// Write-ahead semantics: the entry may have reached the
-				// victim's NVM log before the data writes — leave the
-				// torn entry for replay to repair.
-				node.entryBuf = AppendEntry(node.entryBuf[:0], writes)
-				node.Log.Append(at, node.entryBuf)
-			}
+			c.spliceOut(i)
+			// Write-ahead semantics: the entry may have reached the
+			// victim's NVM log before the data writes — leave the torn
+			// entry for replay to repair.
+			node.entryBuf = AppendEntry(node.entryBuf[:0], writes)
+			node.Log.Append(at, node.entryBuf)
 			continue
 		}
 		var err error
@@ -228,13 +224,11 @@ func (c *Chain) Rejoin(now sim.Time, i int) (sim.Time, error) {
 	}
 	node := c.Nodes[i]
 	at := c.inj.NodeUpAt(node.Name(), now)
-	if c.downKind[i] == fault.Crash {
-		n, err := node.Log.Replay(node.Store)
-		if err != nil {
-			return at, err
-		}
-		c.fstats.ReplayedTx += int64(n)
+	n, err := node.Log.Replay(node.Store)
+	if err != nil {
+		return at, err
 	}
+	c.fstats.ReplayedTx += int64(n)
 	for k := c.applied[i]; k < len(c.historyEnd); k++ {
 		start := 0
 		if k > 0 {

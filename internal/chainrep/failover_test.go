@@ -45,7 +45,7 @@ func TestMidChainCrashSplicesAndServes(t *testing.T) {
 	// splices r1 out, and keeps committing writes on the survivors.
 	c := newChain(3)
 	inj := fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r1", Kind: fault.Crash, From: 100 * sim.Microsecond, To: 10 * sim.Millisecond},
+		{Node: "r1", From: 100 * sim.Microsecond, To: 10 * sim.Millisecond},
 	}})
 	c.EnableFaultDetection(inj, 30*sim.Microsecond)
 
@@ -81,7 +81,7 @@ func TestHeadCrashFailsOverReads(t *testing.T) {
 	// live replica.
 	c := newChain(3)
 	inj := fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r0", Kind: fault.Crash, From: 50 * sim.Microsecond, To: sim.Second},
+		{Node: "r0", From: 50 * sim.Microsecond, To: sim.Second},
 	}})
 	c.EnableFaultDetection(inj, 20*sim.Microsecond)
 
@@ -118,7 +118,7 @@ func TestCrashRejoinReplaysToStateEqual(t *testing.T) {
 	c := newChain(3)
 	const crashFrom, crashTo = 200 * sim.Microsecond, 2 * sim.Millisecond
 	inj := fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r2", Kind: fault.Crash, From: crashFrom, To: crashTo},
+		{Node: "r2", From: crashFrom, To: crashTo},
 	}})
 	c.EnableFaultDetection(inj, 25*sim.Microsecond)
 
@@ -178,45 +178,11 @@ func TestCrashRejoinReplaysToStateEqual(t *testing.T) {
 	}
 }
 
-func TestPauseRejoinCatchesUpWithoutReplay(t *testing.T) {
-	// A paused replica keeps its state: rejoin only ships the missed
-	// write sets, no redo-log replay.
-	c := newChain(2)
-	inj := fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r1", Kind: fault.Pause, From: 10 * sim.Microsecond, To: 500 * sim.Microsecond},
-	}})
-	c.EnableFaultDetection(inj, 15*sim.Microsecond)
-
-	now := sim.Time(50 * sim.Microsecond)
-	for i := 0; i < 3; i++ {
-		_, done, err := c.RambdaTxInto(now, writeTx(uint32(i*16), "paus"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	back, err := c.Rejoin(now, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.FailoverStats()
-	if st.ReplayedTx != 0 {
-		t.Fatalf("pause rejoin must not replay the redo log: %+v", st)
-	}
-	if st.CaughtUpTx != 3 {
-		t.Fatalf("caught up %d, want 3", st.CaughtUpTx)
-	}
-	if !StateEqual(c.Nodes[0].Store, c.Nodes[1].Store, 256) {
-		t.Fatal("paused replica not state-equal after catch-up")
-	}
-	_ = back
-}
-
 func TestAllReplicasDownReported(t *testing.T) {
 	c := newChain(2)
 	inj := fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "r0", Kind: fault.Crash, From: 0, To: sim.Second},
-		{Node: "r1", Kind: fault.Crash, From: 0, To: sim.Second},
+		{Node: "r0", From: 0, To: sim.Second},
+		{Node: "r1", From: 0, To: sim.Second},
 	}})
 	c.EnableFaultDetection(inj, 10*sim.Microsecond)
 	if _, _, err := c.RambdaTxInto(0, writeTx(0, "x"), nil); err != ErrNoReplicas {
@@ -230,8 +196,8 @@ func TestDeterministicChaosSequence(t *testing.T) {
 	run := func() (sim.Time, FailoverStats) {
 		c := newChain(3)
 		inj := fault.New(fault.Plan{Seed: 11, Nodes: []fault.Window{
-			{Node: "r1", Kind: fault.Crash, From: 80 * sim.Microsecond, To: 400 * sim.Microsecond},
-			{Node: "r2", Kind: fault.Pause, From: 600 * sim.Microsecond, To: 900 * sim.Microsecond},
+			{Node: "r1", From: 80 * sim.Microsecond, To: 400 * sim.Microsecond},
+			{Node: "r2", From: 600 * sim.Microsecond, To: 900 * sim.Microsecond},
 		}})
 		c.EnableFaultDetection(inj, 20*sim.Microsecond)
 		now := sim.Time(0)
@@ -266,7 +232,7 @@ func TestDeterministicChaosSequence(t *testing.T) {
 func TestRejoinRacesApplyCommitted(t *testing.T) {
 	c := newChain(3)
 	win := fault.Window{
-		Node: "r1", Kind: fault.Crash,
+		Node: "r1",
 		From: 50 * sim.Microsecond, To: 400 * sim.Microsecond,
 	}
 	c.EnableFaultDetection(fault.New(fault.Plan{Nodes: []fault.Window{win}}), 20*sim.Microsecond)
@@ -343,7 +309,7 @@ func TestRejoinRacesApplyCommitted(t *testing.T) {
 }
 
 // TestSoakHistoryBounded commits 40 000 write sets through a 3-replica
-// chain whose replicas crash or pause in turn, one outage per cycle of
+// chain whose replicas crash in turn, one outage per cycle of
 // 200 writes, and rejoins each after its window. The catch-up history
 // must hold only what a spliced-out replica has yet to apply: nothing
 // while the whole chain is live, at most one outage's writes, and a
@@ -359,12 +325,8 @@ func TestSoakHistoryBounded(t *testing.T) {
 	)
 	var wins []fault.Window
 	for k := 0; k < cycles; k++ {
-		kind := fault.Crash
-		if k%2 == 1 {
-			kind = fault.Pause
-		}
 		from := sim.Time(k)*cycle + cycle/4
-		wins = append(wins, fault.Window{Node: fmt.Sprintf("r%d", k%3), Kind: kind, From: from, To: from + cycle/4})
+		wins = append(wins, fault.Window{Node: fmt.Sprintf("r%d", k%3), From: from, To: from + cycle/4})
 	}
 	c := newChain(3)
 	c.EnableFaultDetection(fault.New(fault.Plan{Nodes: wins}), 20*sim.Microsecond)
@@ -405,7 +367,7 @@ func TestSoakHistoryBounded(t *testing.T) {
 	t.Logf("history peaked at %d sets; buffer capacity %d bytes", maxSets, cap(c.history))
 	st := c.FailoverStats()
 	if st.Rejoins != cycles || st.Failovers != cycles || st.ReplayedTx == 0 {
-		t.Fatalf("stats %+v: want %d failovers and rejoins, crash rejoins replaying", st, cycles)
+		t.Fatalf("stats %+v: want %d failovers and rejoins, rejoins replaying", st, cycles)
 	}
 	if maxSets == 0 || maxSets > perCycle/4+1 {
 		t.Fatalf("history peaked at %d sets, want 1..%d (one outage's writes)", maxSets, perCycle/4+1)

@@ -115,7 +115,7 @@ func (r *cpuResponder) Deliver(now sim.Time, entryAddr memspace.Addr, entry []by
 	r.s.M.Space.Write(r.staging.Base, entry)
 	// Store to the send buffer (LLC) before the NIC DMA-reads it.
 	at := r.s.M.Mem.LLC.Access(now, len(entry))
-	r.qp.PostSend(rnic.WQE{Op: rnic.OpWrite, LocalAddr: r.staging.Base, RemoteAddr: entryAddr, Len: len(entry)})
+	r.qp.PostSend(rnic.WQE{LocalAddr: r.staging.Base, RemoteAddr: entryAddr, Len: len(entry)})
 	r.posted++
 	if r.posted%int64(r.s.Opts.Batch) == 0 {
 		at = r.s.M.PCIeOut.MMIOWrite(at)

@@ -136,7 +136,7 @@ type ServerOptions struct {
 	// default — is the fast path: figures are byte-identical to an
 	// uninstrumented build and the request path stays allocation-free.
 	Trace *obs.Trace
-	// Metrics, when non-nil, receives the server's counter/gauge
+	// Metrics, when non-nil, receives the server's gauge
 	// series (ring depth, cpoll signal drops, QP retransmits, arena
 	// occupancy) and is ticked on virtual time as requests complete.
 	Metrics *obs.Registry

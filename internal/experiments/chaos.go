@@ -114,7 +114,7 @@ func chaosLossPoint(cfg ChaosConfig, loss float64) ChaosLossRow {
 	hist := sim.NewHistogram(cfg.Writes)
 	now := sim.Time(0)
 	for i := 0; i < cfg.Writes; i++ {
-		qa.PostSend(rnic.WQE{Op: rnic.OpWrite, LocalAddr: aDRAM.Base,
+		qa.PostSend(rnic.WQE{LocalAddr: aDRAM.Base,
 			RemoteAddr: bDRAM.Base, Len: cfg.WriteBytes, Signaled: true, WRID: uint64(i)})
 		res := qa.Doorbell(now)
 		if res[0].Status != rnic.CQEOK {
@@ -175,7 +175,7 @@ func chaosCrashScenario(cfg ChaosConfig) ChaosChainRow {
 	// (each tx costs roughly 10 us on this testbed) and outlives it; the
 	// rejoin below waits the window out.
 	window := fault.Window{
-		Node: "r1", Kind: fault.Crash,
+		Node: "r1",
 		From: sim.Time(cfg.Txs/4) * sim.Time(10*sim.Microsecond),
 		To:   sim.Time(cfg.Txs) * sim.Time(100*sim.Microsecond),
 	}

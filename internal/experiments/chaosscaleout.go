@@ -132,7 +132,7 @@ func chaosScaleoutPoint(cfg ChaosScaleoutConfig, shards, crashPerK int, arrival 
 			node := fmt.Sprintf("s%dr%d", frng.Intn(shards+1), frng.Intn(ccfg.Replicas))
 			from := t0 + sim.Time(frng.Uint64n(uint64(horizon)))
 			wins = append(wins, fault.Window{
-				Node: node, Kind: fault.Crash, From: from, To: from + sim.Time(cfg.CrashDur),
+				Node: node, From: from, To: from + sim.Time(cfg.CrashDur),
 			})
 		}
 		c.EnableFaults(fault.New(fault.Plan{Seed: seed, Nodes: wins}))

@@ -1,14 +1,13 @@
 // Package fault is the seeded deterministic fault-injection subsystem:
-// a Plan describes what goes wrong on which link (packet drop,
-// corruption, duplication, delay spikes) and on which node (crash or
-// pause windows in virtual time), and an Injector built from the plan
-// hands out per-packet verdicts and per-node liveness answers.
+// a Plan describes which links drop packets and which nodes crash for
+// windows of virtual time, and an Injector built from the plan hands
+// out per-packet drop verdicts and per-node liveness answers.
 //
-// Determinism is the design constraint. Every stochastic choice draws
-// from a sim.RNG seeded by an FNV-1a fold of (plan seed, link name), so
-// the same plan reproduces the same fault sequence byte-for-byte
-// regardless of how many other links exist or in what order they were
-// attached. Node windows are pure functions of virtual time and need no
+// Determinism is the design constraint. Every drop draws from a
+// sim.RNG seeded by an FNV-1a fold of (plan seed, link name), so the
+// same plan reproduces the same fault sequence byte-for-byte regardless
+// of how many other links exist or in what order they were attached.
+// Node windows are pure functions of virtual time and need no
 // randomness at all.
 //
 // The zero-fault fast path is a nil check: consumers hold a
@@ -21,60 +20,21 @@ package fault
 
 import "rambda/internal/sim"
 
-// LinkRule describes the fault process of one named link. All four
-// probabilities are per packet and independent; a packet can be both
-// delayed and corrupted, but a dropped packet consumes no further
-// draws (it never arrives, so nothing else about it is observable).
+// LinkRule describes the fault process of one named link: each packet
+// is lost independently with probability Drop.
 type LinkRule struct {
 	// Link is the exact link name to match (the name passed to
 	// interconnect.NewNetLink, e.g. "net:a->b").
 	Link string
 	// Drop is the probability a packet is lost in flight.
 	Drop float64
-	// Corrupt is the probability a packet arrives with damaged payload
-	// (the receiver's ICRC check discards it, so for a reliable
-	// transport corruption behaves like loss detected at the far end).
-	Corrupt float64
-	// Duplicate is the probability a packet is delivered twice; the
-	// duplicate burns wire time and is discarded by the receiver's PSN
-	// check.
-	Duplicate float64
-	// DelaySpike is the probability a packet is held by Spike — a
-	// congested-switch excursion.
-	DelaySpike float64
-	// Spike is the extra one-way delay of a DelaySpike packet.
-	Spike sim.Duration
 }
 
-// zero reports whether the rule can never perturb a packet.
-func (r LinkRule) zero() bool {
-	return r.Drop <= 0 && r.Corrupt <= 0 && r.Duplicate <= 0 && (r.DelaySpike <= 0 || r.Spike <= 0)
-}
-
-// Kind classifies a node fault window.
-type Kind int
-
-const (
-	// Crash kills the node for the window: it loses its volatile state
-	// and must replay its redo log to catch up when it rejoins.
-	Crash Kind = iota
-	// Pause stalls the node for the window (a GC pause, a hot firmware
-	// upgrade): it stops answering but keeps its state.
-	Pause
-)
-
-// String names the window kind.
-func (k Kind) String() string {
-	if k == Crash {
-		return "crash"
-	}
-	return "pause"
-}
-
-// Window takes one named node down for [From, To) in virtual time.
+// Window crashes one named node for [From, To) in virtual time: it
+// stops answering and loses its volatile state, so it must replay its
+// redo log to catch up when it rejoins.
 type Window struct {
 	Node     string
-	Kind     Kind
 	From, To sim.Time
 }
 
@@ -83,88 +43,39 @@ type Window struct {
 type Plan struct {
 	// Seed drives every per-link RNG (folded with the link name).
 	Seed uint64
-	// Links lists per-link packet fault rules. At most one rule per
-	// link name is honored (the first match wins).
+	// Links lists per-link drop rules. At most one rule per link name
+	// is honored (the first match wins).
 	Links []LinkRule
-	// Nodes lists crash/pause windows. Several windows may name the
-	// same node.
+	// Nodes lists crash windows. Several windows may name the same
+	// node.
 	Nodes []Window
-}
-
-// Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool {
-	if p == nil {
-		return true
-	}
-	for _, r := range p.Links {
-		if !r.zero() {
-			return false
-		}
-	}
-	return len(p.Nodes) == 0
-}
-
-// Decision is the verdict for one packet. The zero value is clean
-// delivery.
-type Decision struct {
-	Drop      bool
-	Corrupt   bool
-	Duplicate bool
-	// Delay is extra one-way latency (a congestion spike), zero for
-	// on-time packets.
-	Delay sim.Duration
 }
 
 // LinkStats counts what a link's injector actually did.
 type LinkStats struct {
-	Packets, Drops, Corrupts, Duplicates, Spikes int64
+	Packets, Drops int64
 }
 
 // LinkInjector is the per-link fault process. A nil *LinkInjector is
 // the always-clean link and is safe to query.
 type LinkInjector struct {
-	rule  LinkRule
+	drop  float64
 	rng   *sim.RNG
 	stats LinkStats
 }
 
-// Decide draws the verdict for the next packet.
-func (l *LinkInjector) Decide() Decision {
+// Drop draws the verdict for the next packet: true when it is lost.
+// Every packet of a non-nil injector consumes exactly one draw.
+func (l *LinkInjector) Drop() bool {
 	if l == nil {
-		return Decision{}
+		return false
 	}
 	l.stats.Packets++
-	var d Decision
-	if l.rule.Drop > 0 && l.rng.Float64() < l.rule.Drop {
+	if l.rng.Float64() < l.drop {
 		l.stats.Drops++
-		d.Drop = true
-		// A dropped packet is unobservable beyond the drop itself;
-		// consuming no further draws keeps the stream alignment simple.
-		return d
+		return true
 	}
-	if l.rule.Corrupt > 0 && l.rng.Float64() < l.rule.Corrupt {
-		l.stats.Corrupts++
-		d.Corrupt = true
-	}
-	if l.rule.Duplicate > 0 && l.rng.Float64() < l.rule.Duplicate {
-		l.stats.Duplicates++
-		d.Duplicate = true
-	}
-	if l.rule.DelaySpike > 0 && l.rule.Spike > 0 && l.rng.Float64() < l.rule.DelaySpike {
-		l.stats.Spikes++
-		d.Delay = l.rule.Spike
-	}
-	return d
-}
-
-// CorruptIndex picks which byte of an n-byte payload the corruption
-// damaged — deterministic, for functional models that really flip the
-// byte. Returns 0 for empty payloads.
-func (l *LinkInjector) CorruptIndex(n int) int {
-	if l == nil || n <= 0 {
-		return 0
-	}
-	return l.rng.Intn(n)
+	return false
 }
 
 // Stats returns the injector's counters (zero value for nil).
@@ -182,12 +93,12 @@ type Injector struct {
 	nodes []Window
 }
 
-// New instantiates the plan. Links with all-zero rules get no injector
-// (their consumers keep the nil fast path).
+// New instantiates the plan. Links whose rule never drops get no
+// injector (their consumers keep the nil fast path).
 func New(p Plan) *Injector {
 	inj := &Injector{nodes: p.Nodes}
 	for _, r := range p.Links {
-		if r.zero() {
+		if r.Drop <= 0 {
 			continue
 		}
 		if inj.links == nil {
@@ -196,7 +107,7 @@ func New(p Plan) *Injector {
 		if _, dup := inj.links[r.Link]; dup {
 			continue // first rule per link wins
 		}
-		inj.links[r.Link] = &LinkInjector{rule: r, rng: sim.NewRNG(foldSeed(p.Seed, r.Link))}
+		inj.links[r.Link] = &LinkInjector{drop: r.Drop, rng: sim.NewRNG(foldSeed(p.Seed, r.Link))}
 	}
 	return inj
 }
@@ -210,34 +121,22 @@ func (i *Injector) Link(name string) *LinkInjector {
 	return i.links[name]
 }
 
-// NodeDown reports whether the node is inside any fault window at the
+// NodeDown reports whether the node is inside any crash window at the
 // given time.
 func (i *Injector) NodeDown(node string, at sim.Time) bool {
-	down, _ := i.NodeState(node, at)
-	return down
-}
-
-// NodeState reports whether the node is down at `at`, and if so the
-// kind of the covering window. Overlapping windows resolve to Crash if
-// any covering window is a crash (losing state dominates stalling).
-func (i *Injector) NodeState(node string, at sim.Time) (down bool, kind Kind) {
 	if i == nil {
-		return false, Pause
+		return false
 	}
-	kind = Pause
 	for _, w := range i.nodes {
 		if w.Node == node && at >= w.From && at < w.To {
-			down = true
-			if w.Kind == Crash {
-				return true, Crash
-			}
+			return true
 		}
 	}
-	return down, kind
+	return false
 }
 
 // NodeUpAt returns the earliest time >= at when the node is outside
-// every fault window (chained/overlapping windows are walked until a
+// every crash window (chained/overlapping windows are walked until a
 // gap is found).
 func (i *Injector) NodeUpAt(node string, at sim.Time) sim.Time {
 	if i == nil {

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"testing"
-
-	"rambda/internal/sim"
-)
+import "testing"
 
 func TestNilInjectorIsHealthy(t *testing.T) {
 	var inj *Injector
@@ -18,8 +14,8 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 		t.Fatal("nil injector delayed a node")
 	}
 	var li *LinkInjector
-	if d := li.Decide(); d != (Decision{}) {
-		t.Fatalf("nil link injector perturbed a packet: %+v", d)
+	if li.Drop() {
+		t.Fatal("nil link injector dropped a packet")
 	}
 	if li.Stats() != (LinkStats{}) {
 		t.Fatal("nil link injector has stats")
@@ -27,70 +23,52 @@ func TestNilInjectorIsHealthy(t *testing.T) {
 }
 
 func TestEmptyPlan(t *testing.T) {
-	if !(&Plan{}).Empty() {
-		t.Fatal("zero plan not empty")
+	if New(Plan{}).Link("l") != nil {
+		t.Fatal("zero plan built a link injector")
 	}
-	p := Plan{Links: []LinkRule{{Link: "l"}}} // all-zero rule
-	if !p.Empty() {
-		t.Fatal("all-zero rule should leave the plan empty")
-	}
-	inj := New(p)
-	if inj.Link("l") != nil {
-		t.Fatal("all-zero rule must not allocate an injector")
+	p := Plan{Links: []LinkRule{{Link: "l"}}} // zero drop rule
+	if New(p).Link("l") != nil {
+		t.Fatal("a zero drop rule must not allocate an injector")
 	}
 	p.Links[0].Drop = 0.5
-	if p.Empty() {
+	if New(p).Link("l") == nil {
 		t.Fatal("drop rule ignored")
 	}
 }
 
 func TestDecisionRatesRoughlyMatch(t *testing.T) {
-	inj := New(Plan{Seed: 1, Links: []LinkRule{{
-		Link: "l", Drop: 0.2, Corrupt: 0.1, Duplicate: 0.05,
-		DelaySpike: 0.1, Spike: 5 * sim.Microsecond,
-	}}})
-	li := inj.Link("l")
+	li := New(Plan{Seed: 1, Links: []LinkRule{{Link: "l", Drop: 0.2}}}).Link("l")
 	if li == nil {
 		t.Fatal("no injector for configured link")
 	}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		d := li.Decide()
-		if d.Drop && (d.Corrupt || d.Duplicate || d.Delay != 0) {
-			t.Fatal("dropped packet must carry no other verdicts")
-		}
+		li.Drop()
 	}
 	st := li.Stats()
 	if st.Packets != n {
 		t.Fatalf("packets=%d", st.Packets)
 	}
-	frac := func(c int64) float64 { return float64(c) / n }
-	if f := frac(st.Drops); f < 0.17 || f > 0.23 {
+	if f := float64(st.Drops) / n; f < 0.17 || f > 0.23 {
 		t.Fatalf("drop rate %.3f, want ~0.2", f)
-	}
-	if f := frac(st.Corrupts); f < 0.06 || f > 0.11 {
-		t.Fatalf("corrupt rate %.3f, want ~0.1 of survivors", f)
-	}
-	if st.Duplicates == 0 || st.Spikes == 0 {
-		t.Fatalf("stats=%+v, want some duplicates and spikes", st)
 	}
 }
 
 func TestDeterministicAcrossInstantiations(t *testing.T) {
 	plan := Plan{Seed: 99, Links: []LinkRule{
-		{Link: "a", Drop: 0.3, Corrupt: 0.1},
-		{Link: "b", Drop: 0.3, Corrupt: 0.1},
+		{Link: "a", Drop: 0.3},
+		{Link: "b", Drop: 0.3},
 	}}
-	seq := func(link string, extra bool) []Decision {
+	seq := func(link string, extra bool) []bool {
 		p := plan
 		if extra {
 			// An unrelated extra rule must not shift link streams.
 			p.Links = append([]LinkRule{{Link: "z", Drop: 0.5}}, p.Links...)
 		}
 		li := New(p).Link(link)
-		out := make([]Decision, 200)
+		out := make([]bool, 200)
 		for i := range out {
-			out[i] = li.Decide()
+			out[i] = li.Drop()
 		}
 		return out
 	}
@@ -115,25 +93,18 @@ func TestDeterministicAcrossInstantiations(t *testing.T) {
 
 func TestNodeWindows(t *testing.T) {
 	inj := New(Plan{Nodes: []Window{
-		{Node: "r1", Kind: Crash, From: 100, To: 200},
-		{Node: "r1", Kind: Pause, From: 150, To: 300},
-		{Node: "r2", Kind: Pause, From: 50, To: 60},
+		{Node: "r1", From: 100, To: 200},
+		{Node: "r1", From: 150, To: 300},
+		{Node: "r2", From: 50, To: 60},
 	}})
 	if inj.NodeDown("r1", 99) || !inj.NodeDown("r1", 100) || !inj.NodeDown("r1", 199) {
-		t.Fatal("crash window boundaries wrong")
+		t.Fatal("first window boundaries wrong")
 	}
 	if !inj.NodeDown("r1", 250) || inj.NodeDown("r1", 300) {
-		t.Fatal("pause window boundaries wrong")
+		t.Fatal("overlapping window boundaries wrong")
 	}
 	if inj.NodeDown("r3", 150) {
 		t.Fatal("unlisted node down")
-	}
-	// Overlap: crash dominates.
-	if down, kind := inj.NodeState("r1", 175); !down || kind != Crash {
-		t.Fatalf("overlap state=(%v,%v), want crash", down, kind)
-	}
-	if down, kind := inj.NodeState("r1", 250); !down || kind != Pause {
-		t.Fatalf("state=(%v,%v), want pause", down, kind)
 	}
 	// NodeUpAt walks chained windows.
 	if up := inj.NodeUpAt("r1", 120); up != 300 {
@@ -141,17 +112,5 @@ func TestNodeWindows(t *testing.T) {
 	}
 	if up := inj.NodeUpAt("r2", 70); up != 70 {
 		t.Fatalf("NodeUpAt=%v for healthy node", up)
-	}
-}
-
-func TestCorruptIndexBounded(t *testing.T) {
-	li := New(Plan{Seed: 3, Links: []LinkRule{{Link: "l", Corrupt: 1e-9}}}).Link("l")
-	for i := 0; i < 100; i++ {
-		if idx := li.CorruptIndex(64); idx < 0 || idx >= 64 {
-			t.Fatalf("index %d out of range", idx)
-		}
-	}
-	if li.CorruptIndex(0) != 0 {
-		t.Fatal("empty payload index")
 	}
 }

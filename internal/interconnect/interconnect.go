@@ -109,10 +109,10 @@ func (l *CCLink) Resource() *sim.Resource { return l.res }
 // overhead and one-way propagation (half the base RTT, including switch
 // and NIC pipeline latency).
 //
-// Failure injection is a fault.Plan rule attached with AttachFaults:
-// Transmit consults the plan per packet and reports drops/corruption/
-// duplication to the caller, so a reliability layer above (the RC queue
-// pair in internal/rnic) can do real timeout-driven retransmission with
+// Failure injection is a fault.Plan drop rule attached with
+// AttachFaults: Transmit consults the plan per packet and reports drops
+// to the caller, so a reliability layer above (the RC queue pair in
+// internal/rnic) can do real timeout-driven retransmission with
 // backoff. Send absorbs the same losses itself: lost messages are
 // redelivered by the link after a timeout, so delivery stays reliable
 // while tail latency inflates.
@@ -172,16 +172,12 @@ func (n *NetLink) SetTrace(tr *obs.Trace) { n.tr = tr }
 func (n *NetLink) Lost() int64 { return n.lost }
 
 // Outcome reports the fate of one Transmit: when the last packet's
-// wire time ended, and what the fault plan did to the burst. Arrive is
-// meaningful even for dropped bursts (the attempt occupied the wire);
-// delivery happened only when neither Dropped nor Corrupted is set —
-// a corrupted burst reaches the far end but fails the receiver's ICRC
-// check, so a reliable transport treats it exactly like a loss.
+// wire time ended, and whether the fault plan dropped any packet of the
+// burst. Arrive is meaningful even for dropped bursts (the attempt
+// occupied the wire); delivery happened only when Dropped is unset.
 type Outcome struct {
-	Arrive     sim.Time
-	Dropped    bool
-	Corrupted  bool
-	Duplicates int
+	Arrive  sim.Time
+	Dropped bool
 }
 
 // Transmit schedules a message of `bytes` payload, consulting the fault
@@ -202,34 +198,11 @@ func (n *NetLink) Transmit(now sim.Time, bytes int) Outcome {
 	_, done := n.res.Acquire(now, wire)
 	out := Outcome{Arrive: done}
 	if n.fi != nil {
-		var spike sim.Duration
 		for p := 0; p < pkts; p++ {
-			d := n.fi.Decide()
-			if d.Drop {
+			if n.fi.Drop() {
 				out.Dropped = true
-				continue
-			}
-			if d.Corrupt {
-				out.Corrupted = true
-			}
-			if d.Duplicate {
-				out.Duplicates++
-			}
-			if d.Delay > spike {
-				spike = d.Delay
 			}
 		}
-		// Duplicated packets burn extra wire occupancy; the receiver's
-		// PSN check discards them, so they only cost time.
-		for i := 0; i < out.Duplicates; i++ {
-			pkt := bytes
-			if pkt > n.MTU {
-				pkt = n.MTU
-			}
-			_, done = n.res.Acquire(done, pkt+n.HeaderBytes)
-		}
-		// The message lands when its slowest packet does.
-		out.Arrive = done + spike
 	}
 	if n.tr != nil {
 		n.tr.Span(n.name, obs.StageWire, now, out.Arrive)
@@ -247,16 +220,15 @@ const defaultRedeliver = 20 * sim.Microsecond
 
 // Send schedules a message of `bytes` payload and returns its arrival
 // time at the far end. Delivery is reliable at link level: fault-plan
-// drops (and corruption, which the receiver's ICRC discards) are
-// redelivered after defaultRedeliver — use Transmit to see losses
-// instead of absorbing them.
+// drops are redelivered after defaultRedeliver — use Transmit to see
+// losses instead of absorbing them.
 func (n *NetLink) Send(now sim.Time, bytes int) sim.Time {
 	if bytes < 0 {
 		bytes = 0
 	}
 	out := n.Transmit(now, bytes)
 	done := out.Arrive
-	for attempt := 0; out.Dropped || out.Corrupted; attempt++ {
+	for attempt := 0; out.Dropped; attempt++ {
 		if attempt >= sendRedeliverCap {
 			panic(fmt.Sprintf("interconnect: link %q dropped %d consecutive redeliveries — fault plan starves Send callers", n.name, attempt))
 		}

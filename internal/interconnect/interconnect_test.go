@@ -154,7 +154,7 @@ func TestLossFreeLinkUnchanged(t *testing.T) {
 	b := NewNetLink("b", 1e9, 0)
 	b.AttachFaults(fault.New(fault.Plan{Seed: 1, Links: []fault.LinkRule{{Link: "b", Drop: 0}}}))
 	if b.Faults() != nil {
-		t.Fatal("an all-zero rule must keep the nil injector")
+		t.Fatal("a zero drop rule must keep the nil injector")
 	}
 	if a.Send(0, 100) != b.Send(0, 100) {
 		t.Fatal("zero drop rate must not change timing")
@@ -166,7 +166,7 @@ func TestTransmitCleanMatchesSend(t *testing.T) {
 	b := NewNetLink("clean-b", 3.125e9, 2*sim.Microsecond)
 	for _, bytes := range []int{0, 64, 4096, 70000} {
 		out := a.Transmit(0, bytes)
-		if out.Dropped || out.Corrupted || out.Duplicates != 0 {
+		if out.Dropped {
 			t.Fatalf("clean transmit perturbed: %+v", out)
 		}
 		if got := b.Send(0, bytes); got != out.Arrive {
@@ -196,26 +196,6 @@ func TestTransmitConsultsPlanPerPacket(t *testing.T) {
 	// At 50% per packet essentially every 10-packet burst loses one.
 	if dropped < msgs*9/10 {
 		t.Fatalf("dropped bursts=%d of %d", dropped, msgs)
-	}
-}
-
-func TestTransmitDuplicatesAndSpikesCostTime(t *testing.T) {
-	mk := func(rule fault.LinkRule) *NetLink {
-		rule.Link = "l"
-		n := NewNetLink("l", 1e9, 0)
-		n.AttachFaults(fault.New(fault.Plan{Seed: 9, Links: []fault.LinkRule{rule}}))
-		return n
-	}
-	clean := NewNetLink("l", 1e9, 0)
-	base := clean.Transmit(0, 1000).Arrive
-
-	dup := mk(fault.LinkRule{Duplicate: 1.0})
-	if out := dup.Transmit(0, 1000); out.Duplicates != 1 || out.Arrive <= base {
-		t.Fatalf("duplicate outcome %+v, base %v", out, base)
-	}
-	spiky := mk(fault.LinkRule{DelaySpike: 1.0, Spike: 30 * sim.Microsecond})
-	if out := spiky.Transmit(0, 1000); out.Arrive < base+30*sim.Microsecond {
-		t.Fatalf("spike not applied: %v vs base %v", out.Arrive, base)
 	}
 }
 

@@ -110,16 +110,12 @@ func WriteMetrics(w io.Writer, regs []MetricsJSON) error {
 			fmt.Fprintf(&b, "%q:%s", n, formatVal(vals[i]))
 		}
 		b.WriteString("},\"samples\":[")
-		cn := mj.Registry.CounterNames()
 		gn := mj.Registry.GaugeNames()
 		for si, s := range mj.Registry.Samples() {
 			if si > 0 {
 				b.WriteString(",")
 			}
 			fmt.Fprintf(&b, "\n{\"at_ps\":%d", int64(s.At))
-			for i, n := range cn {
-				fmt.Fprintf(&b, ",%q:%d", n, s.Counters[i])
-			}
 			for i, n := range gn {
 				fmt.Fprintf(&b, ",%q:%s", n, formatVal(s.Gauges[i]))
 			}
@@ -146,7 +142,7 @@ func WriteMetricsFile(path string, regs []MetricsJSON) error {
 }
 
 // formatVal renders a gauge/final value deterministically: integers
-// (the overwhelmingly common case — counters, depths, byte counts)
+// (the overwhelmingly common case — counts, depths, byte counts)
 // print without a fraction; everything else gets a fixed 6-decimal
 // form. strconv's shortest-float form is deterministic too, but a
 // fixed width keeps diffs readable.

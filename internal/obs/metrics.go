@@ -6,26 +6,6 @@ import (
 	"rambda/internal/sim"
 )
 
-// Counter is a monotonically increasing metric. Instrumentation sites
-// hold the *Counter directly (registered once at wiring time), so the
-// hot-path cost is one integer add — no map lookup, no allocation.
-type Counter struct {
-	name string
-	v    int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-// Name reports the registered name.
-func (c *Counter) Name() string { return c.name }
-
 // gauge is a named read-on-sample metric: fn is evaluated at each
 // ticker sample (and at export), so the gauge closure allocates only
 // at registration time, never per request.
@@ -34,19 +14,17 @@ type gauge struct {
 	fn   func() float64
 }
 
-// Sample is one virtual-time snapshot of every registered series.
+// Sample is one virtual-time snapshot of every registered gauge.
 type Sample struct {
-	At       sim.Time
-	Counters []int64   // registration order
-	Gauges   []float64 // registration order
+	At     sim.Time
+	Gauges []float64 // registration order
 }
 
-// Registry holds counters and gauges and samples them on a
-// virtual-time ticker. Like Trace it is single-goroutine per job and
-// nil-safe at instrumentation sites (`if reg != nil`).
+// Registry holds gauges and samples them on a virtual-time ticker.
+// Like Trace it is single-goroutine per job and nil-safe at
+// instrumentation sites (`if reg != nil`).
 type Registry struct {
-	counters []*Counter
-	gauges   []gauge
+	gauges []gauge
 
 	interval sim.Duration
 	next     sim.Time
@@ -55,20 +33,6 @@ type Registry struct {
 
 // NewRegistry returns an empty registry with no ticker armed.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Counter registers (or returns the existing) counter with the given
-// name. Registration order is export order; register everything at
-// wiring time, before the run.
-func (r *Registry) Counter(name string) *Counter {
-	for _, c := range r.counters {
-		if c.name == name {
-			return c
-		}
-	}
-	c := &Counter{name: name}
-	r.counters = append(r.counters, c)
-	return c
-}
 
 // Gauge registers a polled gauge. fn is called at each ticker sample
 // and at export; it must be cheap and deterministic.
@@ -121,12 +85,6 @@ func (r *Registry) Tick(now sim.Time) {
 // snapshot appends one sample stamped at t.
 func (r *Registry) snapshot(t sim.Time) {
 	s := Sample{At: t}
-	if len(r.counters) > 0 {
-		s.Counters = make([]int64, len(r.counters))
-		for i, c := range r.counters {
-			s.Counters[i] = c.v
-		}
-	}
 	if len(r.gauges) > 0 {
 		s.Gauges = make([]float64, len(r.gauges))
 		for i, g := range r.gauges {
@@ -148,30 +106,6 @@ func (r *Registry) Samples() []Sample {
 	return r.samples
 }
 
-// Reset clears samples and zeroes counters while keeping the
-// registered series and ticker interval.
-func (r *Registry) Reset() {
-	r.samples = r.samples[:0]
-	for _, c := range r.counters {
-		c.v = 0
-	}
-	if r.interval > 0 {
-		r.next = r.interval
-	}
-}
-
-// CounterNames lists registered counter names in registration order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, len(r.counters))
-	for i, c := range r.counters {
-		names[i] = c.name
-	}
-	return names
-}
-
 // GaugeNames lists registered gauge names in registration order.
 func (r *Registry) GaugeNames() []string {
 	if r == nil {
@@ -184,19 +118,14 @@ func (r *Registry) GaugeNames() []string {
 	return names
 }
 
-// Final reads every series once (counters at their current value,
-// gauges evaluated now) and returns name→value pairs sorted by name —
-// the deterministic order the JSON exporter writes.
+// Final evaluates every gauge once and returns name→value pairs sorted
+// by name — the deterministic order the JSON exporter writes.
 func (r *Registry) Final() ([]string, []float64) {
 	if r == nil {
 		return nil, nil
 	}
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	vals := make(map[string]float64, len(r.counters)+len(r.gauges))
-	for _, c := range r.counters {
-		names = append(names, c.name)
-		vals[c.name] = float64(c.v)
-	}
+	names := make([]string, 0, len(r.gauges))
+	vals := make(map[string]float64, len(r.gauges))
 	for _, g := range r.gauges {
 		names = append(names, g.name)
 		vals[g.name] = g.fn()

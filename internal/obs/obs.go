@@ -61,13 +61,6 @@ const (
 	StageCompute
 	// StageMemory is data-access time (DRAM/NVM/HBM reads and writes).
 	StageMemory
-	// StageScan is range-scan merge work: walking the storage engine's
-	// sorted structures and materializing multi-pair results.
-	StageScan
-	// StageCompaction is storage background work — LSM flush and
-	// compaction streaming into NVM — the write-amplification time that
-	// queues in front of foreground reads.
-	StageCompaction
 	// StageOther tags envelope spans (the per-request root) whose self
 	// time is whatever the attributed stages did not cover: client-side
 	// think time, queueing gaps, scheduling slack.
@@ -92,10 +85,6 @@ func (s Stage) String() string {
 		return "compute"
 	case StageMemory:
 		return "memory"
-	case StageScan:
-		return "scan"
-	case StageCompaction:
-		return "compaction"
 	case StageOther:
 		return "other"
 	}
@@ -105,7 +94,7 @@ func (s Stage) String() string {
 // Stages lists all stage tags in display order.
 func Stages() [NumStages]Stage {
 	return [NumStages]Stage{StageNIC, StageWire, StageRing, StageNotify,
-		StageCompute, StageMemory, StageScan, StageCompaction, StageOther}
+		StageCompute, StageMemory, StageOther}
 }
 
 // span is one stored region. parent is an index into the trace's

@@ -76,19 +76,16 @@ func TestResetKeepsCapacity(t *testing.T) {
 
 func TestRegistryTicker(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("ops")
 	depth := 0
 	reg.Gauge("depth", func() float64 { return float64(depth) })
 	reg.SetInterval(100)
 
-	c.Add(5)
 	depth = 3
 	reg.Tick(50) // before first boundary: no sample
 	if len(reg.Samples()) != 0 {
 		t.Fatal("sampled before first boundary")
 	}
 	reg.Tick(100)
-	c.Add(5)
 	depth = 7
 	reg.Tick(350) // crosses 200 and 300: coalesced burst emits both
 	s := reg.Samples()
@@ -97,9 +94,6 @@ func TestRegistryTicker(t *testing.T) {
 	}
 	if s[0].At != 100 || s[1].At != 200 || s[2].At != 300 {
 		t.Fatalf("sample times = %v %v %v, want 100 200 300", s[0].At, s[1].At, s[2].At)
-	}
-	if s[0].Counters[0] != 5 || s[2].Counters[0] != 10 {
-		t.Fatalf("counter samples = %d %d, want 5 10", s[0].Counters[0], s[2].Counters[0])
 	}
 	if s[0].Gauges[0] != 3 || s[2].Gauges[0] != 7 {
 		t.Fatalf("gauge samples = %v %v, want 3 7", s[0].Gauges[0], s[2].Gauges[0])
@@ -123,12 +117,15 @@ func TestRegistryFreeze(t *testing.T) {
 	}
 }
 
-func TestCounterIdentity(t *testing.T) {
+// TestGaugeIdentity pins that a name registers one series: a second
+// Gauge under the same name replaces the first one's closure.
+func TestGaugeIdentity(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("x")
-	b := reg.Counter("x")
-	if a != b {
-		t.Fatal("same name must return the same counter")
+	reg.Gauge("x", func() float64 { return 1 })
+	reg.Gauge("x", func() float64 { return 2 })
+	names, vals := reg.Final()
+	if len(names) != 1 || vals[0] != 2 {
+		t.Fatalf("final = %v %v, want one series x = 2", names, vals)
 	}
 }
 
@@ -163,8 +160,8 @@ func TestChromeTraceDeterministicBytes(t *testing.T) {
 func TestMetricsExportSortedAndDeterministic(t *testing.T) {
 	mk := func() *Registry {
 		reg := NewRegistry()
-		reg.Counter("zeta").Add(2)
-		reg.Counter("alpha").Add(1)
+		reg.Gauge("zeta", func() float64 { return 2 })
+		reg.Gauge("alpha", func() float64 { return 1 })
 		reg.Gauge("mid", func() float64 { return 1.5 })
 		return reg
 	}
@@ -215,7 +212,7 @@ func TestNilTraceAccessors(t *testing.T) {
 		t.Fatal("nil trace accessors must read zero")
 	}
 	var reg *Registry
-	if reg.Samples() != nil || reg.CounterNames() != nil || reg.GaugeNames() != nil {
+	if reg.Samples() != nil || reg.GaugeNames() != nil {
 		t.Fatal("nil registry accessors must read empty")
 	}
 }

@@ -8,7 +8,7 @@ import "sort"
 // exceeds observations/k is present. The scale-out cluster registers
 // one per shard to detect hot keys worth migrating.
 //
-// Like Counter and Gauge it is single-goroutine per job: Observe is
+// Like Registry it is single-goroutine per job: Observe is
 // called from the request loop, Top/Reset from the same goroutine at
 // window boundaries. All tie-breaks are by key value, so the sketch's
 // contents — and everything decided from them — are independent of

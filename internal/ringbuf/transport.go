@@ -44,7 +44,7 @@ func (t *RDMATransport) Deliver(now sim.Time, entryAddr memspace.Addr, entry []b
 	}
 	t.wrid++
 	t.qp.PostSend(rnic.WQE{
-		Op: rnic.OpWrite, LocalAddr: t.staging.Base, RemoteAddr: entryAddr,
+		LocalAddr: t.staging.Base, RemoteAddr: entryAddr,
 		Len: wire, Signaled: t.Signaled, WRID: t.wrid,
 	})
 	results := t.qp.Doorbell(now)

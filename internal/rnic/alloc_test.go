@@ -19,7 +19,7 @@ func TestRCWriteHotPathZeroAlloc(t *testing.T) {
 	qa, la, ra := benchPair(fault.Plan{})
 	now := sim.Time(0)
 	write := func() {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
+		qa.PostSend(WQE{LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
 		now = qa.Doorbell(now)[0].CQEAt
 		if qa.CQ().Discard(1) != 1 {
 			panic("missing CQE")

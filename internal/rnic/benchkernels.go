@@ -58,7 +58,7 @@ func BenchWriteHotPath(n int) sim.Time {
 	qa, la, ra := benchPair(fault.Plan{})
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
+		qa.PostSend(WQE{LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
 		now = qa.Doorbell(now)[0].CQEAt
 	}
 	return now
@@ -76,7 +76,7 @@ func BenchRetransmitStorm(n int) sim.Time {
 	}})
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
+		qa.PostSend(WQE{LocalAddr: la, RemoteAddr: ra, Len: 1024, Signaled: true})
 		res := qa.Doorbell(now)
 		if res[0].Status != CQEOK {
 			qa.Recover()

@@ -7,8 +7,8 @@ import (
 
 // This file is the reliable-connection transport state of a QP: packet
 // sequence numbers, ACK/timeout-driven retransmission with exponential
-// backoff, RNR NAK handling when the remote receive ring is exhausted,
-// and the QP error state that flushes outstanding WQEs as error CQEs.
+// backoff, and the QP error state that flushes outstanding WQEs as
+// error CQEs.
 // With no fault plan attached to the underlying links, every path here
 // collapses to exactly one Transmit per wire leg — the zero-fault
 // timing is byte-identical to the pre-fault model and allocation-free.
@@ -24,9 +24,6 @@ const (
 	// CQERetryExceeded reports the transport retry counter ran out
 	// (IBV_WC_RETRY_EXC_ERR): the fabric dropped every retransmission.
 	CQERetryExceeded
-	// CQERNRRetryExceeded reports the remote receive ring stayed
-	// exhausted through every RNR retry (IBV_WC_RNR_RETRY_EXC_ERR).
-	CQERNRRetryExceeded
 	// CQEFlushErr reports a WQE flushed because the QP was already in
 	// the error state (IBV_WC_WR_FLUSH_ERR).
 	CQEFlushErr
@@ -39,8 +36,6 @@ func (s CQEStatus) String() string {
 		return "OK"
 	case CQERetryExceeded:
 		return "RETRY_EXC"
-	case CQERNRRetryExceeded:
-		return "RNR_RETRY_EXC"
 	case CQEFlushErr:
 		return "WR_FLUSH"
 	default:
@@ -59,33 +54,15 @@ const (
 	QPError
 )
 
-// RCConfig tunes the reliable-connection transport. Zero fields take
-// the defaults below, so existing NewQP callers need no changes.
-type RCConfig struct {
-	// RTO is the base retransmission timeout; attempt k waits
-	// RTO << min(k, rcBackoffCap).
-	RTO sim.Duration
-	// RetryLimit is the transport retry budget per wire leg before the
-	// QP enters the error state (IB's 3-bit retry_cnt tops out at 7).
-	RetryLimit int
-	// RNRTimer is the wait after an RNR NAK before re-sending.
-	RNRTimer sim.Duration
-	// RNRRetryLimit bounds RNR retries before the QP errors out.
-	RNRRetryLimit int
-}
-
-// Transport defaults: the RTO comfortably covers the modeled ~4us RTT,
-// and both retry budgets mirror IB's maximum of 7.
+// Transport tuning: the retransmission timeout comfortably covers the
+// modeled ~4us RTT and doubles per retry up to rto << rcBackoffCap; the
+// retry budget per wire leg mirrors IB's 3-bit retry_cnt maximum of 7,
+// after which the QP enters the error state.
 const (
-	defaultRTO           = 20 * sim.Microsecond
-	defaultRetryLimit    = 7
-	defaultRNRTimer      = 10 * sim.Microsecond
-	defaultRNRRetryLimit = 7
-	rcBackoffCap         = 6
+	rto          = 20 * sim.Microsecond
+	retryLimit   = 7
+	rcBackoffCap = 6
 )
-
-// ConfigureRC overrides the QP's transport parameters.
-func (q *QP) ConfigureRC(cfg RCConfig) { q.rc = cfg }
 
 // State reports the QP state.
 func (q *QP) State() QPState { return q.state }
@@ -101,34 +78,6 @@ func (q *QP) PSN() uint32 { return q.sendPSN }
 // EPSN returns the next PSN the receive side expects.
 func (q *QP) EPSN() uint32 { return q.recvPSN }
 
-func (q *QP) rto() sim.Duration {
-	if q.rc.RTO > 0 {
-		return q.rc.RTO
-	}
-	return defaultRTO
-}
-
-func (q *QP) retryLimit() int {
-	if q.rc.RetryLimit > 0 {
-		return q.rc.RetryLimit
-	}
-	return defaultRetryLimit
-}
-
-func (q *QP) rnrTimer() sim.Duration {
-	if q.rc.RNRTimer > 0 {
-		return q.rc.RNRTimer
-	}
-	return defaultRNRTimer
-}
-
-func (q *QP) rnrRetryLimit() int {
-	if q.rc.RNRRetryLimit > 0 {
-		return q.rc.RNRRetryLimit
-	}
-	return defaultRNRRetryLimit
-}
-
 // packetsOn counts the MTU-sized packets of a transfer on a link.
 func packetsOn(link *interconnect.NetLink, bytes int) int {
 	if bytes <= 0 {
@@ -139,8 +88,7 @@ func packetsOn(link *interconnect.NetLink, bytes int) int {
 
 // sendReliable pushes one wire leg through the link with RC
 // retransmission semantics: the sender's transport timer fires when no
-// ACK arrives (a dropped burst, or one the receiver's ICRC check threw
-// away) and the leg is retransmitted with exponential backoff,
+// ACK arrives (a dropped burst) and the leg is retransmitted with exponential backoff,
 // reusing the original PSNs (go-back-N). Returns the delivery time and
 // false when the retry budget is exhausted. Retransmissions do not
 // advance the PSN — only first transmissions claim sequence numbers.
@@ -148,14 +96,12 @@ func (q *QP) sendReliable(link *interconnect.NetLink, now sim.Time, bytes int) (
 	out := link.Transmit(now, bytes)
 	pkts := uint32(packetsOn(link, bytes))
 	q.sendPSN += pkts
-	if !out.Dropped && !out.Corrupted {
+	if !out.Dropped {
 		q.deliverPSN(pkts)
 		return out.Arrive, true
 	}
-	limit := q.retryLimit()
-	rto := q.rto()
 	for attempt := 0; ; attempt++ {
-		if attempt >= limit {
+		if attempt >= retryLimit {
 			q.stats.Timeouts++
 			return out.Arrive, false
 		}
@@ -166,7 +112,7 @@ func (q *QP) sendReliable(link *interconnect.NetLink, now sim.Time, bytes int) (
 			shift = rcBackoffCap
 		}
 		out = link.Transmit(out.Arrive+(rto<<uint(shift)), bytes)
-		if !out.Dropped && !out.Corrupted {
+		if !out.Dropped {
 			q.deliverPSN(pkts)
 			return out.Arrive, true
 		}
@@ -189,13 +135,13 @@ func (q *QP) enterError() { q.state = QPError }
 // semantics), so no submission is ever silently lost.
 func (q *QP) failWQE(now sim.Time, w WQE, status CQEStatus) OpResult {
 	q.enterError()
-	q.cq.push(CQE{WRID: w.WRID, Op: w.Op, At: now, Len: w.Len, Status: status})
-	return OpResult{WRID: w.WRID, Op: w.Op, CQEAt: now, Status: status}
+	q.cq.push(CQE{WRID: w.WRID, At: now, Len: w.Len, Status: status})
+	return OpResult{WRID: w.WRID, CQEAt: now, Status: status}
 }
 
 // flushWQE completes a WQE that never executed because the QP was
 // already in the error state.
 func (q *QP) flushWQE(now sim.Time, w WQE) OpResult {
-	q.cq.push(CQE{WRID: w.WRID, Op: w.Op, At: now, Len: w.Len, Status: CQEFlushErr})
-	return OpResult{WRID: w.WRID, Op: w.Op, CQEAt: now, Status: CQEFlushErr}
+	q.cq.push(CQE{WRID: w.WRID, At: now, Len: w.Len, Status: CQEFlushErr})
+	return OpResult{WRID: w.WRID, CQEAt: now, Status: CQEFlushErr}
 }

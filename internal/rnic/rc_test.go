@@ -36,7 +36,7 @@ func TestRetransmitRecoversAndBacksOff(t *testing.T) {
 	var worst sim.Duration
 	now := sim.Time(0)
 	for i := 0; i < 100; i++ {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
+		qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
 			Len: len(msg), Signaled: true, WRID: uint64(i)})
 		res := qa.Doorbell(now)
 		if res[0].Status != CQEOK {
@@ -54,8 +54,8 @@ func TestRetransmitRecoversAndBacksOff(t *testing.T) {
 	if st.Timeouts != 0 {
 		t.Fatalf("timeouts=%d, retry budget should absorb 30%% loss", st.Timeouts)
 	}
-	if worst < qa.rto() {
-		t.Fatalf("worst latency %v, want >= one RTO (%v)", worst, qa.rto())
+	if worst < rto {
+		t.Fatalf("worst latency %v, want >= one RTO (%v)", worst, rto)
 	}
 	got := make([]byte, len(msg))
 	b.space.Read(b.dram.Base, got)
@@ -69,13 +69,12 @@ func TestRetransmitSequenceDeterministic(t *testing.T) {
 	// counters across two independent universes.
 	run := func() ([]sim.Time, QPStats) {
 		a, b, qa, _ := newFaultyPair(t, fault.Plan{Seed: 7, Links: []fault.LinkRule{
-			{Link: "net:a->b", Drop: 0.25, Corrupt: 0.1, Duplicate: 0.05,
-				DelaySpike: 0.1, Spike: 8 * sim.Microsecond},
+			{Link: "net:a->b", Drop: 0.3},
 		}})
 		var times []sim.Time
 		now := sim.Time(0)
 		for i := 0; i < 80; i++ {
-			qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
+			qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
 				Len: 256, Signaled: true})
 			res := qa.Doorbell(now)
 			times = append(times, res[0].CQEAt)
@@ -98,35 +97,6 @@ func TestRetransmitSequenceDeterministic(t *testing.T) {
 	}
 }
 
-func TestCorruptionBehavesLikeLoss(t *testing.T) {
-	// Corrupted bursts reach the wire but fail the receiver's ICRC, so
-	// the transport retransmits exactly as for drops and the delivered
-	// payload is the clean copy.
-	a, b, qa, _ := newFaultyPair(t, fault.Plan{Seed: 13, Links: []fault.LinkRule{
-		{Link: "net:a->b", Corrupt: 0.4},
-	}})
-	msg := []byte("icrc-protected")
-	a.space.Write(a.dram.Base, msg)
-	now := sim.Time(0)
-	for i := 0; i < 60; i++ {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
-			Len: len(msg), Signaled: true})
-		res := qa.Doorbell(now)
-		if res[0].Status != CQEOK {
-			t.Fatalf("write %d: %v", i, res[0].Status)
-		}
-		now = res[0].CQEAt
-	}
-	if qa.Stats().Retransmits == 0 {
-		t.Fatal("corruption must drive retransmissions")
-	}
-	got := make([]byte, len(msg))
-	b.space.Read(b.dram.Base, got)
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("delivered payload %q must be the clean copy", got)
-	}
-}
-
 func TestRetryExhaustionFlushOrdering(t *testing.T) {
 	// A black-holed forward path exhausts the retry budget on the first
 	// WQE; every later WQE in the same batch flushes. All error CQEs
@@ -135,7 +105,7 @@ func TestRetryExhaustionFlushOrdering(t *testing.T) {
 		{Link: "net:a->b", Drop: 1.0},
 	}})
 	for i := 0; i < 4; i++ {
-		qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
+		qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
 			Len: 64, WRID: uint64(100 + i)})
 	}
 	res := qa.Doorbell(0)
@@ -162,8 +132,8 @@ func TestRetryExhaustionFlushOrdering(t *testing.T) {
 	if qa.State() != QPError {
 		t.Fatal("QP must be in error state")
 	}
-	if st := qa.Stats(); st.Timeouts != 1 || st.Retransmits != int64(qa.retryLimit()) {
-		t.Fatalf("stats=%+v, want %d retransmits and 1 timeout", st, qa.retryLimit())
+	if st := qa.Stats(); st.Timeouts != 1 || st.Retransmits != retryLimit {
+		t.Fatalf("stats=%+v, want %d retransmits and 1 timeout", st, retryLimit)
 	}
 
 	// Recover re-arms the QP: the next WQE executes (and fails on the
@@ -172,43 +142,10 @@ func TestRetryExhaustionFlushOrdering(t *testing.T) {
 	if qa.State() != QPReady {
 		t.Fatal("Recover must return the QP to ready")
 	}
-	qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base, Len: 64, WRID: 200})
+	qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base, Len: 64, WRID: 200})
 	res = qa.Doorbell(res[3].CQEAt)
 	if res[0].Status != CQERetryExceeded {
 		t.Fatalf("post-recover status %v, want RETRY_EXC (executed, not flushed)", res[0].Status)
-	}
-}
-
-func TestRNRBackoffRecovery(t *testing.T) {
-	// The receive ring's head is replenished late: the SEND draws RNR
-	// NAKs, sits out the RNR timer between attempts, and succeeds once
-	// the buffer is consumable.
-	a, b, qa, qb := newPair(t)
-	msg := []byte("rnr-delayed")
-	a.space.Write(a.dram.Base, msg)
-	const availableAt = 40 * sim.Microsecond
-	qb.PostRecvAt(b.dram.Base+512, 64, 77, availableAt)
-
-	qa.PostSend(WQE{Op: OpSend, LocalAddr: a.dram.Base, Len: len(msg), Signaled: true, WRID: 5})
-	res := qa.Doorbell(0)
-	if res[0].Status != CQEOK {
-		t.Fatalf("status %v, want OK after RNR recovery", res[0].Status)
-	}
-	if res[0].RemoteVisible < availableAt {
-		t.Fatalf("delivered at %v, before the buffer existed (%v)", res[0].RemoteVisible, availableAt)
-	}
-	st := qa.Stats()
-	if st.RNRNaks == 0 || st.RNRNaks >= int64(qa.rnrRetryLimit()) {
-		t.Fatalf("RNR NAKs=%d, want in (0, %d)", st.RNRNaks, qa.rnrRetryLimit())
-	}
-	got := make([]byte, len(msg))
-	b.space.Read(b.dram.Base+512, got)
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("recv buffer = %q", got)
-	}
-	cqes := qb.CQ().Poll(10)
-	if len(cqes) != 1 || cqes[0].WRID != 77 {
-		t.Fatalf("receive completion %+v", cqes)
 	}
 }
 
@@ -217,7 +154,7 @@ func TestPSNAdvancesPerPacket(t *testing.T) {
 	// retransmissions reuse their PSNs. A clean 10000B write with 28B of
 	// transport overhead spans 3 MTU-4096 packets.
 	a, b, qa, qb := newPair(t)
-	qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base, Len: 10000})
+	qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base, Len: 10000})
 	qa.Doorbell(0)
 	if qa.PSN() != 3 {
 		t.Fatalf("sender PSN=%d, want 3", qa.PSN())
@@ -233,7 +170,7 @@ func TestPSNAdvancesPerPacket(t *testing.T) {
 	}})
 	now := sim.Time(0)
 	for i := 0; i < 50; i++ {
-		qc.PostSend(WQE{Op: OpWrite, LocalAddr: ma.dram.Base, RemoteAddr: mb.dram.Base,
+		qc.PostSend(WQE{LocalAddr: ma.dram.Base, RemoteAddr: mb.dram.Base,
 			Len: 5000, Signaled: true})
 		res := qc.Doorbell(now)
 		if res[0].Status != CQEOK {
@@ -246,21 +183,6 @@ func TestPSNAdvancesPerPacket(t *testing.T) {
 	}
 	if qc.PSN() != qd.EPSN() {
 		t.Fatalf("PSN %d != EPSN %d after lossy run — retransmissions must reuse PSNs", qc.PSN(), qd.EPSN())
-	}
-}
-
-func TestConfigureRCOverrides(t *testing.T) {
-	_, _, qa, _ := newPair(t)
-	qa.ConfigureRC(RCConfig{RTO: 5 * sim.Microsecond, RetryLimit: 2,
-		RNRTimer: sim.Microsecond, RNRRetryLimit: 3})
-	if qa.rto() != 5*sim.Microsecond || qa.retryLimit() != 2 ||
-		qa.rnrTimer() != sim.Microsecond || qa.rnrRetryLimit() != 3 {
-		t.Fatal("ConfigureRC overrides not applied")
-	}
-	q2 := qa.nic.NewQP()
-	if q2.rto() != defaultRTO || q2.retryLimit() != defaultRetryLimit ||
-		q2.rnrTimer() != defaultRNRTimer || q2.rnrRetryLimit() != defaultRNRRetryLimit {
-		t.Fatal("zero config must take defaults")
 	}
 }
 
@@ -280,7 +202,7 @@ func TestCleanPairUnchangedByFaultMachinery(t *testing.T) {
 		ConnectQP(qa, qb)
 		var last sim.Time
 		for i := 0; i < 20; i++ {
-			qa.PostSend(WQE{Op: OpWrite, LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
+			qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
 				Len: 512, Signaled: true})
 			last = qa.Doorbell(last)[0].CQEAt
 		}
@@ -288,5 +210,49 @@ func TestCleanPairUnchangedByFaultMachinery(t *testing.T) {
 	}
 	if plain, attached := run(false), run(true); plain != attached {
 		t.Fatalf("empty plan changed timing: %v vs %v", plain, attached)
+	}
+}
+
+// TestRCDropAccounting holds the transport's loss ledger to the link's:
+// with single-packet signaled WRITEs over a drop-only forward path and
+// a clean reverse path, every packet the plan drops is either
+// retransmitted or ends a retry budget, so the forward link's drops
+// equal Retransmits + Timeouts. A write that exhausts its budget
+// recovers the QP and the run goes on, so the all-drop case counts one
+// timeout per write.
+func TestRCDropAccounting(t *testing.T) {
+	const writes = 200
+	for _, seed := range []uint64{1, 2, 3, 41} {
+		for _, drop := range []float64{0.01, 0.05, 0.3, 1.0} {
+			a, b, qa, _ := newFaultyPair(t, fault.Plan{Seed: seed, Links: []fault.LinkRule{
+				{Link: "net:a->b", Drop: drop},
+			}})
+			var failed int64
+			now := sim.Time(0)
+			for i := 0; i < writes; i++ {
+				qa.PostSend(WQE{LocalAddr: a.dram.Base, RemoteAddr: b.dram.Base,
+					Len: 64, Signaled: true, WRID: uint64(i)})
+				res := qa.Doorbell(now)
+				if res[0].Status != CQEOK {
+					failed++
+					qa.Recover()
+				}
+				now = res[0].CQEAt
+			}
+			st := qa.Stats()
+			drops := a.nic.tx.Faults().Stats().Drops
+			if drops != st.Retransmits+st.Timeouts {
+				t.Fatalf("seed %d drop %.2f: link drops %d != retransmits %d + timeouts %d",
+					seed, drop, drops, st.Retransmits, st.Timeouts)
+			}
+			if st.Timeouts != failed || st.Writes+failed != writes {
+				t.Fatalf("seed %d drop %.2f: %d writes, %d failed, %d timeouts — issued must equal completed + failed",
+					seed, drop, st.Writes, failed, st.Timeouts)
+			}
+			if drop == 1.0 && (failed != writes || drops != writes*(retryLimit+1)) {
+				t.Fatalf("seed %d: all-drop run failed %d writes with %d drops, want %d and %d",
+					seed, failed, drops, writes, writes*(retryLimit+1))
+			}
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package rnic models a standard RDMA NIC (the paper's ConnectX-6 /
 // BlueField-2 in NIC mode): reliable-connection queue pairs, work queue
 // entries, completion queues, MMIO doorbells with batching, unsignaled
-// WQEs, one-sided WRITE and two-sided SEND, and memory-region
-// registration carrying the per-region TPH attribute that the adaptive
-// DDIO design adds to the NIC (paper Sec. III-D guideline 2).
+// WQEs, one-sided RDMA WRITE (the only verb RAMBDA's ring-buffer
+// transport issues, paper Sec. III-A/B), and memory-region registration
+// carrying the per-region TPH attribute that the adaptive DDIO design
+// adds to the NIC (paper Sec. III-D guideline 2).
 //
 // The model is functional — payload bytes really move between the two
 // machines' address spaces — and timed: every hop (host PCIe DMA, wire,
@@ -12,8 +13,6 @@
 package rnic
 
 import (
-	"fmt"
-
 	"rambda/internal/coherence"
 	"rambda/internal/interconnect"
 	"rambda/internal/memdev"
@@ -22,34 +21,12 @@ import (
 	"rambda/internal/sim"
 )
 
-// Op is a work-request opcode.
-type Op int
-
-const (
-	// OpWrite is a one-sided RDMA WRITE.
-	OpWrite Op = iota
-	// OpSend is a two-sided SEND consuming a remote receive buffer.
-	OpSend
-)
-
-// String names the opcode.
-func (o Op) String() string {
-	switch o {
-	case OpWrite:
-		return "WRITE"
-	case OpSend:
-		return "SEND"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
-
 // WQE is a work queue entry in the device-specific format the paper's
 // SQ handler assembles (Sec. III-C).
+// Every WQE is a one-sided RDMA WRITE.
 type WQE struct {
-	Op         Op
 	LocalAddr  memspace.Addr // source
-	RemoteAddr memspace.Addr // destination (WRITE); ignored for SEND
+	RemoteAddr memspace.Addr // destination
 	Len        int
 	Signaled   bool   // write a CQE on completion (paper uses unsignaled WQEs)
 	WRID       uint64 // caller cookie returned in the CQE
@@ -58,13 +35,11 @@ type WQE struct {
 // CQE is a completion queue entry.
 type CQE struct {
 	WRID uint64
-	Op   Op
 	At   sim.Time
-	// Len is the byte count of the completed operation (for RECV-side
-	// completions it is the received length).
+	// Len is the byte count of the completed operation.
 	Len int
 	// Status is CQEOK for successful completions; error completions
-	// (retry exhaustion, RNR exhaustion, flushes) carry the cause.
+	// (retry exhaustion, flushes) carry the cause.
 	Status CQEStatus
 }
 
@@ -174,7 +149,7 @@ type NIC struct {
 	mrs []MR
 
 	// arena pools payload staging buffers for this NIC's operations
-	// (requester-side WRITE/SEND staging).
+	// (requester-side WRITE staging).
 	arena payloadArena
 
 	// tr, when attached via SetObs, records StageNIC spans for WQE
@@ -218,7 +193,7 @@ func Connect(a, b *NIC, d *interconnect.Duplex) {
 
 // SetObs attaches a span recorder to the NIC and its transmit link:
 // WQE execution legs record StageNIC spans and every wire transit
-// records a StageWire span. Metrics (per-QP retransmit/RNR counters,
+// records a StageWire span. Metrics (per-QP retransmit/timeout counts,
 // arena occupancy) are registered by the layer that owns the registry
 // via RegisterMetrics. Call after Connect; nil detaches.
 func (n *NIC) SetObs(tr *obs.Trace) {
@@ -229,7 +204,7 @@ func (n *NIC) SetObs(tr *obs.Trace) {
 }
 
 // RegisterMetrics registers the NIC's gauges on reg under the given
-// name prefix: arena occupancy plus the aggregate retransmit / RNR /
+// name prefix: arena occupancy plus the aggregate retransmit /
 // timeout counts across all of this NIC's queue pairs would need QP
 // handles, so QP-level series are registered by callers that own the
 // QPs (see core.ConnectClient); here we register what the NIC itself
@@ -263,7 +238,6 @@ type QP struct {
 	cq  *CQ
 
 	sq        []WQE // posted, not yet rung
-	recvs     []recvBuf
 	remote    *QP
 	stats     QPStats
 	doorbells int64
@@ -275,30 +249,18 @@ type QP struct {
 	results []OpResult
 
 	// Reliable-connection transport state (rc.go): the QP state
-	// machine, per-QP packet sequence numbers, and retry tuning.
+	// machine and per-QP packet sequence numbers.
 	state   QPState
-	rc      RCConfig
 	sendPSN uint32 // next PSN this side transmits
 	recvPSN uint32 // next PSN this side expects (advanced by the peer)
 }
 
-type recvBuf struct {
-	addr memspace.Addr
-	len  int
-	wrid uint64
-	// availableAt is when the buffer becomes consumable; SENDs arriving
-	// earlier hit RNR (the ring slot exists but the host has not
-	// replenished it yet). Zero for PostRecv.
-	availableAt sim.Time
-}
-
 // QPStats counts traffic through a QP.
 type QPStats struct {
-	Writes, Sends, BytesOut int64
+	Writes, BytesOut int64
 	// Retransmits counts timeout-driven wire-leg retransmissions,
-	// Timeouts counts retry budgets exhausted, RNRNaks counts receiver-
-	// not-ready NAKs seen by this QP's sends.
-	Retransmits, Timeouts, RNRNaks int64
+	// Timeouts counts retry budgets exhausted.
+	Retransmits, Timeouts int64
 }
 
 // NewQP creates a queue pair on the NIC with a fresh CQ.
@@ -335,7 +297,6 @@ func (q *QP) Stats() QPStats { return q.stats }
 // request path stays untouched.
 func (q *QP) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+".retransmits", func() float64 { return float64(q.stats.Retransmits) })
-	reg.Gauge(prefix+".rnr_naks", func() float64 { return float64(q.stats.RNRNaks) })
 	reg.Gauge(prefix+".timeouts", func() float64 { return float64(q.stats.Timeouts) })
 }
 
@@ -349,30 +310,16 @@ func (q *QP) PostSend(w WQE) {
 	q.sq = append(q.sq, w)
 }
 
-// PostRecv posts a receive buffer for two-sided SENDs from the peer.
-func (q *QP) PostRecv(addr memspace.Addr, length int, wrid uint64) {
-	q.recvs = append(q.recvs, recvBuf{addr: addr, len: length, wrid: wrid})
-}
-
-// PostRecvAt posts a receive buffer that only becomes consumable at
-// `at` — the host replenishes the ring that late. A SEND arriving
-// before then draws an RNR NAK and retries, which is how a slow
-// receiver exercises the sender's RNR backoff deterministically.
-func (q *QP) PostRecvAt(addr memspace.Addr, length int, wrid uint64, at sim.Time) {
-	q.recvs = append(q.recvs, recvBuf{addr: addr, len: length, wrid: wrid, availableAt: at})
-}
-
 // OpResult reports the timing of one executed work request.
 type OpResult struct {
 	WRID uint64
-	Op   Op
 	// RemoteVisible is when the operation's effect is visible at the
 	// target (data landed in remote memory).
 	RemoteVisible sim.Time
 	// CQEAt is when the local CQE was written (zero for unsignaled).
 	CQEAt sim.Time
 	// Status is CQEOK when the operation succeeded; transport failures
-	// (retry/RNR exhaustion) and error-state flushes carry the cause,
+	// (retry exhaustion) and error-state flushes carry the cause,
 	// and their RemoteVisible is zero — the effect never happened.
 	Status CQEStatus
 }
@@ -422,89 +369,31 @@ func (q *QP) execute(now sim.Time, w WQE) OpResult {
 		// an error CQE, in submission order.
 		return q.flushWQE(now, w)
 	}
-	res := OpResult{WRID: w.WRID, Op: w.Op}
+	res := OpResult{WRID: w.WRID}
 	_, t := n.proc.Acquire(now, 0)
 
-	switch w.Op {
-	case OpWrite:
-		buf := n.arena.get(w.Len)
-		dmaStart := t
-		t = n.Host.DMARead(t, w.LocalAddr, buf)
-		if n.tr != nil {
-			n.tr.Span("dma-read", obs.StageNIC, dmaStart, t)
-		}
-		var ok bool
-		if t, ok = q.sendReliable(n.tx, t, w.Len+wqeWireOverhead); !ok {
-			n.arena.put(buf)
-			return q.failWQE(t, w, CQERetryExceeded)
-		}
-		rn := q.remote.nic
-		_, t = rn.proc.Acquire(t, 0)
-		dmaStart = t
-		t = rn.Host.DMAWrite(t, w.RemoteAddr, buf, rn.tphFor(w.RemoteAddr))
-		if n.tr != nil {
-			n.tr.Span("dma-write", obs.StageNIC, dmaStart, t)
-		}
-		n.arena.put(buf)
-		res.RemoteVisible = t
-		q.stats.Writes++
-		q.stats.BytesOut += int64(w.Len)
-
-	case OpSend:
-		rq := q.remote
-		buf := n.arena.get(w.Len)
-		dmaStart := t
-		t = n.Host.DMARead(t, w.LocalAddr, buf)
-		if n.tr != nil {
-			n.tr.Span("dma-read", obs.StageNIC, dmaStart, t)
-		}
-		// Deliver the message, then claim a receive buffer. When the
-		// remote ring is exhausted (or its head not yet replenished)
-		// the responder NAKs receiver-not-ready; the sender waits the
-		// RNR timer and retransmits, up to the RNR retry budget.
-		rnrAttempts := 0
-		var rb recvBuf
-		for {
-			var ok bool
-			if t, ok = q.sendReliable(n.tx, t, w.Len+wqeWireOverhead); !ok {
-				n.arena.put(buf)
-				return q.failWQE(t, w, CQERetryExceeded)
-			}
-			if len(rq.recvs) > 0 && rq.recvs[0].availableAt <= t {
-				rb = rq.recvs[0]
-				rq.recvs = rq.recvs[1:]
-				break
-			}
-			if rnrAttempts >= q.rnrRetryLimit() {
-				n.arena.put(buf)
-				return q.failWQE(t, w, CQERNRRetryExceeded)
-			}
-			rnrAttempts++
-			q.stats.RNRNaks++
-			// The NAK crosses back, the sender sits out the RNR timer,
-			// then the loop retransmits the message.
-			t = rq.nic.tx.Send(t, ackWireBytes) + q.rnrTimer()
-		}
-		if w.Len > rb.len {
-			panic(fmt.Sprintf("rnic: SEND len %d exceeds receive buffer %d", w.Len, rb.len))
-		}
-		rn := rq.nic
-		_, t = rn.proc.Acquire(t, 0)
-		dmaStart = t
-		t = rn.Host.DMAWrite(t, rb.addr, buf, rn.tphFor(rb.addr))
-		if n.tr != nil {
-			n.tr.Span("dma-write", obs.StageNIC, dmaStart, t)
-		}
-		n.arena.put(buf)
-		// Receive-side completion.
-		rq.cq.push(CQE{WRID: rb.wrid, Op: OpSend, At: t, Len: w.Len})
-		res.RemoteVisible = t
-		q.stats.Sends++
-		q.stats.BytesOut += int64(w.Len)
-
-	default:
-		panic("rnic: unknown opcode")
+	buf := n.arena.get(w.Len)
+	dmaStart := t
+	t = n.Host.DMARead(t, w.LocalAddr, buf)
+	if n.tr != nil {
+		n.tr.Span("dma-read", obs.StageNIC, dmaStart, t)
 	}
+	var ok bool
+	if t, ok = q.sendReliable(n.tx, t, w.Len+wqeWireOverhead); !ok {
+		n.arena.put(buf)
+		return q.failWQE(t, w, CQERetryExceeded)
+	}
+	rn := q.remote.nic
+	_, t = rn.proc.Acquire(t, 0)
+	dmaStart = t
+	t = rn.Host.DMAWrite(t, w.RemoteAddr, buf, rn.tphFor(w.RemoteAddr))
+	if n.tr != nil {
+		n.tr.Span("dma-write", obs.StageNIC, dmaStart, t)
+	}
+	n.arena.put(buf)
+	res.RemoteVisible = t
+	q.stats.Writes++
+	q.stats.BytesOut += int64(w.Len)
 
 	if w.Signaled {
 		// The ACK returns over the wire, then the CQE is DMA-written to
@@ -526,7 +415,7 @@ func (q *QP) execute(now sim.Time, w WQE) OpResult {
 		if n.tr != nil {
 			n.tr.Span("cqe-dma", obs.StageNIC, back, cqeAt)
 		}
-		q.cq.push(CQE{WRID: w.WRID, Op: w.Op, At: cqeAt, Len: w.Len})
+		q.cq.push(CQE{WRID: w.WRID, At: cqeAt, Len: w.Len})
 		res.CQEAt = cqeAt
 	}
 	return res

@@ -109,7 +109,7 @@ func BenchMigrationFailoverReplay(n int) sim.Time {
 	wins := make([]fault.Window, 0, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
 		wins = append(wins, fault.Window{
-			Node: fmt.Sprintf("s%dr1", s), Kind: fault.Crash, From: now, To: windowEnd,
+			Node: fmt.Sprintf("s%dr1", s), From: now, To: windowEnd,
 		})
 	}
 	c.EnableFaults(fault.New(fault.Plan{Nodes: wins}))

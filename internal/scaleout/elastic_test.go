@@ -290,10 +290,10 @@ func TestElasticResizeUnderFaults(t *testing.T) {
 	c, st := run(func(tAdd sim.Time) []fault.Window {
 		return []fault.Window{
 			// The new shard dies whole just as chunks start landing on it.
-			{Node: "s4r0", Kind: fault.Crash, From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
-			{Node: "s4r1", Kind: fault.Crash, From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
+			{Node: "s4r0", From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
+			{Node: "s4r1", From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
 			// A single-replica crash later in the reshape.
-			{Node: "s1r0", Kind: fault.Crash,
+			{Node: "s1r0",
 				From: tAdd + sim.Time(300*sim.Microsecond), To: tAdd + sim.Time(500*sim.Microsecond)},
 		}
 	})
@@ -314,9 +314,9 @@ func TestElasticResizeUnderFaults(t *testing.T) {
 	// Determinism of the faulted reshape.
 	_, st2 := run(func(tAdd sim.Time) []fault.Window {
 		return []fault.Window{
-			{Node: "s4r0", Kind: fault.Crash, From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
-			{Node: "s4r1", Kind: fault.Crash, From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
-			{Node: "s1r0", Kind: fault.Crash,
+			{Node: "s4r0", From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
+			{Node: "s4r1", From: tAdd, To: tAdd + sim.Time(150*sim.Microsecond)},
+			{Node: "s1r0",
 				From: tAdd + sim.Time(300*sim.Microsecond), To: tAdd + sim.Time(500*sim.Microsecond)},
 		}
 	})

@@ -184,7 +184,7 @@ func TestMigrationSurvivesDestinationCrash(t *testing.T) {
 		half = m0.start + sim.Time(sim.Microsecond)
 	}
 	r := runFaultedSkew(t, []fault.Window{
-		{Node: fmt.Sprintf("s%dr1", m0.dst), Kind: fault.Crash, From: m0.start, To: half},
+		{Node: fmt.Sprintf("s%dr1", m0.dst), From: m0.start, To: half},
 	}, reqs)
 	st := r.c.Stats()
 	if st.Migrations == 0 {
@@ -210,7 +210,7 @@ func TestMigrationSurvivesSourceCrash(t *testing.T) {
 	const reqs = 4000
 	m0 := reconFirstMigration(t, reqs)
 	r := runFaultedSkew(t, []fault.Window{
-		{Node: fmt.Sprintf("s%dr0", m0.src), Kind: fault.Crash,
+		{Node: fmt.Sprintf("s%dr0", m0.src),
 			From: m0.start, To: m0.end + sim.Time(50*sim.Microsecond)},
 	}, reqs)
 	st := r.c.Stats()
@@ -235,8 +235,8 @@ func TestMigrationAbortsWhenDestinationDies(t *testing.T) {
 	m0 := reconFirstMigration(t, reqs)
 	to := m0.start + sim.Time(120*sim.Microsecond)
 	r := runFaultedSkew(t, []fault.Window{
-		{Node: fmt.Sprintf("s%dr0", m0.dst), Kind: fault.Crash, From: m0.start, To: to},
-		{Node: fmt.Sprintf("s%dr1", m0.dst), Kind: fault.Crash, From: m0.start, To: to},
+		{Node: fmt.Sprintf("s%dr0", m0.dst), From: m0.start, To: to},
+		{Node: fmt.Sprintf("s%dr1", m0.dst), From: m0.start, To: to},
 	}, reqs)
 	st := r.c.Stats()
 	if st.Aborted < 1 {
@@ -255,7 +255,7 @@ func TestFaultedClusterDeterministic(t *testing.T) {
 	const reqs = 4000
 	m0 := reconFirstMigration(t, reqs)
 	win := []fault.Window{
-		{Node: fmt.Sprintf("s%dr1", m0.dst), Kind: fault.Crash,
+		{Node: fmt.Sprintf("s%dr1", m0.dst),
 			From: m0.start, To: m0.end + sim.Time(30*sim.Microsecond)},
 	}
 	run := func() (Stats, string) {
@@ -303,8 +303,8 @@ func TestFrontendRetriesExhausted(t *testing.T) {
 
 	winEnd := t0 + sim.Time(10*sim.Millisecond)
 	c.EnableFaults(fault.New(fault.Plan{Nodes: []fault.Window{
-		{Node: "s0r0", Kind: fault.Crash, From: t0, To: winEnd},
-		{Node: "s0r1", Kind: fault.Crash, From: t0, To: winEnd},
+		{Node: "s0r0", From: t0, To: winEnd},
+		{Node: "s0r1", From: t0, To: winEnd},
 	}}))
 
 	fe := c.NewFrontend()

@@ -17,7 +17,7 @@
 //   - The virtual-time toolkit (clock, load drivers, histograms) that
 //     every benchmark in this repository uses.
 //   - Deterministic observability: per-request span tracing and a
-//     metrics registry, with Chrome trace_event and JSON exporters
+//     metrics registry, with a Chrome trace_event exporter
 //     (see the Observability section below).
 //
 // See examples/quickstart for a minimal end-to-end application and
@@ -25,8 +25,6 @@
 package rambda
 
 import (
-	"io"
-
 	"rambda/internal/core"
 	"rambda/internal/cpoll"
 	"rambda/internal/hostcpu"
@@ -201,8 +199,7 @@ func DialCPU(cm *Machine, s *CPUServer, idx int) *CPUClient {
 // through its coherent datapath so DRAM/NVM bandwidth is charged by
 // address kind. Two engines ship: the MICA-style hash index (KVStore)
 // and the tiered LSM tree (LSMTree) with key-ordered range scans; both
-// are driven only through this serving contract. DispatchRequest routes
-// a decoded wire request to either.
+// are driven only through this serving contract.
 type (
 	// StorageBackend is the pluggable KVS storage engine interface.
 	StorageBackend = kvs.Backend
@@ -241,23 +238,6 @@ const (
 	StatusError    = kvs.StatusError
 )
 
-// NewKVStore allocates a hash store in a machine's address space.
-func NewKVStore(space *memspace.Space, cfg KVStoreConfig) *KVStore {
-	return kvs.New(space, cfg)
-}
-
-// OpenLSM opens a fresh LSM tree on a machine's memory system (the
-// machine must have NVM: MachineConfig.WithNVM).
-func OpenLSM(m *Machine, cfg LSMConfig) *LSMTree {
-	return lsm.Open(m.Space, m.Mem, cfg)
-}
-
-// DispatchRequest executes a decoded request against any storage
-// backend using the scratch's buffers (kvs.ApplyScratch).
-func DispatchRequest(b StorageBackend, r KVRequest, sc *KVScratch) (KVResponse, []MemAccess) {
-	return kvs.ApplyScratch(b, r, sc)
-}
-
 // Observability. Attach a Tracer and/or Metrics registry through
 // ServerOptions (Trace, Metrics fields) before NewServer; both are
 // virtual-time collectors, so a run with a collector attached produces
@@ -267,8 +247,8 @@ type (
 	// Tracer records nested request spans in virtual time. One tracer
 	// serves one deterministic run (single goroutine).
 	Tracer = obs.Trace
-	// Metrics is a registry of named counters and gauges sampled on a
-	// virtual-time ticker.
+	// Metrics is a registry of named gauges sampled on a virtual-time
+	// ticker.
 	Metrics = obs.Registry
 	// TraceStage classifies a span by pipeline stage.
 	TraceStage = obs.Stage
@@ -280,41 +260,20 @@ type (
 
 // Pipeline stages for spans.
 const (
-	StageNIC        = obs.StageNIC
-	StageWire       = obs.StageWire
-	StageRing       = obs.StageRing
-	StageNotify     = obs.StageNotify
-	StageCompute    = obs.StageCompute
-	StageMemory     = obs.StageMemory
-	StageScan       = obs.StageScan
-	StageCompaction = obs.StageCompaction
-	StageOther      = obs.StageOther
+	StageNIC     = obs.StageNIC
+	StageWire    = obs.StageWire
+	StageRing    = obs.StageRing
+	StageNotify  = obs.StageNotify
+	StageCompute = obs.StageCompute
+	StageMemory  = obs.StageMemory
+	StageOther   = obs.StageOther
 )
 
 // NewTracer creates an empty span collector.
 func NewTracer() *Tracer { return obs.NewTrace() }
 
-// NewMetrics creates an empty metrics registry.
-func NewMetrics() *Metrics { return obs.NewRegistry() }
-
-// WriteChromeTrace writes the named tracers as Chrome trace_event JSON
-// (load in chrome://tracing or Perfetto).
-func WriteChromeTrace(w io.Writer, traces []TraceExport) error {
-	return obs.WriteChromeTrace(w, traces)
-}
-
-// WriteChromeTraceFile is WriteChromeTrace to a file path.
+// WriteChromeTraceFile writes the named tracers to a file as Chrome
+// trace_event JSON (load in chrome://tracing or Perfetto).
 func WriteChromeTraceFile(path string, traces []TraceExport) error {
 	return obs.WriteChromeTraceFile(path, traces)
-}
-
-// WriteMetrics writes the named registries' samples and final values as
-// JSON.
-func WriteMetrics(w io.Writer, regs []MetricsExport) error {
-	return obs.WriteMetrics(w, regs)
-}
-
-// WriteMetricsFile is WriteMetrics to a file path.
-func WriteMetricsFile(path string, regs []MetricsExport) error {
-	return obs.WriteMetricsFile(path, regs)
 }
